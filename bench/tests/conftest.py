@@ -1,0 +1,9 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(BENCH))
+
+import program  # noqa: E402
+
+program.use_checkout_source()
