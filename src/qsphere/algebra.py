@@ -520,14 +520,17 @@ def _tokenise(text: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch in "+-*^(),":
+        elif ch in "+-*/^(),":
             tokens.append(ch)
             i += 1
         elif ch.isdigit():
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            if j < n and text[j] == "/":
+            # a rational literal such as 1/2, except right after a '/',
+            # so that a/2/3 divides by 2 and then by 3
+            if (j + 1 < n and text[j] == "/" and text[j + 1].isdigit()
+                    and tokens[-1:] != ["/"]):
                 j += 1
                 while j < n and text[j].isdigit():
                     j += 1
@@ -557,7 +560,9 @@ def parse(text: str) -> Element:
 
     Understood atoms: the letters a, b, c, d, the sphere generators
     A, B, Bstar, rationals, and the scalars q, s, r, each with an optional
-    integer exponent.
+    integer exponent.  A factor may be divided by a scalar factor, as in
+    the repr ``'((-1)/(1 + s^4))*b*c'`` of an element whose coefficients
+    have denominators, so ``parse(repr(x)) == x``.
     """
     tokens = _tokenise(text)
     pos = [0]
@@ -633,9 +638,22 @@ def parse(text: str) -> Element:
             out = out * base
         return out
 
+    def parse_divisor():
+        el = parse_atom()
+        if not el:
+            raise ValueError("division by zero in %r" % text)
+        c = el.terms.get(MONO_ID)
+        if c is None or len(el.terms) != 1:
+            raise ValueError("division by a non-scalar in %r" % text)
+        return c.inverse()
+
     def parse_product():
         out = parse_atom()
         while peek() is not None and peek() not in ("+", "-", ")"):
+            if peek() == "/":
+                take()
+                out = out.scale(parse_divisor())
+                continue
             if peek() == "*":
                 take()
             out = out * parse_atom()

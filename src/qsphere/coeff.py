@@ -22,23 +22,40 @@ never by differentiating: q-integers are Laurent polynomials once reduced,
 so ``[n]_q`` at q = 1 is literally the integer n.  Values with a nonzero
 r-part pick up an exact multiple of sqrt(2) at q = 1 and are returned as a
 pair of rationals.
+
+The dicts hold ``Fraction`` coefficients, but the arithmetic runs on Python
+ints.  An operation converts each operand once to integer numerators over
+one common denominator (``_ints``); products, sums, the gcd (a primitive
+remainder sequence) and the exact division by it all work on ints, and
+each output coefficient becomes a Fraction once, at the end (``_fracs``).
+Dividing by the primitive integer gcd needs no fractions: by Gauss's lemma
+the quotient is integral, so every step of the long division divides
+exactly by the divisor's leading coefficient.
+
+The stored form is pinned, reduced or not: the keys of ``pe``, ``pr`` and
+``den``, their Fraction values and their dict insertion order are those
+that plain Fraction arithmetic with the same dict updates gives.  ``repr``,
+equality and hashing read them, and ``eval_float`` sums in dict order, so
+float values (the spectra's Gram and operator matrices are built from them)
+depend on that order to the last bit.  The integer kernels therefore make
+the same insertions and deletions in the same order; a zero test on ints
+agrees with one on Fractions because every term of a sum shares one
+denominator.  ``tests/test_coeff.py`` pins the stored form of fixed and
+random scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-try:  # gmpy2 is optional; mpq halves the runtime of the heavy suites
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
-
-_ZERO = _Q(0)
-_ONE = _Q(1)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in s as {exponent: rational} dicts (zero coeffs absent)
+# Laurent polynomials in s as {exponent: coefficient} dicts (zero coeffs
+# absent).  The stored dicts hold Fractions and the kernels run on dicts of
+# ints; _pneg and _pshift serve both.
 # ---------------------------------------------------------------------------
 
 
@@ -71,10 +88,11 @@ def _pmul(p1, p2):
         (e2, c2), = p2.items()
         return {e + e2: c * c2 for e, c in p1.items()}
     out = {}
+    get = out.get
     for e1, c1 in p1.items():
         for e2, c2 in p2.items():
             e = e1 + e2
-            v = out.get(e)
+            v = get(e)
             if v is None:
                 out[e] = c1 * c2
             else:
@@ -93,57 +111,64 @@ def _pshift(p, k):
 
 
 def _pscale(p, f):
+    if f == 1:
+        return p
     return {e: c * f for e, c in p.items()}
 
 
-def _to_dense(p):
-    """Laurent dict with min exponent 0 -> dense coefficient list."""
-    n = max(p) + 1
-    out = [_ZERO] * n
-    for e, c in p.items():
-        out[e] = c
-    return out
+# -- the boundary between stored Fractions and integer kernels --------------
 
 
-def _from_dense(lst):
-    return {e: c for e, c in enumerate(lst) if c}
+def _ints(*ps):
+    """Fraction dicts -> (int dicts, d) with p == ints / d for each p.
+
+    d is the lcm of every coefficient denominator of all the ps, so that
+    sums of the int dicts, and the zero tests inside them, agree with the
+    same sums of Fractions.  Keys and their order are kept.
+    """
+    d = lcm(*{c.denominator for p in ps for c in p.values()})
+    if d == 1:
+        return [{e: c.numerator for e, c in p.items()} for p in ps], 1
+    return [{e: c.numerator * (d // c.denominator) for e, c in p.items()}
+            for p in ps], d
 
 
-def _dense_divmod(num, den):
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[dn]
-    quot = [_ZERO] * max(len(num) - dn, 0)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if not c:
-            continue
-        f = c / lead
-        quot[i - dn] = f
-        for j, dc in enumerate(den):
-            num[i - dn + j] = num[i - dn + j] - f * dc
-    while num and not num[-1]:
-        num.pop()
-    return quot, num
+# Fractions are immutable, so the small integers are made once and shared
+_SMALL = {c: Fraction(c) for c in range(-64, 65)}
+
+
+def _fracs(p, d):
+    """Int dict over the common denominator d -> Fraction dict, one
+    Fraction per coefficient, keys and their order kept."""
+    if d < 0:
+        p, d = _pneg(p), -d
+    if d == 1:
+        return {e: _SMALL[c] if -65 < c < 65 else Fraction(c)
+                for e, c in p.items()}
+    return {e: Fraction(c, d) for e, c in p.items()}
+
+
+# -- integer polynomial kernels ----------------------------------------------
 
 
 def _int_dense(p):
-    """Laurent dict (min exp 0 after the caller's shift) -> primitive dense
-    integer list.  Clearing the rational denominators and the content only
-    changes the gcd by a unit, which is all the reduction cares about."""
-    lcm = 1
-    for c in p.values():
-        d = c.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    out = [0] * (max(p) + 1)
+    """Int Laurent dict -> primitive dense list of its coefficients from
+    the lowest exponent up.  s is a unit in the Laurent ring and the
+    content is a unit over Q, so neither changes a gcd."""
+    lo = min(p)
+    out = [0] * (max(p) - lo + 1)
     for e, c in p.items():
-        out[e] = int(c * lcm)
+        out[e - lo] = c
+    return _primitive(out)
+
+
+def _primitive(a):
     g = 0
-    for v in out:
+    for v in a:
         g = gcd(g, v)
         if g == 1:
-            return out
-    return [v // g for v in out]
+            return a
+    return [v // g for v in a] if g > 1 else a
 
 
 def _int_prem(a, b):
@@ -166,73 +191,84 @@ def _int_prem(a, b):
         r.pop()
         while r and r[-1] == 0:
             r.pop()
-    g = 0
-    for v in r:
-        g = gcd(g, v)
-        if g == 1:
-            return r
-    return [v // g for v in r] if g else r
+    return _primitive(r)
 
 
-def _poly_gcd(p1, p2):
-    """gcd of two Laurent dicts, returned as a monic polynomial dict
-    (min exp 0).  s is a unit in the Laurent ring, so each input is first
-    shifted down to an honest polynomial.
-
-    Runs a primitive remainder sequence over the integers; fractions only
-    reappear at the end to make the answer monic.
-    """
-    if not p1:
-        p1, p2 = p2, p1
-    if not p1:
-        return _PONE
-    a = _int_dense(_pshift(p1, -min(p1)))
-    if not p2:
-        b = []
-    else:
-        b = _int_dense(_pshift(p2, -min(p2)))
+def _poly_gcd(a, b):
+    """gcd of two primitive dense integer polys, by a primitive remainder
+    sequence; primitive again, and [1] when they are coprime."""
     if len(a) == 1 or len(b) == 1:
-        return _PONE
+        return [1]
     if len(a) < len(b):
         a, b = b, a
     while b:
         a, b = b, _int_prem(a, b)
     if len(a) == 1:
-        return _PONE
-    lead = _Q(a[-1])
-    return {e: _Q(c) / lead for e, c in enumerate(a) if c}
+        return [1]
+    return a
 
 
 def _pdiv_exact(p, g):
-    """Divide Laurent dict p by polynomial dict g (must divide exactly)."""
-    if g == {0: _ONE}:
-        return p
+    """Divide the int Laurent dict p by the primitive dense integer poly g.
+
+    By Gauss's lemma the quotient of an integer polynomial by a primitive
+    divisor has integer coefficients, so every step of the long division
+    divides exactly by g's leading coefficient; a step that leaves a
+    remainder, or a nonzero remainder at the end, means g does not divide
+    p.  The quotient comes back with its exponents ascending.
+    """
     if not p:
         return {}
     shift = min(p)
-    quot, rem = _dense_divmod(_to_dense(_pshift(p, -shift)), _to_dense(g))
-    if rem:
+    num = [0] * (max(p) - shift + 1)
+    for e, c in p.items():
+        num[e - shift] = c
+    dn = len(g) - 1
+    lead = g[dn]
+    if len(num) <= dn:
         raise ArithmeticError("inexact polynomial division")
-    return _pshift(_from_dense(quot), shift)
+    quot = [0] * (len(num) - dn)
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = num[i]
+        if not c:
+            continue
+        f, m = divmod(c, lead)
+        if m:
+            raise ArithmeticError("inexact polynomial division")
+        off = i - dn
+        quot[off] = f
+        for j in range(dn):
+            num[off + j] -= f * g[j]
+    if any(num[:dn]):
+        raise ArithmeticError("inexact polynomial division")
+    return {e + shift: c for e, c in enumerate(quot) if c}
 
 
 # ---------------------------------------------------------------------------
 # the field K
 # ---------------------------------------------------------------------------
 
-# r^2 = s^2 + s^{-2}
-_RSQ = {2: _ONE, -2: _ONE}
+# r^2 = s^2 + s^{-2}, as an int dict for the kernels
+_RSQ = {2: 1, -2: 1}
 _PONE = {0: _ONE}
 
 
 class Scalar:
     """An element (pe + pr*r)/den of K = Q(s)[r]/(r^2 - s^2 - s^{-2}).
 
-    Arithmetic keeps the raw numerator/denominator dicts and defers the
-    gcd reduction until a canonical form is actually needed (equality,
-    hashing, limits, display).  The intermediate scalars of a big tensor
-    computation vastly outnumber the surviving ones, so reducing lazily
-    is worth an order of magnitude on the curvature pipeline.
+    ``pe``, ``pr`` and ``den`` are {exponent: Fraction} dicts.  Arithmetic
+    keeps the raw numerator/denominator dicts and defers the gcd reduction
+    until a canonical form is actually needed (equality, hashing, limits,
+    display).  The intermediate scalars of a big tensor computation vastly
+    outnumber the surviving ones, so reducing lazily is worth an order of
+    magnitude on the curvature pipeline.
+
+    Each operation converts its operands to ints once, computes on ints,
+    and makes one Fraction per stored coefficient of the result; a result
+    that is reduced at once goes from the ints straight to its reduced
+    form.  The stored dicts, their key order included, are pinned (see the
+    module docstring): ``repr``, ``==``, ``hash`` and ``eval_float`` read
+    them.
     """
 
     __slots__ = ("pe", "pr", "den", "_key", "_reduced")
@@ -263,7 +299,8 @@ class Scalar:
 
     def _reduce(self) -> "Scalar":
         if not self._reduced:
-            self.pe, self.pr, self.den = _normalise(self.pe, self.pr, self.den)
+            (pe, pr, den), _ = _ints(self.pe, self.pr, self.den)
+            self.pe, self.pr, self.den = _normalise(pe, pr, den)
             self._reduced = True
         return self
 
@@ -271,7 +308,7 @@ class Scalar:
 
     @staticmethod
     def from_rational(x) -> "Scalar":
-        c = _Q(x)
+        c = Fraction(x)
         if not c:
             return ZERO
         return Scalar({0: c}, {}, _PONE, _normal=True)
@@ -343,12 +380,18 @@ class Scalar:
             return self
         if not self:
             return other
+        (pe1, pr1, d1), n1 = _ints(self.pe, self.pr, self.den)
+        (pe2, pr2, d2), n2 = _ints(other.pe, other.pr, other.den)
         if self.den == other.den:
-            return Scalar(_padd(self.pe, other.pe), _padd(self.pr, other.pr),
-                          self.den)
-        pe = _padd(_pmul(self.pe, other.den), _pmul(other.pe, self.den))
-        pr = _padd(_pmul(self.pr, other.den), _pmul(other.pr, self.den))
-        return Scalar(pe, pr, _pmul(self.den, other.den))
+            # one common denominator n for both numerators and the den
+            n = n1 // gcd(n1, n2) * n2
+            k1, k2 = n // n1, n // n2
+            return _scalar(_padd(_pscale(pe1, k1), _pscale(pe2, k2)),
+                           _padd(_pscale(pr1, k1), _pscale(pr2, k2)),
+                           _pscale(d1, k1), n)
+        pe = _padd(_pmul(pe1, d2), _pmul(pe2, d1))
+        pr = _padd(_pmul(pr1, d2), _pmul(pr2, d1))
+        return _scalar(pe, pr, _pmul(d1, d2), n1 * n2)
 
     def __neg__(self):
         return Scalar(_pneg(self.pe), _pneg(self.pr), self.den,
@@ -364,10 +407,11 @@ class Scalar:
             return NotImplemented
         if not self or not other:
             return ZERO
-        pe = _padd(_pmul(self.pe, other.pe),
-                   _pmul(_RSQ, _pmul(self.pr, other.pr)))
-        pr = _padd(_pmul(self.pe, other.pr), _pmul(self.pr, other.pe))
-        return Scalar(pe, pr, _pmul(self.den, other.den))
+        (pe1, pr1, d1), n1 = _ints(self.pe, self.pr, self.den)
+        (pe2, pr2, d2), n2 = _ints(other.pe, other.pr, other.den)
+        pe = _padd(_pmul(pe1, pe2), _pmul(_RSQ, _pmul(pr1, pr2)))
+        pr = _padd(_pmul(pe1, pr2), _pmul(pr1, pe2))
+        return _scalar(pe, pr, _pmul(d1, d2), n1 * n2)
 
     def scale_s(self, k: int) -> "Scalar":
         """Fast multiplication by s^k."""
@@ -380,11 +424,9 @@ class Scalar:
         if not self:
             raise ZeroDivisionError("inverse of zero scalar")
         # 1/((pe + pr r)/den) = den (pe - pr r) / (pe^2 - pr^2 (s^2+s^-2))
-        norm = _padd(_pmul(self.pe, self.pe),
-                     _pneg(_pmul(_RSQ, _pmul(self.pr, self.pr))))
-        pe = _pmul(self.den, self.pe)
-        pr = _pneg(_pmul(self.den, self.pr))
-        return Scalar(pe, pr, norm)
+        (pe, pr, den), n = _ints(self.pe, self.pr, self.den)
+        norm = _padd(_pmul(pe, pe), _pneg(_pmul(_RSQ, _pmul(pr, pr))))
+        return _scalar(_pmul(den, pe), _pneg(_pmul(den, pr)), norm, n * n)
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
@@ -478,11 +520,33 @@ class Scalar:
         return "(%s)/(%s)" % (num, self._poly_str(self.den))
 
 
-def _normalise(pe, pr, den):
+def _scalar(pe, pr, den, n):
+    """The Scalar (pe + pr*r)/den for int dicts that hold n times the
+    coefficients of its stored form.
+
+    While den has at most two terms the scalar stays unreduced, one
+    Fraction per coefficient; past that it is reduced straight from the
+    ints, where n cancels.
+    """
     if not den:
         raise ZeroDivisionError("zero denominator in scalar")
     if not pe and not pr:
-        return {}, {}, _PONE
+        return ZERO
+    if len(den) <= 2:
+        return Scalar(_fracs(pe, n), _fracs(pr, n), _fracs(den, n))
+    return Scalar(*_normalise(pe, pr, den), _normal=True)
+
+
+def _normalise(pe, pr, den):
+    """Canonical stored form of (pe + pr*r)/den, a nonzero scalar given
+    by int dicts.
+
+    den is shifted to lowest exponent 0, the numerators and den are
+    divided by their common gcd and den is made monic.  Only the last step,
+    the division by den's leading coefficient, makes Fractions.  Where the
+    gcd is nontrivial the dicts come out with ascending exponents;
+    otherwise they keep their keys' order.
+    """
     # pull the denominator's s-power into the numerators
     dshift = min(den)
     if dshift:
@@ -492,31 +556,17 @@ def _normalise(pe, pr, den):
     if len(den) == 1:
         # monomial denominator: nothing to cancel beyond the constant
         c = den[0]
-        if c != 1:
-            inv = _ONE / c
-            pe = _pscale(pe, inv)
-            pr = _pscale(pr, inv)
-        return pe, pr, _PONE
-    if den != _PONE:
-        g = _poly_gcd(pe if pe else pr, den)
-        if pr and pe and g != _PONE:
-            g = _poly_gcd(g, pr)  # gcd of all three
-        if g != _PONE:
-            pe = _pdiv_exact(pe, g)
-            pr = _pdiv_exact(pr, g)
-            den = _pdiv_exact(den, g)
-            shift = min(den)
-            if shift:
-                den = _pshift(den, -shift)
-                pe = _pshift(pe, -shift)
-                pr = _pshift(pr, -shift)
-        lead = den[max(den)]
-        if lead != 1:
-            inv = _ONE / lead
-            pe = _pscale(pe, inv)
-            pr = _pscale(pr, inv)
-            den = _pscale(den, inv)
-    return pe, pr, den
+        return _fracs(pe, c), _fracs(pr, c), _PONE
+    g = _poly_gcd(_int_dense(pe if pe else pr), _int_dense(den))
+    if pr and pe and len(g) > 1:
+        g = _poly_gcd(g, _int_dense(pr))  # gcd of all three
+    if len(g) > 1:
+        # den has a nonzero constant term, so g and den/g have one too
+        pe = _pdiv_exact(pe, g)
+        pr = _pdiv_exact(pr, g)
+        den = _pdiv_exact(den, g)
+    lead = den[max(den)]
+    return _fracs(pe, lead), _fracs(pr, lead), _fracs(den, lead)
 
 
 ZERO = Scalar({}, {}, _PONE, _normal=True)

@@ -373,8 +373,22 @@ def test_parse_words():
     assert parse("-3*A") == SPHERE_A.scale(rational(-3))
 
 
+def test_parse_divides_by_scalar_factors():
+    x = GEN_B * GEN_C
+    assert parse("((-1)/(1 + s^4))*b*c") == x.scale(-(ONE + q(2)).inverse())
+    assert parse("b*c/(q + q^-1)") == x.scale(qnum(4).inverse())
+    assert parse("a/2") == GEN_A.scale(rational(Fraction(1, 2)))
+    assert parse("a/2/3") == GEN_A.scale(rational(Fraction(1, 6)))
+    assert parse("2/3*a") == GEN_A.scale(rational(Fraction(2, 3)))
+    y = (GEN_A.scale((qnum(3) + ROOT_TWO_Q).inverse())
+         - GEN_B * GEN_C.scale(qnum(5) / (q(1) + q(-1) + ONE)))
+    assert "/" in repr(y)
+    assert parse(repr(y)) == y
+
+
 def test_parse_rejects_junk():
-    for bad in ("a +", "x", "a^b", "(a", "a)"):
+    for bad in ("a +", "x", "a^b", "(a", "a)", "a/b", "a/(b + 1)", "a/0",
+                "a/", "2/"):
         with pytest.raises(ValueError):
             parse(bad)
 

@@ -80,3 +80,78 @@ def test_json_and_table_round_trip():
     text = spectra_table(res)
     assert "eigenvalues" in text.splitlines()[0]
     assert len(text.splitlines()) == 3
+
+
+def test_cli_spectra_table_and_json(capsys):
+    from qsphere.cli import main
+    assert main(["spectra", "--l-max", "3/2", "--q", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["l", "q", "op", "eigenvalues"]
+    assert [row.split()[:3] for row in lines[1:]] == [["0.5", "0.5", "D"],
+                                                      ["1.5", "0.5", "D"]]
+    assert main(["spectra", "--l-max", "1.5", "--q", "0.9", "--operator",
+                 "D2", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["l"], r["operator"]) for r in rows] == [(0.5, "D2"), (1.5, "D2")]
+    want = qnum_float(4, 0.9) ** 2  # [2]_q0^2 on the spin-3/2 block
+    assert rows[1]["eigenvalues"] == pytest.approx([want] * 8, rel=1e-8)
+
+
+def test_cli_rejects_bad_input(capsys):
+    from qsphere.cli import main
+    for argv in (["spectra", "--l-max", "1"], ["spectra", "--l-max=-1/2"],
+                 ["spectra", "--q", "1.5"]):
+        assert main(argv) == 2
+        assert "error" in capsys.readouterr().err
+    for argv in (["spectra", "--l-max", "x"], ["spectra", "--operator", "X"],
+                 ["nothing"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_cli_spectra_reports_a_numeric_failure(monkeypatch, capsys):
+    from qsphere import cli
+
+    def singular(*args):
+        raise ArithmeticError("Gram matrix is singular")
+
+    monkeypatch.setattr(cli, "spectrum", singular)
+    assert cli.main(["spectra"]) == 1
+    assert "failed: Gram matrix is singular" in capsys.readouterr().err
+
+
+def test_cli_check_runs_the_named_checks(capsys):
+    from qsphere.cli import main
+    assert main(["check", "--only", "podles-relations"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("PASS podles-relations (")
+
+
+def test_cli_check_reports_a_failure(monkeypatch, capsys):
+    from qsphere import cli
+    monkeypatch.setitem(cli.CHECKS, "hermitian", lambda: (False, "residual x"))
+    assert cli.main(["check", "--only", "hermitian"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL hermitian (")
+
+
+def test_cli_curvature_formats(monkeypatch, capsys):
+    # the cold curvature computation takes minutes; the command's wiring
+    # is checked on a stand-in with the same serialisers
+    from qsphere import cli
+
+    class Data:
+        def to_json(self):
+            return "{json}"
+
+        def to_latex(self):
+            return "latex"
+
+    monkeypatch.setattr(cli, "CurvatureData", Data)
+    for argv, want in ((["curvature"], "{json}"),
+                       (["curvature", "--json"], "{json}"),
+                       (["curvature", "--latex"], "latex")):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want + "\n"
+    with pytest.raises(SystemExit):
+        cli.main(["curvature", "--json", "--latex"])

@@ -248,3 +248,14 @@ def test_coeff_json_round_trips():
     rebuilt = {tuple(int(p) - 1 for p in key.split(",")): parse(text)
                for key, text in blob["coeff"].items()}
     assert rebuilt == g.coeffs()
+
+
+def test_coeff_json_entries_with_denominators_round_trip():
+    # the volume form and d(A) ^ d(B) have coefficients over 1 + q^4
+    from qsphere.calculus import ext_d, volume_form
+    for t in (volume_form().C, ext_d(SPHERE_A, SPHERE_B)):
+        blob = coeff_json(t)
+        assert all("/" in text for text in blob["coeff"].values())
+        rebuilt = {tuple(int(p) - 1 for p in key.split(",")): parse(text)
+                   for key, text in blob["coeff"].items()}
+        assert rebuilt == t.coeffs()
