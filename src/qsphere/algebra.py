@@ -528,9 +528,11 @@ def _tokenise(text: str):
             while j < n and text[j].isdigit():
                 j += 1
             # a rational literal such as 1/2, except right after a '/',
-            # so that a/2/3 divides by 2 and then by 3
+            # so that a/2/3 divides by 2 and then by 3, and in an
+            # exponent, so that s^2/3 and s^-2/3 divide by 3
             if (j + 1 < n and text[j] == "/" and text[j + 1].isdigit()
-                    and tokens[-1:] != ["/"]):
+                    and tokens[-1:] not in (["/"], ["^"])
+                    and tokens[-2:] != ["^", "-"]):
                 j += 1
                 while j < n and text[j].isdigit():
                     j += 1

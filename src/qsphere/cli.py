@@ -2,7 +2,7 @@
 ``qsphere curvature``.
 
     qsphere spectra --l-max 5/2 --q 0.5 --operator D [--json]
-    qsphere check [--only torsion-free --only podles-relations]
+    qsphere check
     qsphere curvature [--json | --latex]
 
 ``spectra`` prints the numeric block spectra as a table or as JSON; a spin
@@ -66,9 +66,9 @@ def _spectra(args) -> int:
 
 def _check(args) -> int:
     status = 0
-    for name in args.only or CHECKS:
+    for name, check in CHECKS.items():
         start = time.perf_counter()
-        ok, detail = CHECKS[name]()
+        ok, detail = check()
         line = "%s %s (%.2f s)" % ("PASS" if ok else "FAIL", name,
                                    time.perf_counter() - start)
         print(line + (": " + detail if detail else ""), flush=True)
@@ -102,8 +102,6 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_spectra)
 
     p = sub.add_parser("check", help="run the exact identity checks")
-    p.add_argument("--only", action="append", choices=tuple(CHECKS),
-                   help="run only this check (repeatable)")
     p.set_defaults(run=_check)
 
     p = sub.add_parser("curvature",

@@ -380,6 +380,9 @@ def test_parse_divides_by_scalar_factors():
     assert parse("a/2") == GEN_A.scale(rational(Fraction(1, 2)))
     assert parse("a/2/3") == GEN_A.scale(rational(Fraction(1, 6)))
     assert parse("2/3*a") == GEN_A.scale(rational(Fraction(2, 3)))
+    third = rational(Fraction(1, 3))
+    for text, k in (("a*s^2/3", 2), ("a*s^2 /3", 2), ("a*s^-2/3", -2)):
+        assert parse(text) == GEN_A.scale(s_pow(k) * third)
     y = (GEN_A.scale((qnum(3) + ROOT_TWO_Q).inverse())
          - GEN_B * GEN_C.scale(qnum(5) / (q(1) + q(-1) + ONE)))
     assert "/" in repr(y)
