@@ -5,9 +5,11 @@
     qsphere check
     qsphere curvature [--json | --latex]
 
-``spectra`` prints the numeric block spectra as a table or as JSON; a spin
-or q0 out of range exits with status 2, a block that fails numerically
-with status 1.
+``spectra`` prints the block spectra as a table or as JSON; a spin or q0
+out of range exits with status 2.  Status 1 means that an exact identity
+failed while a block was reduced in K (a singular Gram matrix, or an
+operator that leaves the block), or that the spectrum at q0 came out
+non-real.
 ``check`` runs the exact identity checks, one line each with its wall time,
 and exits with status 1 if any fails.  ``curvature`` computes the Riemann,
 Ricci and scalar curvature and prints their frame coefficients as JSON or
@@ -57,7 +59,7 @@ def _spectra(args) -> int:
     except ValueError as exc:  # a spin or q0 out of range
         print("qsphere spectra: error: %s" % exc, file=sys.stderr)
         return 2
-    except ArithmeticError as exc:  # a singular Gram matrix or a coupling
+    except ArithmeticError as exc:  # an exact identity failed, see above
         print("qsphere spectra: failed: %s" % exc, file=sys.stderr)
         return 1
     print(spectra_json(results) if args.json else spectra_table(results))

@@ -36,8 +36,8 @@ The stored form is pinned, reduced or not: the keys of ``pe``, ``pr`` and
 ``den``, their Fraction values and their dict insertion order are those
 that plain Fraction arithmetic with the same dict updates gives.  ``repr``,
 equality and hashing read them, and ``eval_float`` sums in dict order, so
-float values (the spectra's Gram and operator matrices are built from them)
-depend on that order to the last bit.  The integer kernels therefore make
+float values (the spectra's block matrices are evaluated with it) depend
+on that order to the last bit.  The integer kernels therefore make
 the same insertions and deletions in the same order; a zero test on ints
 agrees with one on Fractions because every term of a sum shares one
 denominator.  ``tests/test_coeff.py`` pins the stored form of fixed and
@@ -361,12 +361,21 @@ class Scalar:
     def __eq__(self, other):
         if self is other:
             return True
-        if not isinstance(other, Scalar):
+        if isinstance(other, (int, Fraction)):
+            other = Scalar.from_rational(other)
+        elif not isinstance(other, Scalar):
             return NotImplemented
         return self._freeze() == other._freeze()
 
     def __hash__(self):
-        return hash(self._freeze())
+        # a rational constant hashes like the number, since it equals it
+        pe, pr, den = key = self._freeze()
+        if not pr and den == ((0, _ONE),):
+            if not pe:
+                return hash(0)
+            if len(pe) == 1 and pe[0][0] == 0:
+                return hash(pe[0][1])
+        return hash(key)
 
     def __bool__(self):
         return bool(self.pe) or bool(self.pr)

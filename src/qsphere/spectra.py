@@ -1,42 +1,53 @@
-"""Numeric spectra of D, D^2 and the laplacian on total-spin blocks.
+"""Spectra of D, D^2 and the laplacian on total-spin blocks.
 
 The chiral summands are filtered by monomial length: the degree +1
 normal-form monomials of length at most 2l span the first blocks of S+,
 and the orthogonal complement of the length 2l-2 subspace inside the
 length 2l subspace (with respect to the Haar inner product
 <x, y> = h({}_B<x, y>)) is the total-spin-l block.  Blocks are therefore
-generated by products of the algebra generators, and each is closed under
-D, D^2 and the laplacian; no corepresentation theory enters, the closure
-shows up numerically as vanishing off-block matrix entries and is
-asserted.
+generated by products of the algebra generators; no corepresentation
+theory enters.
 
-For a chosen numeric 0 < q0 <= 1 the Gram matrix of the monomial spinors
-is assembled from exact Haar values evaluated at q0 and orthonormalised in
-filtration order by a Cholesky factor, so the change of basis is
-triangular and respects the filtration.  Operator matrices are computed
-symbolically (the derivations never raise monomial length), evaluated, and
-conjugated into the orthonormal basis.
+The reduction is exact, in the field K, and does not involve q0.  Write
+the row weight of a monomial a^i b^j c^k (or d^i b^j c^k) as
+-i - j + k (or i - j + k): the Haar state is invariant under the left
+circle action, so <x, y> vanishes unless x and y lie in the same chiral
+sector and have the same row weight.  Degree, row weight and length fix
+a monomial, so such a component holds one monomial of each length
+2l, 2l-2, ... down to |row weight|; with t the one of the top length
+2l, the block basis vector is
+
+    t' = t - (orthogonal projection of t onto the shorter monomials),
+
+found by Gaussian elimination on the component's exact Gram matrix
+(``_reduced``; a zero pivot means a singular Gram matrix and raises).
+An operator maps t'_j to a combination of the t'_i; its coefficients are
+the top-monomial coefficients of op(t'_j), and the closure
+op(t'_j) = sum_i M_ij t'_i is checked exactly (``_block_matrix``).  Both
+are cached per process, once per spin and once per (spin, operator), so
+only the evaluation of M at q0 is paid per block.
 
 Eigenvalues of D on the block of total spin l come out as +-[l+1/2]_{q0},
 each with multiplicity 2l+1; this value is derived from the action of the
-derivations, not quoted.  The laplacian spectrum is nonnegative, which is
-the numeric face of its positivity.
+derivations, not quoted, and M_D^2 = [l+1/2]_q^2 holds exactly in K.
+The laplacian spectrum is nonnegative, which is the numeric face of its
+positivity.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from .algebra import Element, mono_length, pbw_monomials
+from .coeff import ZERO
 from .haar import haar
 from .spinor import Spinor, dirac, ip_spin_left, laplacian
 
 _OPERATORS = ("D", "D2", "lap")
-
-_COUPLING_TOL = 1e-9
 
 
 def _op_apply(name: str, psi: Spinor) -> Spinor:
@@ -63,12 +74,101 @@ def qnum_float(two_x: int, q0: float) -> float:
     return (q0 ** (two_x / 2.0) - q0 ** (-two_x / 2.0)) / (q0 - 1.0 / q0)
 
 
+def _row_weight(m) -> int:
+    """Twice the row (left) weight of a monomial: a, b count -1, c, d +1."""
+    branch, i, j, k = m
+    return (i if branch else -i) - j + k
+
+
+def _basis_spinor(sign: int, m) -> Spinor:
+    el = Element.from_mono(m)
+    return Spinor(plus=el) if sign > 0 else Spinor(minus=el)
+
+
+@cache
+def _reduced(n: int):
+    """The basis of the total-spin n/2 block, exactly in K.
+
+    Returns ((sign, t), t', <t', t'>) triples: t runs over the monomials
+    of length n in the plus (sign +1) and then the minus (sign -1) sector,
+    and t' is t minus its projection onto the shorter monomials of its
+    Gram component, the monomials of the same sector and row weight.
+
+    This is Gaussian elimination on the component's Gram matrix, ordered
+    by length.  Its earlier rows reduce the shorter monomials of the
+    component, one of each length n-2, n-4, ..., and those reductions are
+    the t' of the smaller blocks, which are mutually orthogonal (the form
+    is symmetric: K is real and h(z*) is the conjugate of h(z)); so they
+    are taken from ``_reduced(n - 2)`` and below, and only the row of t
+    is eliminated here.  A zero pivot, <t', t'> = 0, raises.
+    """
+    lower = {}
+    for m in range(n - 2, 0, -2):
+        for key, t_prime, norm in _reduced(m):
+            sign, t = key
+            lower.setdefault((sign, _row_weight(t)), []).append((t_prime, norm))
+    out = []
+    for sign in (1, -1):
+        for t in pbw_monomials(n, sign):
+            if mono_length(t) != n:
+                continue
+            x = _basis_spinor(sign, t)
+            t_prime = x
+            for y, norm in lower.get((sign, _row_weight(t)), ()):
+                c = haar(ip_spin_left(x, y)) * norm.inverse()
+                t_prime = t_prime - y.scale(c)
+            # <t', t'> = <t', t>, as t' is orthogonal to the y
+            norm = haar(ip_spin_left(t_prime, x))
+            if norm.is_zero():
+                raise ArithmeticError("Gram matrix is singular at l=%s "
+                                      "(pivot of %r)" % (Fraction(n, 2), t))
+            out.append(((sign, t), t_prime, norm))
+    if len(out) != 2 * (n + 1):
+        raise ArithmeticError("block dimension %d does not match 2(2l+1) = %d"
+                              % (len(out), 2 * (n + 1)))
+    return tuple(out)
+
+
+@cache
+def _block_matrix(n: int, operator: str):
+    """The matrix M of an operator on the spin-n/2 block basis, exactly:
+    op(t'_j) = sum_i M_ij t'_i, checked term by term.  Rows of reduced
+    scalars, in the order of ``_reduced(n)``."""
+    block = _reduced(n)
+    images = {}
+    columns = []
+    for _, t_prime, _ in block:
+        image = Spinor()
+        for sign, part in ((1, t_prime.plus), (-1, t_prime.minus)):
+            for m, c in part.terms.items():
+                key = (sign, m)
+                if key not in images:
+                    images[key] = _op_apply(operator, _basis_spinor(sign, m))
+                image = image + images[key].scale(c)
+        col = [(image.plus if sign > 0 else image.minus).terms.get(t, ZERO)
+               for (sign, t), _, _ in block]
+        span = Spinor()
+        for c, (_, t_i, _) in zip(col, block):
+            span = span + t_i.scale(c)
+        if image != span:
+            raise ArithmeticError("operator %s does not preserve the l=%s block"
+                                  % (operator, Fraction(n, 2)))
+        columns.append(col)
+    # reduced, so that eval_float meets no removable pole (such as q0 = 1)
+    return tuple(tuple(columns[j][i]._reduce() for j in range(len(block)))
+                 for i in range(len(block)))
+
+
 class SpinBlock:
     """One total-spin block of the spinor space at a numeric parameter.
 
-    Holds the monomial spinor basis of the full filtered space up to
-    length 2l, the Gram data, and the orthonormal-basis matrix of the
-    chosen operator restricted to the top block.
+    ``op_matrix`` is the chosen operator on the block, in the basis of the
+    t' (see the module docstring), evaluated at q0.  The exact reduction
+    and the exact matrix are cached per process, so a spin or a
+    (spin, operator) met before costs only this evaluation; q0 enters
+    nowhere else.  The t' are mutually orthogonal, so the matrix is the
+    orthonormal-basis one up to a positive diagonal similarity, and has
+    the same eigenvalues.
     """
 
     def __init__(self, l, q0: float, operator: str = "D"):
@@ -85,62 +185,9 @@ class SpinBlock:
         self._build()
 
     def _build(self):
-        n = int(2 * self.l)
-        plus = [m for m in pbw_monomials(n, 1)]
-        minus = [m for m in pbw_monomials(n, -1)]
-        plus.sort(key=mono_length)
-        minus.sort(key=mono_length)
-
-        basis = [Spinor(plus=Element.from_mono(m)) for m in plus] \
-            + [Spinor(minus=Element.from_mono(m)) for m in minus]
-        self.basis = basis
-        m_count = len(basis)
-
-        # top-block positions: monomials of length exactly 2l, per sector
-        top = [i for i, mono in enumerate(plus) if mono_length(mono) == n]
-        top += [len(plus) + i for i, mono in enumerate(minus)
-                if mono_length(mono) == n]
-        if len(top) != 2 * (n + 1):
-            raise ArithmeticError(
-                "block dimension %d does not match 2(2l+1) = %d"
-                % (len(top), 2 * (n + 1)))
-        self.block_index = top
-
-        gram = np.empty((m_count, m_count))
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                gram[i, j] = haar(ip_spin_left(x, y)).eval_float(self.q0)
-        self.gram = gram
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise ArithmeticError(
-                "Gram matrix is singular at q0=%r, l=%s" % (self.q0, self.l)
-            ) from exc
-
-        index_p = {mono: i for i, mono in enumerate(plus)}
-        index_m = {mono: len(plus) + i for i, mono in enumerate(minus)}
-        coords = np.zeros((m_count, m_count))
-        for j, psi in enumerate(basis):
-            out = _op_apply(self.operator, psi)
-            for mono, c in out.plus.terms.items():
-                coords[index_p[mono], j] = c.eval_float(self.q0)
-            for mono, c in out.minus.terms.items():
-                coords[index_m[mono], j] = c.eval_float(self.q0)
-
-        # triangular change to the orthonormal basis: columns of inv(chol)^H
-        # stay inside the filtration, so the top block is the orthocomplement
-        w = np.linalg.inv(chol).conj().T
-        on = np.linalg.inv(w) @ coords @ w
-
-        outside = [i for i in range(m_count) if i not in top]
-        if outside:
-            coupling = np.abs(on[np.ix_(outside, top)]).max()
-            if coupling > _COUPLING_TOL:
-                raise ArithmeticError(
-                    "operator %s does not preserve the l=%s block "
-                    "(coupling %.2e)" % (self.operator, self.l, coupling))
-        self.op_matrix = on[np.ix_(top, top)]
+        matrix = _block_matrix(int(2 * self.l), self.operator)
+        self.op_matrix = np.array([[c.eval_float(self.q0) for c in row]
+                                   for row in matrix])
 
     def eigenvalues(self):
         vals = np.linalg.eigvals(self.op_matrix)

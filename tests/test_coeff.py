@@ -113,12 +113,26 @@ def test_canonical_equality_and_hash():
     assert len({a, b}) == 1
 
 
+def test_equality_with_rationals():
+    assert ZERO == 0
+    assert not ZERO != 0
+    assert rational(Fraction(3, 2)) == Fraction(3, 2)
+    assert qnum(2) == 1
+    assert q_pow(1) != 1
+    assert ROOT_TWO_Q != 0
+    assert hash(rational(5)) == hash(5)
+    assert hash(rational(Fraction(-7, 3))) == hash(Fraction(-7, 3))
+    assert hash(ZERO) == hash(0)
+    assert hash(qnum(4) / qnum(2) - q_pow(-1)) == hash(q_pow(1))
+    assert len({qnum(2), 1, Fraction(1)}) == 1
+
+
 # ---------------------------------------------------------------------------
 # the stored form, pinned bit for bit
 # ---------------------------------------------------------------------------
 #
 # ``repr`` (hashed by the curvature goldens), equality and hashing, and
-# ``eval_float`` (which sums in dict order and so feeds the spectra Gram
+# ``eval_float`` (which sums in dict order and so feeds the spectra block
 # matrices) all read the stored dicts.  The kernels may change; the keys,
 # the Fraction values and the insertion order of ``pe``, ``pr`` and ``den``
 # may not, reduced or unreduced.  Each case records the unreduced form where

@@ -1,13 +1,20 @@
-"""Numeric spectra on total-spin blocks."""
+"""Spectra on total-spin blocks: the exact block matrices in K and their
+values at numeric q0."""
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from qsphere.algebra import Element, mono_length, pbw_monomials
+from qsphere.coeff import ZERO, q_pow, qnum
+from qsphere.haar import haar
 from qsphere.spectra import (
-    SpinBlock, qnum_float, spectra_json, spectra_table, spectrum,
+    SpinBlock, _block_matrix, _reduced, _row_weight, qnum_float,
+    spectra_json, spectra_table, spectrum,
 )
+from qsphere.spinor import Spinor, ip_spin_left
 
 
 def test_smallest_block_dirac_eigenvalues():
@@ -45,10 +52,85 @@ def test_dirac_squared_matches_squares():
     assert sorted(v * v for v in d) == pytest.approx(d2, abs=1e-8)
 
 
+def _monomial_spinors(n):
+    """(sign, monomial, spinor) for every monomial spinor of length <= n."""
+    return [(sign, m, Spinor(plus=Element.from_mono(m)) if sign > 0
+             else Spinor(minus=Element.from_mono(m)))
+            for sign in (1, -1) for m in pbw_monomials(n, sign)]
+
+
 def test_gram_is_positive():
-    g = SpinBlock(1.5, 0.5, "D").gram
+    basis = [x for _, _, x in _monomial_spinors(3)]
+    g = np.array([[haar(ip_spin_left(x, y)).eval_float(0.5) for y in basis]
+                  for x in basis])
     assert np.allclose(g, g.T, atol=1e-12)
     assert np.linalg.eigvalsh(g).min() > 0
+
+
+def test_row_weight_filter_skips_only_zero_pairs():
+    # the reduction pairs only monomials of one sector and row weight;
+    # every other pair is orthogonal, exactly
+    for n in (1, 3, 5):
+        spinors = _monomial_spinors(n)
+        skipped = 0
+        for sign, m, x in spinors:
+            for sign2, m2, y in spinors:
+                if sign == sign2 and _row_weight(m) != _row_weight(m2):
+                    assert haar(ip_spin_left(x, y)) == 0, (m, m2)
+                    skipped += 1
+        assert skipped > 0
+
+
+def test_reduced_basis_is_orthogonal_to_shorter_monomials():
+    for n in (1, 3, 5):
+        block = _reduced(n)
+        assert len(block) == 2 * (n + 1)
+        for (sign, t), t_prime, norm in block:
+            assert mono_length(t) == n
+            assert (t_prime.plus if sign > 0 else t_prime.minus).terms[t] == 1
+            assert haar(ip_spin_left(t_prime, t_prime)) == norm
+            assert norm.eval_float(0.5) > 0
+            for _, _, x in _monomial_spinors(n - 2):
+                assert haar(ip_spin_left(t_prime, x)) == 0
+                assert haar(ip_spin_left(x, t_prime)) == 0
+
+
+def _matmul(a, b):
+    return [[reduce(lambda acc, k: acc + a[i][k] * b[k][j], range(len(b)), ZERO)
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_exact_block_identities(n):
+    size = 2 * (n + 1)
+    m_d, m_d2, m_lap = (_block_matrix(n, op) for op in ("D", "D2", "lap"))
+    square = _matmul(m_d, m_d)
+    # D^2 = [l + 1/2]_q^2 on the block, and D is traceless
+    top = qnum(n + 1) * qnum(n + 1)
+    assert square == [[top if i == j else 0 for j in range(size)]
+                      for i in range(size)]
+    assert reduce(lambda acc, i: acc + m_d[i][i], range(size), ZERO) == 0
+    assert [list(row) for row in m_d2] == square
+    # the Weitzenbock defect diag(q^2, q^-2)/(q^2 + q^-2), block by block
+    e_beta = q_pow(2) + q_pow(-2)
+    defect = [q_pow(2) / e_beta] * (n + 1) + [q_pow(-2) / e_beta] * (n + 1)
+    for i in range(size):
+        for j in range(size):
+            want = defect[i] if i == j else 0
+            assert m_d2[i][j] - m_lap[i][j] == want, (i, j)
+
+
+@pytest.mark.parametrize("q0", [0.01, 0.3, 0.58, 0.97, 1.0])
+def test_large_blocks_at_every_q0(q0):
+    # the float Gram route failed here: singular at 0.3, a coupling of
+    # 5e-2 at 0.58
+    for l in (4.5, 5.5):
+        v = qnum_float(int(2 * l + 1), q0)
+        size = int(2 * l + 1)
+        d = SpinBlock(l, q0, "D").eigenvalues()
+        assert d == pytest.approx([-v] * size + [v] * size, rel=1e-8)
+        d2 = SpinBlock(l, q0, "D2").eigenvalues()
+        assert d2 == pytest.approx([v * v] * (2 * size), rel=1e-8)
 
 
 def test_block_construction_errors():
@@ -64,13 +146,28 @@ def test_block_construction_errors():
         SpinBlock(6.5, 0.5, "D")
 
 
+def _clear_caches():
+    _reduced.cache_clear()
+    _block_matrix.cache_clear()
+
+
 def test_singular_gram_is_an_error(monkeypatch):
     import qsphere.spectra as spectra_mod
-    from qsphere.coeff import ZERO
 
-    monkeypatch.setattr(spectra_mod, "haar", lambda x: ZERO)
-    with pytest.raises(ArithmeticError):
-        SpinBlock(0.5, 0.5, "D")
+    _clear_caches()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra_mod, "haar", lambda x: ZERO)
+            for l in (0.5, 1.5):
+                with pytest.raises(ArithmeticError, match="singular"):
+                    SpinBlock(l, 0.5, "D")
+        # a failed reduction stores nothing, so a real block builds after
+        assert _reduced.cache_info().currsize == 0
+        assert _block_matrix.cache_info().currsize == 0
+        vals = SpinBlock(1.5, 0.5, "D").eigenvalues()
+        assert vals == pytest.approx([-2.5] * 4 + [2.5] * 4, abs=1e-8)
+    finally:
+        _clear_caches()
 
 
 def test_json_and_table_round_trip():
@@ -95,6 +192,11 @@ def test_cli_spectra_table_and_json(capsys):
     assert [(r["l"], r["operator"]) for r in rows] == [(0.5, "D2"), (1.5, "D2")]
     want = qnum_float(4, 0.9) ** 2  # [2]_q0^2 on the spin-3/2 block
     assert rows[1]["eigenvalues"] == pytest.approx([want] * 8, rel=1e-8)
+    assert main(["spectra", "--l-max", "11/2", "--q", "0.3", "--operator",
+                 "D2", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    want = qnum_float(12, 0.3) ** 2
+    assert rows[-1]["eigenvalues"] == pytest.approx([want] * 24, rel=1e-8)
 
 
 def test_cli_rejects_bad_input(capsys):
