@@ -11,16 +11,22 @@ then made orthogonal to the metric: C = ch - e^{-beta} G <G, ch>.  The
 squared length alpha = <C, C> = 4 q^{-2} / (q^2 + q^{-2}) is validated at
 construction time.  The projection onto junk is the rank-one complement
 
-    Psi(T) = T - alpha^{-1} C <C, T>,
+    Psi(T) = T - alpha^{-1} C <C, T>.
 
-and an independent realisation (corner selectors plus the Z-line) is
-provided for cross-checking.  The exterior derivative of a one-form a.dee(b)
-is the closed form (q/2) C (q^{-1} del_e(a) del_f(b) - q del_f(a) del_e(b)),
-certified elsewhere against (1 - Psi)(dee(a) (x) dee(b)).
+C has only two nonzero corners (see ``tensors``), both constants in K:
+C^{+-} = 2/(1 + s^8) and C^{-+} = -2 s^4/(1 + s^8).  So the pairing <C, T>
+is C^{+-} T^{+-} + C^{-+} T^{-+}, read off the two mixed corners of T, and
+Psi needs no frame expansion.  An independent realisation (corner
+selectors plus the Z-line) is provided for cross-checking.
+
+The exterior derivative of a one-form a.dee(b) is the closed form
+(q/2) C (q^{-1} del_e(a) del_f(b) - q del_f(a) del_e(b)), certified
+elsewhere against (1 - Psi)(dee(a) (x) dee(b)).
 
 The braiding sigma scales the (-,-) and (+,+) corners by q^2 and q^{-2} and
 swaps the mixed corners through frame insertions; it fixes G, acts affinely
-on C, and intertwines the two Grassmann connections.
+on C, and intertwines the two Grassmann connections.  Its inverse differs
+only in the powers on the (-,-) and (+,+) corners.
 """
 
 from __future__ import annotations
@@ -161,9 +167,9 @@ def _swap_terms(part: Tensor, js: tuple, make):
     return Tensor(2, terms)
 
 
-def sigma(t: Tensor) -> Tensor:
-    """The braiding on two-tensors: q^2 on the (-,-) corner, q^{-2} on the
-    (+,+) corner, and frame-mediated swaps of the mixed corners."""
+def _braid(t: Tensor, e: int) -> Tensor:
+    """q^e on the (-,-) corner, q^{-e} on the (+,+) corner, and the
+    frame-mediated swaps of the mixed corners."""
     _check_proper(t)
     parts = bidegree(t)
     ups = tuple(spin_one(m, 1) for m in (1, 0, -1))
@@ -176,26 +182,17 @@ def sigma(t: Tensor) -> Tensor:
         parts.mp, downs,
         lambda v, rho, eta: (OneForm(plus=v.star()),
                              OneForm(minus=v * (rho.minus * eta.plus))))
-    out = parts.mm.scale(q_pow(2)) + parts.pp.scale(q_pow(-2)) + \
+    return parts.mm.scale(q_pow(e)) + parts.pp.scale(q_pow(-e)) + \
         swapped_pm.scale(q_pow(-2)) + swapped_mp.scale(q_pow(2))
-    return out.canonical() if len(out.terms) > 27 else out
+
+
+def sigma(t: Tensor) -> Tensor:
+    """The braiding on two-tensors: q^2 on the (-,-) corner, q^{-2} on the
+    (+,+) corner, and frame-mediated swaps of the mixed corners."""
+    return _braid(t, 2)
 
 
 def sigma_inv(t: Tensor) -> Tensor:
     """Inverse braiding: q^{-2} on (-,-), q^2 on (+,+), and the same swaps
     on the mixed corners (the braiding squares to the identity there)."""
-    _check_proper(t)
-    parts = bidegree(t)
-    ups = tuple(spin_one(m, 1) for m in (1, 0, -1))
-    downs = tuple(spin_one(m, -1) for m in (1, 0, -1))
-    swapped_pm = _swap_terms(
-        parts.pm, ups,
-        lambda u, rho, eta: (OneForm(minus=u.star()),
-                             OneForm(plus=u * (rho.plus * eta.minus))))
-    swapped_mp = _swap_terms(
-        parts.mp, downs,
-        lambda v, rho, eta: (OneForm(plus=v.star()),
-                             OneForm(minus=v * (rho.minus * eta.plus))))
-    out = parts.mm.scale(q_pow(-2)) + parts.pp.scale(q_pow(2)) + \
-        swapped_pm.scale(q_pow(-2)) + swapped_mp.scale(q_pow(2))
-    return out.canonical() if len(out.terms) > 27 else out
+    return _braid(t, -2)

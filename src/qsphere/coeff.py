@@ -35,13 +35,13 @@ exactly by the divisor's leading coefficient.
 The stored form is pinned, reduced or not: the keys of ``pe``, ``pr`` and
 ``den``, their Fraction values and their dict insertion order are those
 that plain Fraction arithmetic with the same dict updates gives.  ``repr``,
-equality and hashing read them, and ``eval_float`` sums in dict order, so
-float values (the spectra's block matrices are evaluated with it) depend
-on that order to the last bit.  The integer kernels therefore make
-the same insertions and deletions in the same order; a zero test on ints
-agrees with one on Fractions because every term of a sum shares one
-denominator.  ``tests/test_coeff.py`` pins the stored form of fixed and
-random scalars.
+equality and hashing read them, and ``eval_float`` sums the reduced form
+in dict order, so float values (the spectra's block matrices are evaluated
+with it) depend on that order to the last bit.  The integer kernels
+therefore make the same insertions and deletions in the same order; a
+zero test on ints agrees with one on Fractions because every term of a sum
+shares one denominator.  ``tests/test_coeff.py`` pins the stored form of
+fixed and random scalars.
 """
 
 from __future__ import annotations
@@ -460,7 +460,9 @@ class Scalar:
     # -- evaluation ---------------------------------------------------------
 
     def eval_float(self, q: float) -> float:
-        """Numerical value at a given q > 0."""
+        """Numerical value at a given q > 0, from the reduced form, so that
+        a removable pole (such as 0/0 at q = 1) never shows."""
+        self._reduce()
         s = q ** 0.5
         r = (q + 1.0 / q) ** 0.5
         pe = sum(float(c) * s ** e for e, c in self.pe.items())

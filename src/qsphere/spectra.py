@@ -132,8 +132,8 @@ def _reduced(n: int):
 @cache
 def _block_matrix(n: int, operator: str):
     """The matrix M of an operator on the spin-n/2 block basis, exactly:
-    op(t'_j) = sum_i M_ij t'_i, checked term by term.  Rows of reduced
-    scalars, in the order of ``_reduced(n)``."""
+    op(t'_j) = sum_i M_ij t'_i, checked term by term.  Rows of scalars,
+    in the order of ``_reduced(n)``."""
     block = _reduced(n)
     images = {}
     columns = []
@@ -154,8 +154,7 @@ def _block_matrix(n: int, operator: str):
             raise ArithmeticError("operator %s does not preserve the l=%s block"
                                   % (operator, Fraction(n, 2)))
         columns.append(col)
-    # reduced, so that eval_float meets no removable pole (such as q0 = 1)
-    return tuple(tuple(columns[j][i]._reduce() for j in range(len(block)))
+    return tuple(tuple(columns[j][i] for j in range(len(block)))
                  for i in range(len(block)))
 
 

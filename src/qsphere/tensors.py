@@ -2,27 +2,46 @@
 
 A k-tensor (k = 2, 3, 4) is a formal sum of simple tensors of one-forms,
 stored as a list of k-tuples.  Equality over the sphere algebra B is not
-decidable term-by-term, so every tensor also carries a canonical coefficient
-array indexed by frame multi-indices:
+decidable term by term; it is decided from the 2^k corners
+
+    T^eps = sum_terms leg_1^{eps_1} ... leg_k^{eps_k},    eps in {+1, -1}^k,
+
+where +1 picks the plus entry of a leg and -1 the minus entry.  Each corner
+is one element of O(SU_q(2)), and a balanced move (rho b) (x) eta ->
+rho (x) (b eta) leaves it unchanged.  The corners are a complete invariant,
+because they and the frame coefficients
 
     coeff(T)[i_1 ... i_k] = <w_{i_1} (x) ... (x) w_{i_k}, T>
 
-computed with nested right inner products.  Because the three-element frame
-reconstructs every off-diagonal matrix, the array is a complete invariant:
-two term lists represent the same tensor over B exactly when their arrays
-agree, and the reconstruction
+(nested right inner products) determine each other, for every term list,
+proper legs or not:
 
-    T = sum w_{i_1} (x) ... (x) w_{i_k} . coeff(T)[i_1 ... i_k]
+    coeff(T)[I] = sum_eps q^{-sum eps} (w_I^eps)* T^eps,
+    T^eps       = sum_I w_I^eps coeff(T)[I].
 
-re-expresses any tensor through at most 3^k simple terms.  Term lists that
-grow past a threshold are re-expressed automatically.
+The first is the nesting of ``ip_right``, multiplied out; the second is
+the frame identity rho = sum_j w_j <w_j, rho>, which holds for every
+off-diagonal matrix, applied leg by leg.  So ``==``, the zero test and the
+inner products on tensor powers all read corners:
 
-The module also provides the inner products on tensor powers (right ones
-nest from the first leg, left ones from the last), the adjoint dag_T which
-reverses legs, the multiplication map m onto diagonal 2x2 matrices, the
-bidegree decomposition of two-tensors, and the metric two-tensor
+    <S, T>   = sum_eps q^{-sum eps} (S^eps)* T^eps    (right, nested from
+                                                       the first leg)
+    B<S, T>  = sum_eps q^{sum eps} S^eps (T^eps)*     (left, nested from
+                                                       the last leg)
 
-    G = sum_j w_j (x) dag(w_j),        e^beta = <G, G> = q^2 + q^{-2}.
+The frame coefficients stay as a derived view: ``canonical()`` re-expresses
+a tensor through them as at most 3^k simple terms (term lists that grow past
+a threshold are re-expressed automatically), and the golden files,
+``coeff_json`` and the command line read them.
+
+The module also provides the adjoint dag_T which reverses legs, the
+multiplication map m onto diagonal 2x2 matrices (the two mixed corners of a
+two-tensor), the bidegree decomposition of two-tensors, and the metric
+two-tensor
+
+    G = sum_j w_j (x) dag(w_j),        e^beta = <G, G> = q^2 + q^{-2},
+
+whose corners are the constants G^{+-} = q and G^{-+} = q^{-1}.
 
 The normalised metric Z = e^{-beta/2} G involves a square root that the
 coefficient field does not contain, so Z is kept as a base tensor together
@@ -34,8 +53,8 @@ from __future__ import annotations
 
 
 from .algebra import Element, ONE_EL, ZERO_EL
-from .coeff import ONE, Scalar, q_pow, rational
-from .forms import OneForm, ZERO_FORM, frame, ip_left, ip_right
+from .coeff import Scalar, rational
+from .forms import OneForm, frame, ip_right
 
 COMPRESS_THRESHOLD = 64
 
@@ -43,9 +62,15 @@ _MINUS_ONE = rational(-1)
 
 
 class Tensor:
-    """A formal sum of simple k-fold tensors of one-forms, k in {2, 3, 4}."""
+    """A formal sum of simple k-fold tensors of one-forms, k in {2, 3, 4}.
 
-    __slots__ = ("k", "terms", "_coeffs")
+    Equality, the zero test and the pairings read the corners (see the
+    module docstring); the frame coefficients are a derived view for
+    ``canonical()`` and the exported coefficient arrays.  Both are computed
+    once per tensor.
+    """
+
+    __slots__ = ("k", "terms", "_coeffs", "_corners")
 
     def __init__(self, k: int, terms=()):
         if k not in (2, 3, 4):
@@ -60,6 +85,36 @@ class Tensor:
                 kept.append(tuple(term))
         self.terms = kept
         self._coeffs = None
+        self._corners = None
+
+    # -- corners ------------------------------------------------------------
+
+    def corners(self):
+        """The corners as a dict eps -> Element, eps a k-tuple of +1/-1,
+        holding only the nonzero entries.
+
+        Walks the legs once per term, sharing each partial product across
+        the corners with a common prefix.
+        """
+        if self._corners is None:
+            out = {}
+            for term in self.terms:
+                states = [((), None)]
+                for leg in term:
+                    nxt = []
+                    for eps, x in states:
+                        for sign, part in ((1, leg.plus), (-1, leg.minus)):
+                            if part.is_zero():
+                                continue
+                            y = part if x is None else x * part
+                            if not y.is_zero():
+                                nxt.append((eps + (sign,), y))
+                    states = nxt
+                for eps, x in states:
+                    acc = out.get(eps)
+                    out[eps] = x if acc is None else acc + x
+            self._corners = {e: x for e, x in out.items() if not x.is_zero()}
+        return self._corners
 
     # -- canonical coefficients ---------------------------------------------
 
@@ -110,10 +165,11 @@ class Tensor:
         """Re-express through the frame; at most 3^k simple terms."""
         out = Tensor(self.k, self._reconstruction_terms())
         out._coeffs = self.coeffs()
+        out._corners = self._corners
         return out
 
     def is_zero(self) -> bool:
-        return not self.coeffs()
+        return not self.corners()
 
     def __bool__(self):
         return not self.is_zero()
@@ -121,7 +177,7 @@ class Tensor:
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self.k == other.k and self.coeffs() == other.coeffs()
+        return self.k == other.k and self.corners() == other.corners()
 
     # -- linear structure ----------------------------------------------------
 
@@ -193,46 +249,31 @@ def dag_T(t: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _ip_right_simple(sterm, tterm) -> Element:
-    # <r1 (x) rest, t1 (x) rest'> = <rest, (<r1,t1>.t2) (x) ...>
-    x = ip_right(sterm[0], tterm[0])
-    for pos in range(1, len(sterm)):
-        if x.is_zero():
-            return ZERO_EL
-        x = ip_right(sterm[pos], x * tterm[pos])
-    return x
-
-
-def _ip_left_simple(sterm, tterm) -> Element:
-    # {}_B<rest (x) rk, rest' (x) tk> nests from the last leg:
-    # {}_B<r1 (x) y, t1 (x) z> = {}_B<r1 . {}_B<y, z>, t1>
-    x = ip_left(sterm[-1], tterm[-1])
-    for pos in range(len(sterm) - 2, -1, -1):
-        if x.is_zero():
-            return ZERO_EL
-        x = ip_left(sterm[pos] * x, tterm[pos])
-    return x
-
-
 def ip_T(s: Tensor, t: Tensor) -> Element:
-    """Right inner product of two k-tensors, nested from the first leg."""
+    """Right inner product of two k-tensors, nested from the first leg:
+    sum_eps q^{-sum eps} (S^eps)* T^eps."""
     if s.k != t.k:
         raise ValueError("rank mismatch in inner product")
+    tc = t.corners()
     acc = ZERO_EL
-    for sterm in s.terms:
-        for tterm in t.terms:
-            acc = acc + _ip_right_simple(sterm, tterm)
+    for eps, x in s.corners().items():
+        y = tc.get(eps)
+        if y is not None:
+            acc = acc + (x.star() * y).scale_s(-2 * sum(eps))
     return acc
 
 
 def ip_left_T(s: Tensor, t: Tensor) -> Element:
-    """Left inner product of two k-tensors, nested from the last leg."""
+    """Left inner product of two k-tensors, nested from the last leg:
+    sum_eps q^{sum eps} S^eps (T^eps)*."""
     if s.k != t.k:
         raise ValueError("rank mismatch in inner product")
+    tc = t.corners()
     acc = ZERO_EL
-    for sterm in s.terms:
-        for tterm in t.terms:
-            acc = acc + _ip_left_simple(sterm, tterm)
+    for eps, x in s.corners().items():
+        y = tc.get(eps)
+        if y is not None:
+            acc = acc + (x * y.star()).scale_s(2 * sum(eps))
     return acc
 
 
@@ -240,12 +281,6 @@ def ip_T2(s: Tensor, t: Tensor) -> Element:
     if s.k != 2 or t.k != 2:
         raise ValueError("ip_T2 needs two-tensors")
     return ip_T(s, t)
-
-
-def ip_left_T2(s: Tensor, t: Tensor) -> Element:
-    if s.k != 2 or t.k != 2:
-        raise ValueError("ip_left_T2 needs two-tensors")
-    return ip_left_T(s, t)
 
 
 def contract_left(r: Tensor, g: Tensor) -> Tensor:
@@ -331,15 +366,11 @@ def diag_scalars(top: Scalar, bot: Scalar) -> Diag:
 
 def mul_map(t: Tensor) -> Diag:
     """The multiplication map m on two-tensors: the matrix product of the
-    two legs, which is diagonal."""
+    two legs, which is diagonal with the mixed corners (T^{+-}, T^{-+})."""
     if t.k != 2:
         raise ValueError("mul_map is defined on two-tensors")
-    top = ZERO_EL
-    bot = ZERO_EL
-    for rho, eta in t.terms:
-        top = top + rho.plus * eta.minus
-        bot = bot + rho.minus * eta.plus
-    return Diag(top, bot)
+    c = t.corners()
+    return Diag(c.get((1, -1), ZERO_EL), c.get((-1, 1), ZERO_EL))
 
 
 # ---------------------------------------------------------------------------

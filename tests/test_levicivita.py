@@ -9,7 +9,7 @@ from qsphere.algebra import (
     ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR, ZERO_EL, del_e, del_f,
     spin_one,
 )
-from qsphere.calculus import volume_form
+from qsphere.calculus import JunkData, ext_d, sigma, volume_form
 from qsphere.coeff import ROOT_TWO_Q, q_pow, qnum, rational
 from qsphere.forms import OneForm, dee, frame, ip_right
 from qsphere.levicivita import (
@@ -150,6 +150,49 @@ def test_torsion_free():
 
 def test_bimodule_connection():
     assert check_bimodule_connection()
+
+
+def test_connection_identities_never_read_frame_coefficients(monkeypatch):
+    # equality, the zero test and the pairings read corners, so the
+    # torsion and bimodule identities are decided with Tensor.coeffs
+    # unreadable; constructing the volume form may read it only through
+    # canonical(), which puts C on its frame terms
+    vf = volume_form()
+    real_coeffs, real_canonical = Tensor.coeffs, Tensor.canonical
+    reshaping = []
+
+    def coeffs(self):
+        if not reshaping:
+            raise AssertionError("frame coefficients read outside canonical()")
+        return real_coeffs(self)
+
+    def canonical(self):
+        reshaping.append(self)
+        try:
+            return real_canonical(self)
+        finally:
+            reshaping.pop()
+
+    monkeypatch.setattr(Tensor, "coeffs", coeffs)
+    monkeypatch.setattr(Tensor, "canonical", canonical)
+
+    rho = SPHERE_B * dee(SPHERE_A)
+    d_rho = ext_d(SPHERE_B, SPHERE_A)
+    right, left = conn_right(rho), conn_left(rho)
+    assert d_rho
+    assert vf.complement(right) == -d_rho
+    assert vf.complement(left) == d_rho
+    assert vf.complement(right) != d_rho
+    assert sigma(right) == left
+    assert sigma(right) != right
+
+    fresh = JunkData()
+    assert fresh.C == vf.C and fresh.alpha == vf.alpha
+    assert not fresh.psi(fresh.C)
+    assert fresh.psi(right) == right + d_rho
+
+    with pytest.raises(AssertionError, match="outside canonical"):
+        vf.C.coeffs()
 
 
 def test_bracket_of_frame_pairings():

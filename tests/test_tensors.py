@@ -1,18 +1,21 @@
 """Tensor powers, their inner products, the metric and its invariants."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsphere.algebra import (
-    ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR, Element, parse, spin_one,
+    ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR, ZERO_EL, Element, parse,
+    spin_one,
 )
-from qsphere.coeff import ONE, q_pow, rational
+from qsphere.coeff import ONE, q_pow, rational, s_pow
 from qsphere.forms import E12, E21, OneForm, dee, frame, ip_left, ip_right
 from qsphere.tensors import (
     BidegreeParts, Diag, ScaledTensor, Tensor, as_scalar, bidegree,
-    coeff_json, contract_left, dag_T, diag_scalars, e_beta, ip_left_T,
-    ip_left_T2, ip_T, ip_T2, map_legs, metric, metric_data, mul_map, select,
-    t_mp, t_pm, tensor,
+    coeff_json, contract_left, dag_T, diag_scalars, e_beta, ip_left_T, ip_T,
+    ip_T2, map_legs, metric, metric_data, mul_map, select, t_mp, t_pm, tensor,
 )
 
 from test_forms import one_forms
@@ -70,6 +73,141 @@ def test_compression_keeps_the_tensor():
 
 
 # ---------------------------------------------------------------------------
+# corners, against oracles that multiply out legs and nest pairings per term
+# ---------------------------------------------------------------------------
+
+def _corner(legs, eps):
+    """leg_1^{eps_1} ... leg_k^{eps_k}, +1 picking plus and -1 minus."""
+    out = ONE_EL
+    for leg, e in zip(legs, eps):
+        out = out * (leg.plus if e > 0 else leg.minus)
+    return out
+
+
+def _corner_of(t, eps):
+    return sum((_corner(term, eps) for term in t.terms), ZERO_EL)
+
+
+def _ip_right_nested(sterm, tterm):
+    # <r1 (x) rest, t1 (x) rest'> = <rest, (<r1,t1>.t2) (x) ...>
+    x = ip_right(sterm[0], tterm[0])
+    for pos in range(1, len(sterm)):
+        x = ip_right(sterm[pos], x * tterm[pos])
+    return x
+
+
+def _ip_left_nested(sterm, tterm):
+    # {}_B<r1 (x) y, t1 (x) z> = {}_B<r1 . {}_B<y, z>, t1>
+    x = ip_left(sterm[-1], tterm[-1])
+    for pos in range(len(sterm) - 2, -1, -1):
+        x = ip_left(sterm[pos] * x, tterm[pos])
+    return x
+
+
+def _ip_oracle(nested, s, t):
+    return sum((nested(a, b) for a in s.terms for b in t.terms), ZERO_EL)
+
+
+_SPHERE = (ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR)
+
+
+def _random_tensor(rng, k, n_terms):
+    """Legs b . base . b' with base from the frame, dee of a sphere
+    generator or a matrix unit (not a genuine one-form), and b, b' in the
+    sphere algebra."""
+    bases = list(frame()) + [dee(SPHERE_A), dee(SPHERE_B), dee(SPHERE_BSTAR),
+                             E12, E21]
+    terms = []
+    for _ in range(n_terms):
+        terms.append(tuple((rng.choice(_SPHERE) * rng.choice(bases))
+                           * rng.choice(_SPHERE) for _ in range(k)))
+    return Tensor(k, terms)
+
+
+# (rank, seed): k = 4 tensors stay single-term so the oracles keep quick
+_CORNER_CASES = [(2, 1), (2, 2), (2, 3), (3, 4), (3, 5), (4, 6)]
+
+
+def _case(k, seed):
+    rng = random.Random(seed)
+    return _random_tensor(rng, k, 1 if k == 4 else 2), rng
+
+
+@pytest.mark.parametrize("k,seed", _CORNER_CASES)
+def test_corners_multiply_out_the_legs(k, seed):
+    t, _ = _case(k, seed)
+    want = {}
+    for eps in itertools.product((1, -1), repeat=k):
+        x = _corner_of(t, eps)
+        if not x.is_zero():
+            want[eps] = x
+    assert t.corners() == want
+
+
+@pytest.mark.parametrize("k,seed", _CORNER_CASES)
+def test_corners_and_frame_coefficients_determine_each_other(k, seed):
+    # coeff[I] = sum_eps q^{-sum eps} (w_I^eps)* T^eps and
+    # T^eps = sum_I w_I^eps coeff[I], exactly in K
+    t, _ = _case(k, seed)
+    ws = frame()
+    signs = list(itertools.product((1, -1), repeat=k))
+    corners = {eps: _corner_of(t, eps) for eps in signs}
+    coeffs = t.coeffs()
+    back = dict.fromkeys(signs, ZERO_EL)
+    for idx in itertools.product(range(3), repeat=k):
+        legs = [ws[i] for i in idx]
+        c = coeffs.get(idx, ZERO_EL)
+        assert c == sum(((_corner(legs, eps).star() * corners[eps])
+                         .scale(q_pow(-sum(eps))) for eps in signs), ZERO_EL)
+        for eps in signs:
+            back[eps] = back[eps] + _corner(legs, eps) * c
+    assert back == corners
+
+
+@pytest.mark.parametrize("k,seed", _CORNER_CASES)
+def test_ip_on_corners_matches_the_nested_pairing(k, seed):
+    s, rng = _case(k, seed)
+    t = _random_tensor(rng, k, 1)
+    assert ip_T(s, t) == _ip_oracle(_ip_right_nested, s, t)
+    assert ip_T(t, s) == _ip_oracle(_ip_right_nested, t, s)
+    assert ip_left_T(s, t) == _ip_oracle(_ip_left_nested, s, t)
+    assert ip_left_T(t, s) == _ip_oracle(_ip_left_nested, t, s)
+
+
+@pytest.mark.parametrize("k,seed", _CORNER_CASES)
+def test_balanced_rewrites_compare_equal(k, seed):
+    t, rng = _case(k, seed)
+    term = t.terms[0]
+    b = rng.choice(_SPHERE[1:])
+    for pos in range(k - 1):
+        left = term[:pos] + (term[pos] * b, term[pos + 1]) + term[pos + 2:]
+        right = term[:pos] + (term[pos], b * term[pos + 1]) + term[pos + 2:]
+        assert Tensor(k, [left]) == Tensor(k, [right])
+    assert t == t.canonical()
+
+
+@pytest.mark.parametrize("k,seed", _CORNER_CASES)
+def test_one_term_perturbation_compares_unequal(k, seed):
+    t, rng = _case(k, seed)
+    extra = _random_tensor(rng, k, 1)
+    # the frame coefficients decide independently whether the extra term
+    # is zero over B
+    assert extra.coeffs()
+    assert t + extra != t
+    assert (t + extra) - extra == t
+
+
+def test_constant_corners_of_the_metric_and_the_volume_form():
+    from qsphere.calculus import volume_form
+    assert metric().corners() == {(1, -1): ONE_EL.scale(q_pow(1)),
+                                  (-1, 1): ONE_EL.scale(q_pow(-1))}
+    den = (ONE + s_pow(8)).inverse()
+    assert volume_form().C.corners() == {
+        (1, -1): ONE_EL.scale(rational(2) * den),
+        (-1, 1): ONE_EL.scale(rational(-2) * s_pow(4) * den)}
+
+
+# ---------------------------------------------------------------------------
 # inner products
 # ---------------------------------------------------------------------------
 
@@ -89,13 +227,13 @@ def test_ip_T2_module_linearity(s, t, b):
 @given(two_tensors, two_tensors)
 @settings(deadline=None, max_examples=10)
 def test_left_right_duality(s, t):
-    assert ip_left_T2(s, t) == ip_T2(s.dag(), t.dag())
+    assert ip_left_T(s, t) == ip_T2(s.dag(), t.dag())
 
 
 def test_left_ip_matrix_unit_pattern():
-    assert ip_left_T2(tensor(E12, E21), tensor(E12, E21)) == ONE_EL
-    assert ip_left_T2(tensor(E21, E12), tensor(E21, E12)) == ONE_EL
-    assert ip_left_T2(tensor(E12, E21), tensor(E21, E12)).is_zero()
+    assert ip_left_T(tensor(E12, E21), tensor(E12, E21)) == ONE_EL
+    assert ip_left_T(tensor(E21, E12), tensor(E21, E12)) == ONE_EL
+    assert ip_left_T(tensor(E12, E21), tensor(E21, E12)).is_zero()
 
 
 @given(one_forms, one_forms, one_forms, one_forms, sphere_gens)
@@ -104,8 +242,8 @@ def test_left_ip_respects_middle_balance(a, b, c, d, x):
     s1 = tensor(a * x, b)
     s2 = tensor(a, x * b)
     t = tensor(c, d)
-    assert ip_left_T2(s1, t) == ip_left_T2(s2, t)
-    assert ip_left_T2(t, s1) == ip_left_T2(t, s2)
+    assert ip_left_T(s1, t) == ip_left_T(s2, t)
+    assert ip_left_T(t, s1) == ip_left_T(t, s2)
 
 
 def test_contract_left_pairs_the_last_two_legs():
