@@ -11,11 +11,11 @@ K keeps half-integer powers of q and the frame normalisation ``[2]_q^{1/2}``
 exact, so every identity in the package is decided by arithmetic rather
 than by numerics.
 
-A scalar is stored as ``(pe + pr * r) / den`` with ``pe``, ``pr`` Laurent
-polynomials in ``s`` and ``den`` an ordinary polynomial in ``s`` (lowest
-exponent 0, leading coefficient 1, no common factor with the numerators).
-That canonical form makes equality a tuple comparison and lets scalars be
-dictionary keys.
+A scalar is ``(pe + pr * r) / den`` with ``pe``, ``pr`` Laurent
+polynomials in ``s`` and ``den`` a polynomial in ``s``.  Its reduced form
+has den of lowest exponent 0 and leading coefficient 1, with no common
+factor with the numerators; that form is unique, so equality is a tuple
+comparison and scalars can be dictionary keys.
 
 The q -> 1 limit is taken by substituting s = 1 into the reduced form,
 never by differentiating: q-integers are Laurent polynomials once reduced,
@@ -23,39 +23,37 @@ so ``[n]_q`` at q = 1 is literally the integer n.  Values with a nonzero
 r-part pick up an exact multiple of sqrt(2) at q = 1 and are returned as a
 pair of rationals.
 
-The dicts hold ``Fraction`` coefficients, but the arithmetic runs on Python
-ints.  An operation converts each operand once to integer numerators over
-one common denominator (``_ints``); products, sums, the gcd (a primitive
-remainder sequence) and the exact division by it all work on ints, and
-each output coefficient becomes a Fraction once, at the end (``_fracs``).
-Dividing by the primitive integer gcd needs no fractions: by Gauss's lemma
-the quotient is integral, so every step of the long division divides
-exactly by the divisor's leading coefficient.
+Storage is integer: three {exponent: int} dicts and one positive int n,
+every coefficient being divided by n, with the integer content of the
+dicts and n divided out.  Sums, products, inverses and the reduction read
+and write ints only.  The gcd is a primitive remainder sequence, and the
+division by it needs no fractions: by Gauss's lemma the quotient by a
+primitive divisor is integral, so every step of the long division divides
+exactly by the divisor's leading coefficient.  Before the gcd each
+polynomial p is written s^lo * f(s^k), with k the gcd of the exponent
+differences within all three polynomials, and the gcd and the divisions
+run on f(t), t = s^k.  That is exact, because gcd(f(s^k), h(s^k)) =
+gcd(f, h)(s^k) (Euclid's algorithm commutes with t -> s^k), and the
+polynomials of the curvature pipeline come out 4 to 8 times shorter.
 
-The stored form is pinned, reduced or not: the keys of ``pe``, ``pr`` and
-``den``, their Fraction values and their dict insertion order are those
-that plain Fraction arithmetic with the same dict updates gives.  ``repr``,
-equality and hashing read them, and ``eval_float`` sums the reduced form
-in dict order, so float values (the spectra's block matrices are evaluated
-with it) depend on that order to the last bit.  The integer kernels
-therefore make the same insertions and deletions in the same order; a
-zero test on ints agrees with one on Fractions because every term of a sum
-shares one denominator.  ``tests/test_coeff.py`` pins the stored form of
-fixed and random scalars.
+``pe``, ``pr`` and ``den`` are read-only views: a fresh {exponent:
+Fraction} dict per call, the keys in stored order.  ``tests/test_coeff.py``
+pins them for fixed and random scalars, reduced or not.  ``repr``,
+equality and hashing read only the reduced value.  Only ``eval_float``
+depends on dict order: it sums the reduced form in stored order, so the
+float values of the spectra's block matrices depend on that order to the
+last bit, and the kernels keep the key insertions and deletions of plain
+dict arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 # ---------------------------------------------------------------------------
-# Laurent polynomials in s as {exponent: coefficient} dicts (zero coeffs
-# absent).  The stored dicts hold Fractions and the kernels run on dicts of
-# ints; _pneg and _pshift serve both.
+# Laurent polynomials in s as {exponent: int} dicts (zero coeffs absent)
 # ---------------------------------------------------------------------------
 
 
@@ -110,55 +108,61 @@ def _pshift(p, k):
 
 
 def _pscale(p, f):
+    if f == 1:
+        return p
     return {e: c * f for e, c in p.items()}
 
 
-# -- the boundary between stored Fractions and integer kernels --------------
+def _same(p1, n1, p2, n2):
+    """Whether p1/n1 and p2/n2 are the same polynomial."""
+    if n1 == n2:
+        return p1 == p2
+    return p1.keys() == p2.keys() and all(
+        c * n2 == p2[e] * n1 for e, c in p1.items())
+
+
+# -- Fraction dicts in and out ------------------------------------------------
 
 
 def _ints(*ps):
-    """Fraction dicts -> (int dicts, d) with p == ints / d for each p.
-
-    d is the lcm of every coefficient denominator of all the ps, so that
-    sums of the int dicts, and the zero tests inside them, agree with the
-    same sums of Fractions.  Keys and their order are kept.
-    """
+    """Fraction (or int) dicts -> (int dicts, d) with p == ints / d for
+    each p, d the lcm of every coefficient denominator.  Keys and their
+    order are kept."""
     d = lcm(*{c.denominator for p in ps for c in p.values()})
-    if d == 1:
-        return [{e: c.numerator for e, c in p.items()} for p in ps], 1
     return [{e: c.numerator * (d // c.denominator) for e, c in p.items()}
             for p in ps], d
 
 
-# Fractions are immutable, so those of the small integers, which make up
-# most stored coefficients, are made once and shared.  Fewer objects to
-# allocate and collect: on the curvature benchmark this lowers wall time
-# by about a fifth and peak memory by about 6%.
-_SMALL = {c: Fraction(c) for c in range(-64, 65)}
-
-
 def _fracs(p, d):
-    """Int dict over the common denominator d -> Fraction dict, one
-    Fraction per coefficient, keys and their order kept."""
-    if d < 0:
-        p, d = _pneg(p), -d
-    if d == 1:
-        return {e: _SMALL[c] if -65 < c < 65 else Fraction(c)
-                for e, c in p.items()}
+    """Int dict over the common denominator d -> Fraction dict, keys and
+    their order kept."""
     return {e: Fraction(c, d) for e, c in p.items()}
 
 
 # -- integer polynomial kernels ----------------------------------------------
 
 
-def _int_dense(p):
-    """Int Laurent dict -> primitive dense list of its coefficients from
-    the lowest exponent up.  s is a unit in the Laurent ring and the
-    content is a unit over Q, so neither changes a gcd."""
+def _step(*ps):
+    """The largest k such that each nonempty p is s^lo * f(s^k)."""
+    k = 0
+    for p in ps:
+        if p:
+            lo = min(p)
+            k = gcd(k, *(e - lo for e in p))
+            if k == 1:
+                break
+    return k
+
+
+def _int_dense(p, step):
+    """Int Laurent dict s^lo * f(s^step) -> primitive dense list of the
+    coefficients of f from the constant term up.  s is a unit in the
+    Laurent ring and the content is a unit over Q, so neither changes a
+    gcd."""
     lo = min(p)
-    out = [0] * (max(p) - lo + 1)
+    out = [0] * ((max(p) - lo) // step + 1)
     for e, c in p.items():
-        out[e - lo] = c
+        out[(e - lo) // step] = c
     return _primitive(out)
 
 
@@ -208,21 +212,22 @@ def _poly_gcd(a, b):
     return a
 
 
-def _pdiv_exact(p, g):
-    """Divide the int Laurent dict p by the primitive dense integer poly g.
+def _pdiv_exact(p, g, step):
+    """Divide the int Laurent dict p = s^lo * f(s^step) by G(s^step), for
+    the primitive dense integer poly G.
 
     By Gauss's lemma the quotient of an integer polynomial by a primitive
     divisor has integer coefficients, so every step of the long division
-    divides exactly by g's leading coefficient; a step that leaves a
-    remainder, or a nonzero remainder at the end, means g does not divide
-    p.  The quotient comes back with its exponents ascending.
+    divides exactly by G's leading coefficient; a step that leaves a
+    remainder, or a nonzero remainder at the end, means G does not divide
+    f.  The quotient comes back with its exponents ascending.
     """
     if not p:
         return {}
     shift = min(p)
-    num = [0] * (max(p) - shift + 1)
+    num = [0] * ((max(p) - shift) // step + 1)
     for e, c in p.items():
-        num[e - shift] = c
+        num[(e - shift) // step] = c
     dn = len(g) - 1
     lead = g[dn]
     if len(num) <= dn:
@@ -241,16 +246,15 @@ def _pdiv_exact(p, g):
             num[off + j] -= f * g[j]
     if any(num[:dn]):
         raise ArithmeticError("inexact polynomial division")
-    return {e + shift: c for e, c in enumerate(quot) if c}
+    return {shift + step * i: c for i, c in enumerate(quot) if c}
 
 
 # ---------------------------------------------------------------------------
 # the field K
 # ---------------------------------------------------------------------------
 
-# r^2 = s^2 + s^{-2}, as an int dict for the kernels
+# r^2 = s^2 + s^{-2}
 _RSQ = {2: 1, -2: 1}
-_PONE = {0: _ONE}
 
 # Reduction is deferred while the denominator has at most this many terms
 # (a monomial, or a binomial like q - q^-1 or q^2 + q^-2, which is where
@@ -265,47 +269,50 @@ _LAZY_DEN_TERMS = 2
 class Scalar:
     """An element (pe + pr*r)/den of K = Q(s)[r]/(r^2 - s^2 - s^{-2}).
 
-    ``pe``, ``pr`` and ``den`` are {exponent: Fraction} dicts.  Arithmetic
-    keeps the raw numerator/denominator dicts and defers the gcd reduction
-    until a canonical form is actually needed (equality, hashing, limits,
-    display).  The intermediate scalars of a big tensor computation vastly
-    outnumber the surviving ones, so reducing lazily is worth an order of
-    magnitude on the curvature pipeline.
-
-    Each operation converts its operands to ints once, computes on ints,
-    and makes one Fraction per stored coefficient of the result; a result
-    that is reduced at once goes from the ints straight to its reduced
-    form.  The stored dicts, their key order included, are pinned (see the
-    module docstring): ``repr``, ``==``, ``hash`` and ``eval_float`` read
-    them.
+    Stored as int dicts ``_pe``, ``_pr``, ``_den`` and one int ``_n`` > 0
+    that divides every coefficient (see the module docstring);
+    ``pe``, ``pr`` and ``den`` give the same dicts with Fraction
+    coefficients.  Arithmetic keeps the raw numerator/denominator dicts
+    and defers the gcd reduction until a canonical form is actually needed
+    (equality, hashing, limits, display).  The intermediate scalars of a
+    big tensor computation vastly outnumber the surviving ones, so
+    reducing lazily is worth an order of magnitude on the curvature
+    pipeline.
     """
 
-    __slots__ = ("pe", "pr", "den", "_key", "_reduced")
+    __slots__ = ("_pe", "_pr", "_den", "_n", "_key", "_reduced")
 
-    def __init__(self, pe, pr=None, den=None, _normal=False):
+    def __init__(self, pe, pr=None, den=None):
+        """(pe + pr*r)/den from {exponent: Fraction or int} dicts."""
         if pr is None:
             pr = {}
         if den is None:
-            den = _PONE
+            den = {0: 1}
         elif not den:
             raise ZeroDivisionError("zero denominator in scalar")
-        if not pe and not pr:
-            den = _PONE
-            _normal = True
-        self.pe = pe
-        self.pr = pr
-        self.den = den
-        self._key = None
-        self._reduced = _normal
-        if not _normal and len(den) > _LAZY_DEN_TERMS:
-            self._reduce()
+        (pe, pr, den), n = _ints(pe, pr, den)
+        _init(self, *_scalar_parts(pe, pr, den, n))
 
     def _reduce(self) -> "Scalar":
         if not self._reduced:
-            (pe, pr, den), _ = _ints(self.pe, self.pr, self.den)
-            self.pe, self.pr, self.den = _normalise(pe, pr, den)
+            self._pe, self._pr, self._den, self._n = _normalise(
+                self._pe, self._pr, self._den)
             self._reduced = True
         return self
+
+    # -- the Fraction views -------------------------------------------------
+
+    @property
+    def pe(self):
+        return _fracs(self._pe, self._n)
+
+    @property
+    def pr(self):
+        return _fracs(self._pr, self._n)
+
+    @property
+    def den(self):
+        return _fracs(self._den, self._n)
 
     # -- constructors -------------------------------------------------------
 
@@ -314,21 +321,22 @@ class Scalar:
         c = Fraction(x)
         if not c:
             return ZERO
-        return Scalar({0: c}, {}, _PONE, _normal=True)
+        d = c.denominator
+        return _make({0: c.numerator}, {}, {0: d}, d, True)
 
     @staticmethod
     def s_power(k: int) -> "Scalar":
         """s^k, i.e. q^(k/2)."""
-        return Scalar({k: _ONE}, {}, _PONE, _normal=True)
+        return _make({k: 1}, {}, {0: 1}, 1, True)
 
     @staticmethod
     def q_power(k: int) -> "Scalar":
-        return Scalar({2 * k: _ONE}, {}, _PONE, _normal=True)
+        return _make({2 * k: 1}, {}, {0: 1}, 1, True)
 
     @staticmethod
     def root_two_q() -> "Scalar":
         """r = [2]_q^{1/2}."""
-        return Scalar({}, {0: _ONE}, _PONE, _normal=True)
+        return _make({}, {0: 1}, {0: 1}, 1, True)
 
     @staticmethod
     def qnumber(two_x: int) -> "Scalar":
@@ -340,9 +348,7 @@ class Scalar:
         """
         if two_x == 0:
             return ZERO
-        num = {-two_x: _ONE, two_x: -_ONE}
-        den = {-2: _ONE, 2: -_ONE}
-        return Scalar(num, {}, den)
+        return _scalar({-two_x: 1, two_x: -1}, {}, {-2: 1, 2: -1}, 1)
 
     # -- canonical key, equality, hashing -----------------------------------
 
@@ -351,9 +357,10 @@ class Scalar:
         if key is None:
             self._reduce()
             key = (
-                tuple(sorted(self.pe.items())),
-                tuple(sorted(self.pr.items())),
-                tuple(sorted(self.den.items())),
+                tuple(sorted(self._pe.items())),
+                tuple(sorted(self._pr.items())),
+                tuple(sorted(self._den.items())),
+                self._n,
             )
             self._key = key
         return key
@@ -369,16 +376,16 @@ class Scalar:
 
     def __hash__(self):
         # a rational constant hashes like the number, since it equals it
-        pe, pr, den = key = self._freeze()
-        if not pr and den == ((0, _ONE),):
+        pe, pr, den, n = key = self._freeze()
+        if not pr and den == ((0, n),):
             if not pe:
                 return hash(0)
             if len(pe) == 1 and pe[0][0] == 0:
-                return hash(pe[0][1])
+                return hash(Fraction(pe[0][1], n))
         return hash(key)
 
     def __bool__(self):
-        return bool(self.pe) or bool(self.pr)
+        return bool(self._pe) or bool(self._pr)
 
     def is_zero(self) -> bool:
         return not self
@@ -392,11 +399,11 @@ class Scalar:
             return self
         if not self:
             return other
-        (pe1, pr1, d1), n1 = _ints(self.pe, self.pr, self.den)
-        (pe2, pr2, d2), n2 = _ints(other.pe, other.pr, other.den)
-        if self.den == other.den:
+        pe1, pr1, d1, n1 = self._pe, self._pr, self._den, self._n
+        pe2, pr2, d2, n2 = other._pe, other._pr, other._den, other._n
+        if _same(d1, n1, d2, n2):
             # one common denominator n for both numerators and the den
-            n = n1 // gcd(n1, n2) * n2
+            n = lcm(n1, n2)
             k1, k2 = n // n1, n // n2
             return _scalar(_padd(_pscale(pe1, k1), _pscale(pe2, k2)),
                            _padd(_pscale(pr1, k1), _pscale(pr2, k2)),
@@ -406,8 +413,8 @@ class Scalar:
         return _scalar(pe, pr, _pmul(d1, d2), n1 * n2)
 
     def __neg__(self):
-        return Scalar(_pneg(self.pe), _pneg(self.pr), self.den,
-                      _normal=self._reduced)
+        return _make(_pneg(self._pe), _pneg(self._pr), self._den, self._n,
+                     self._reduced)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -419,24 +426,24 @@ class Scalar:
             return NotImplemented
         if not self or not other:
             return ZERO
-        (pe1, pr1, d1), n1 = _ints(self.pe, self.pr, self.den)
-        (pe2, pr2, d2), n2 = _ints(other.pe, other.pr, other.den)
+        pe1, pr1, d1 = self._pe, self._pr, self._den
+        pe2, pr2, d2 = other._pe, other._pr, other._den
         pe = _padd(_pmul(pe1, pe2), _pmul(_RSQ, _pmul(pr1, pr2)))
         pr = _padd(_pmul(pe1, pr2), _pmul(pr1, pe2))
-        return _scalar(pe, pr, _pmul(d1, d2), n1 * n2)
+        return _scalar(pe, pr, _pmul(d1, d2), self._n * other._n)
 
     def scale_s(self, k: int) -> "Scalar":
         """Fast multiplication by s^k."""
         if not self:
             return self
-        return Scalar(_pshift(self.pe, k), _pshift(self.pr, k), self.den,
-                      _normal=self._reduced)
+        return _make(_pshift(self._pe, k), _pshift(self._pr, k), self._den,
+                     self._n, self._reduced)
 
     def inverse(self) -> "Scalar":
         if not self:
             raise ZeroDivisionError("inverse of zero scalar")
         # 1/((pe + pr r)/den) = den (pe - pr r) / (pe^2 - pr^2 (s^2+s^-2))
-        (pe, pr, den), n = _ints(self.pe, self.pr, self.den)
+        pe, pr, den, n = self._pe, self._pr, self._den, self._n
         norm = _padd(_pmul(pe, pe), _pneg(_pmul(_RSQ, _pmul(pr, pr))))
         return _scalar(_pmul(den, pe), _pneg(_pmul(den, pr)), norm, n * n)
 
@@ -461,13 +468,17 @@ class Scalar:
 
     def eval_float(self, q: float) -> float:
         """Numerical value at a given q > 0, from the reduced form, so that
-        a removable pole (such as 0/0 at q = 1) never shows."""
+        a removable pole (such as 0/0 at q = 1) never shows.
+
+        Each coefficient is the correctly rounded c / n, which is
+        float(Fraction(c, n)), summed in stored order."""
         self._reduce()
+        n = self._n
         s = q ** 0.5
         r = (q + 1.0 / q) ** 0.5
-        pe = sum(float(c) * s ** e for e, c in self.pe.items())
-        pr = sum(float(c) * s ** e for e, c in self.pr.items())
-        den = sum(float(c) * s ** e for e, c in self.den.items())
+        pe = sum(c / n * s ** e for e, c in self._pe.items())
+        pr = sum(c / n * s ** e for e, c in self._pr.items())
+        den = sum(c / n * s ** e for e, c in self._den.items())
         return (pe + pr * r) / den
 
     def eval_rational(self, q) -> Fraction:
@@ -478,12 +489,13 @@ class Scalar:
         """
         self._reduce()
         q = Fraction(q)
-        if self.pr:
+        if self._pr:
             raise ValueError("scalar has a [2]_q^{1/2} part; not rational in q")
-        if any(e % 2 for e in self.pe) or any(e % 2 for e in self.den):
+        if any(e % 2 for e in self._pe) or any(e % 2 for e in self._den):
             raise ValueError("scalar has half-integer q powers; not rational in q")
-        num = sum(Fraction(c) * q ** (e // 2) for e, c in self.pe.items())
-        den = sum(Fraction(c) * q ** (e // 2) for e, c in self.den.items())
+        # the common divisor n cancels from the quotient
+        num = sum(c * q ** (e // 2) for e, c in self._pe.items())
+        den = sum(c * q ** (e // 2) for e, c in self._den.items())
         if den == 0:
             raise ValueError("denominator vanishes at q = %s" % q)
         return Fraction(num) / den
@@ -496,21 +508,21 @@ class Scalar:
         at q = 1 surfaces as a vanishing denominator and raises.
         """
         self._reduce()
-        den = sum(self.den.values(), _ZERO)
+        den = sum(self._den.values())
         if not den:
             raise ZeroDivisionError("pole at q = 1")
-        u = sum(self.pe.values(), _ZERO) / den
-        v = sum(self.pr.values(), _ZERO) / den
-        return Fraction(u), Fraction(v)
+        return (Fraction(sum(self._pe.values()), den),
+                Fraction(sum(self._pr.values()), den))
 
     # -- display ------------------------------------------------------------
 
     def _poly_str(self, p):
         if not p:
             return "0"
+        n = self._n
         parts = []
         for e in sorted(p):
-            c = p[e]
+            c = p[e] if n == 1 else Fraction(p[e], n)
             if e == 0:
                 parts.append(str(c))
             elif c == 1:
@@ -525,41 +537,77 @@ class Scalar:
         self._reduce()
         if not self:
             return "0"
-        num = self._poly_str(self.pe)
-        if self.pr:
-            rpart = "(%s)*r" % self._poly_str(self.pr)
-            num = rpart if not self.pe else "%s + %s" % (num, rpart)
-        if self.den == _PONE:
+        num = self._poly_str(self._pe)
+        if self._pr:
+            rpart = "(%s)*r" % self._poly_str(self._pr)
+            num = rpart if not self._pe else "%s + %s" % (num, rpart)
+        if self._den == {0: self._n}:
             return num
-        return "(%s)/(%s)" % (num, self._poly_str(self.den))
+        return "(%s)/(%s)" % (num, self._poly_str(self._den))
 
 
-def _scalar(pe, pr, den, n):
-    """The Scalar (pe + pr*r)/den for int dicts that hold n times the
-    coefficients of its stored form.
+def _init(x, pe, pr, den, n, reduced):
+    x._pe, x._pr, x._den, x._n = pe, pr, den, n
+    x._key = None
+    x._reduced = reduced
 
-    While den has at most _LAZY_DEN_TERMS terms the scalar stays
-    unreduced, one Fraction per coefficient; past that it is reduced
-    straight from the ints, where n cancels.
-    """
+
+def _make(pe, pr, den, n, reduced):
+    x = object.__new__(Scalar)
+    _init(x, pe, pr, den, n, reduced)
+    return x
+
+
+def _content(pe, pr, den, n):
+    """The same value with n > 0 and the integer content gcd(n,
+    coefficients) divided out."""
+    g = abs(n)
+    if g != 1:
+        for c in chain(den.values(), pe.values(), pr.values()):
+            g = gcd(g, c)
+            if g == 1:
+                break
+    if n < 0:
+        g = -g
+    if g == 1:
+        return pe, pr, den, n
+    return ({e: c // g for e, c in pe.items()},
+            {e: c // g for e, c in pr.items()},
+            {e: c // g for e, c in den.items()}, n // g)
+
+
+def _scalar_parts(pe, pr, den, n):
+    """The slots of the Scalar (pe + pr*r)/den for int dicts over the
+    common divisor n: unreduced while den has at most _LAZY_DEN_TERMS
+    terms, reduced past that."""
     if not den:
         raise ZeroDivisionError("zero denominator in scalar")
     if not pe and not pr:
-        return ZERO
+        return {}, {}, {0: 1}, 1, True
     if len(den) <= _LAZY_DEN_TERMS:
-        return Scalar(_fracs(pe, n), _fracs(pr, n), _fracs(den, n))
-    return Scalar(*_normalise(pe, pr, den), _normal=True)
+        return (*_content(pe, pr, den, n), False)
+    return (*_normalise(pe, pr, den), True)
+
+
+def _scalar(pe, pr, den, n):
+    """The Scalar (pe + pr*r)/den for int dicts that hold n times its
+    coefficients."""
+    if not pe and not pr:
+        if not den:
+            raise ZeroDivisionError("zero denominator in scalar")
+        return ZERO
+    return _make(*_scalar_parts(pe, pr, den, n))
 
 
 def _normalise(pe, pr, den):
-    """Canonical stored form of (pe + pr*r)/den, a nonzero scalar given
-    by int dicts.
+    """Reduced int storage (pe, pr, den, n) of (pe + pr*r)/den, a nonzero
+    scalar given by int dicts (over any common divisor, which cancels).
 
     den is shifted to lowest exponent 0, the numerators and den are
-    divided by their common gcd and den is made monic.  Only the last step,
-    the division by den's leading coefficient, makes Fractions.  Where the
-    gcd is nontrivial the dicts come out with ascending exponents;
-    otherwise they keep their keys' order.
+    divided by their common gcd, computed on f(t), t = s^k (see the module
+    docstring), and den's leading coefficient becomes n.  Where the gcd is
+    nontrivial the dicts come out with ascending exponents; otherwise they
+    keep their keys' order.
     """
     # pull the denominator's s-power into the numerators
     dshift = min(den)
@@ -567,24 +615,22 @@ def _normalise(pe, pr, den):
         den = _pshift(den, -dshift)
         pe = _pshift(pe, -dshift)
         pr = _pshift(pr, -dshift)
-    if len(den) == 1:
-        # monomial denominator: nothing to cancel beyond the constant
-        c = den[0]
-        return _fracs(pe, c), _fracs(pr, c), _PONE
-    g = _poly_gcd(_int_dense(pe if pe else pr), _int_dense(den))
-    if pr and pe and len(g) > 1:
-        g = _poly_gcd(g, _int_dense(pr))  # gcd of all three
-    if len(g) > 1:
-        # den has a nonzero constant term, so g and den/g have one too
-        pe = _pdiv_exact(pe, g)
-        pr = _pdiv_exact(pr, g)
-        den = _pdiv_exact(den, g)
-    lead = den[max(den)]
-    return _fracs(pe, lead), _fracs(pr, lead), _fracs(den, lead)
+    if len(den) > 1:
+        step = _step(den, pe, pr)
+        g = _poly_gcd(_int_dense(pe if pe else pr, step),
+                      _int_dense(den, step))
+        if pr and pe and len(g) > 1:
+            g = _poly_gcd(g, _int_dense(pr, step))  # gcd of all three
+        if len(g) > 1:
+            # den has a nonzero constant term, so g and den/g have one too
+            pe = _pdiv_exact(pe, g, step)
+            pr = _pdiv_exact(pr, g, step)
+            den = _pdiv_exact(den, g, step)
+    return _content(pe, pr, den, den[max(den)])
 
 
-ZERO = Scalar({}, {}, _PONE, _normal=True)
-ONE = Scalar({0: _ONE}, {}, _PONE, _normal=True)
+ZERO = _make({}, {}, {0: 1}, 1, True)
+ONE = _make({0: 1}, {}, {0: 1}, 1, True)
 ROOT_TWO_Q = Scalar.root_two_q()
 
 

@@ -175,7 +175,7 @@ def riemann_pre_projection() -> Tensor:
                 terms.append((ws[k].scale(minus),
                               dee(ip_right(ws[k], ws[j])),
                               dee(ip_right(ws[j], ws[p])), wpd))
-    return Tensor(4, terms).canonical()
+    return Tensor(4, terms)
 
 
 def riemann() -> Tensor:
@@ -197,7 +197,7 @@ def riemann() -> Tensor:
                     for j in range(3)])
                 for c1, c2 in vf.complement(mid).terms:
                     terms.append((ws[k].scale(minus), c1, c2, wpd))
-        _riemann_cache = Tensor(4, terms).canonical()
+        _riemann_cache = Tensor(4, terms)
     return _riemann_cache
 
 
@@ -211,7 +211,7 @@ def riemann_contract(rho: OneForm) -> Tensor:
         pairing = ip_right(d.dag(), rho)
         if not pairing.is_zero():
             terms.append((a, b, c * pairing))
-    return Tensor(3, terms).canonical()
+    return Tensor(3, terms)
 
 
 def curvature_of(rho: OneForm) -> Tensor:
@@ -236,7 +236,7 @@ def curvature_of(rho: OneForm) -> Tensor:
         for u, v in ext_d(ONE_EL, y).terms:
             terms.append((w, u, v))
     out = map_legs(Tensor(3, terms), 1, vf.complement)
-    return out.scale(rational(-1)).canonical()
+    return out.scale(rational(-1))
 
 
 def riemann_closed_form() -> Tensor:
@@ -249,7 +249,7 @@ def riemann_closed_form() -> Tensor:
         twisted = d * w.dag()
         for c1, c2 in vf.C.terms:
             terms.append((w.scale(scale), c1, c2, twisted))
-    return Tensor(4, terms).canonical()
+    return Tensor(4, terms)
 
 
 def ricci() -> Tensor:

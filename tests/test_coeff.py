@@ -5,10 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsphere.coeff import ONE, ROOT_TWO_Q, ZERO, Scalar, q_pow, qnum, rational, s_pow
+from qsphere.coeff import (
+    ONE, ROOT_TWO_Q, ZERO, Scalar, _fracs, _int_dense, _normalise, _pdiv_exact,
+    _pmul, _poly_gcd, _pshift, q_pow, qnum, rational, s_pow,
+)
 
 
 def scalars():
@@ -131,16 +134,18 @@ def test_equality_with_rationals():
 # the stored form, pinned bit for bit
 # ---------------------------------------------------------------------------
 #
-# ``repr`` (hashed by the curvature goldens), equality and hashing, and
-# ``eval_float`` (which sums in dict order and so feeds the spectra block
-# matrices) all read the stored dicts.  The kernels may change; the keys,
-# the Fraction values and the insertion order of ``pe``, ``pr`` and ``den``
-# may not, reduced or unreduced.  Each case records the unreduced form where
-# the constructor defers reduction (``None`` where it does not), the repr,
-# and the reduced form; each form as its three dicts' items, as
-# (exponent, (numerator, denominator)) in insertion order, then eval_float
-# at q = 0.3, 0.7, 1.0 as float.hex().  eval_float reads the reduced form,
-# so both forms of a case share that column.
+# ``pe``, ``pr`` and ``den`` are Fraction views of the stored int dicts.
+# ``repr`` (hashed by the curvature goldens), equality and hashing read only
+# the reduced value, which is unique.  ``eval_float`` sums the reduced form
+# in stored order, so the spectra block matrices depend on that order to the
+# last bit.  The kernels may change; the keys, the Fraction values and the
+# insertion order of the views may not, reduced or unreduced.  Each case
+# records the unreduced form where the constructor defers reduction
+# (``None`` where it does not), the repr, and the reduced form; each form as
+# its three dicts' items, as (exponent, (numerator, denominator)) in
+# insertion order, then eval_float at q = 0.3, 0.7, 1.0 as float.hex().
+# eval_float reads the reduced form, so both forms of a case share that
+# column.
 
 
 def _qbinomial(n, k):
@@ -442,6 +447,93 @@ def test_stored_form_digest_is_pinned():
         h.update(repr(x).encode())
         h.update(repr(_stored_form(x)).encode())
     assert h.hexdigest()[:16] == "9caaaceb782fab4b"
+
+
+# ---------------------------------------------------------------------------
+# the integer storage and the reduction in t = s^k
+# ---------------------------------------------------------------------------
+
+
+def _view_float(x, q):
+    """x at q from the Fraction views of its reduced form."""
+    x._reduce()
+    s = q ** 0.5
+    r = (q + 1.0 / q) ** 0.5
+    pe = sum(float(c) * s ** e for e, c in x.pe.items())
+    pr = sum(float(c) * s ** e for e, c in x.pr.items())
+    den = sum(float(c) * s ** e for e, c in x.den.items())
+    return (pe + pr * r) / den
+
+
+@given(scalars())
+@settings(max_examples=60, deadline=None)
+def test_eval_float_matches_the_fraction_view_bit_for_bit(x):
+    for q in (0.3, 0.7, 1.0):
+        try:
+            want = _view_float(x, q).hex()
+        except ZeroDivisionError:
+            want = "ZeroDivisionError"
+        assert _float_hex(x, q) == want
+
+
+def test_views_are_copies():
+    x = (qnum(3) + ROOT_TWO_Q) * rational(Fraction(2, 3))
+    text, pe, pr, den = repr(x), x.pe, x.pr, x.den
+    for view in (x.pe, x.pr, x.den):
+        view[99] = Fraction(5)
+        view.pop(0, None)
+    assert (x.pe, x.pr, x.den) == (pe, pr, den)
+    assert repr(x) == text
+
+
+def test_deflated_reduction_when_only_den_is_a_polynomial_in_s4():
+    # den is a polynomial in t = s^4 and the numerators are not, so the
+    # reduction must run in s^2 (or s), not in s^4
+    x = Scalar({2: 1, 0: -1}, {}, {4: 1, 0: -1})
+    assert x == ONE / (s_pow(2) + ONE)
+    assert repr(x) == "(1)/(1 + s^2)"
+    y = Scalar({4: 1, 3: -1}, {}, {4: 1, 0: -1})
+    assert y == s_pow(3) / (ONE + s_pow(1) + s_pow(2) + s_pow(3))
+    assert repr(y) == "(s^3)/(1 + s^1 + s^2 + s^3)"
+
+
+def _undeflated(pe, pr, den):
+    """The reduction of _normalise, run on the polynomials in s itself:
+    the reduced form's Fraction views, items in order."""
+    lo = min(den)
+    pe, pr, den = (_pshift(p, -lo) for p in (pe, pr, den))
+    if len(den) > 1:
+        g = _poly_gcd(_int_dense(pe or pr, 1), _int_dense(den, 1))
+        if pe and pr and len(g) > 1:
+            g = _poly_gcd(g, _int_dense(pr, 1))
+        if len(g) > 1:
+            pe, pr, den = (_pdiv_exact(p, g, 1) for p in (pe, pr, den))
+    lead = den[max(den)]
+    return [list(_fracs(p, lead).items()) for p in (pe, pr, den)]
+
+
+# polynomials f(t) as {exponent: int} dicts
+_T_POLYS = st.dictionaries(st.integers(0, 3), st.integers(-3, 3).filter(bool),
+                           min_size=1, max_size=4)
+
+
+@given(k=st.integers(1, 8), shifts=st.tuples(*[st.integers(-6, 6)] * 3),
+       common=_T_POLYS, polys=st.tuples(_T_POLYS, _T_POLYS, _T_POLYS),
+       with_pr=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_normalise_agrees_with_the_undeflated_gcd(k, shifts, common, polys,
+                                                  with_pr):
+    # numerators and den s^a * f(s^k) with a common factor, so the gcd is
+    # usually nontrivial; the deflated reduction must give the same stored
+    # form, order included, as the reduction on polynomials in s
+    pe, pr, den = ({a + k * i: c for i, c in _pmul(common, f).items()}
+                   for f, a in zip(polys, shifts))
+    if not with_pr:
+        pr = {}
+    assume(pe or pr)
+    pe2, pr2, den2, n = _normalise(pe, pr, den)
+    got = [list(_fracs(p, n).items()) for p in (pe2, pr2, den2)]
+    assert got == _undeflated(pe, pr, den)
 
 
 # ---------------------------------------------------------------------------
