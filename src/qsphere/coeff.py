@@ -284,14 +284,10 @@ class Scalar:
 
     def __init__(self, pe, pr=None, den=None):
         """(pe + pr*r)/den from {exponent: Fraction or int} dicts."""
-        if pr is None:
-            pr = {}
-        if den is None:
-            den = {0: 1}
-        elif not den:
-            raise ZeroDivisionError("zero denominator in scalar")
-        (pe, pr, den), n = _ints(pe, pr, den)
-        _init(self, *_scalar_parts(pe, pr, den, n))
+        (pe, pr, den), n = _ints(pe, {} if pr is None else pr,
+                                 {0: 1} if den is None else den)
+        x = _scalar(pe, pr, den, n)
+        _init(self, x._pe, x._pr, x._den, x._n, x._reduced)
 
     def _reduce(self) -> "Scalar":
         if not self._reduced:
@@ -576,27 +572,17 @@ def _content(pe, pr, den, n):
             {e: c // g for e, c in den.items()}, n // g)
 
 
-def _scalar_parts(pe, pr, den, n):
-    """The slots of the Scalar (pe + pr*r)/den for int dicts over the
-    common divisor n: unreduced while den has at most _LAZY_DEN_TERMS
-    terms, reduced past that."""
+def _scalar(pe, pr, den, n):
+    """The Scalar (pe + pr*r)/den for int dicts that hold n times its
+    coefficients: unreduced while den has at most _LAZY_DEN_TERMS terms,
+    reduced past that."""
     if not den:
         raise ZeroDivisionError("zero denominator in scalar")
     if not pe and not pr:
-        return {}, {}, {0: 1}, 1, True
-    if len(den) <= _LAZY_DEN_TERMS:
-        return (*_content(pe, pr, den, n), False)
-    return (*_normalise(pe, pr, den), True)
-
-
-def _scalar(pe, pr, den, n):
-    """The Scalar (pe + pr*r)/den for int dicts that hold n times its
-    coefficients."""
-    if not pe and not pr:
-        if not den:
-            raise ZeroDivisionError("zero denominator in scalar")
         return ZERO
-    return _make(*_scalar_parts(pe, pr, den, n))
+    if len(den) <= _LAZY_DEN_TERMS:
+        return _make(*_content(pe, pr, den, n), False)
+    return _make(*_normalise(pe, pr, den), True)
 
 
 def _normalise(pe, pr, den):
