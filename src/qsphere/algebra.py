@@ -32,6 +32,7 @@ degree-n element by q^{n/2}.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .coeff import ONE, ROOT_TWO_Q, ZERO, Scalar, q_pow, qnum, rational, s_pow
@@ -58,76 +59,37 @@ def mono_degree(m) -> int:
 # normal-form monomial products
 # ---------------------------------------------------------------------------
 
-_ad_cache = {}
-_da_cache = {}
-_mul_cache = {}
+@functools.cache
+def _cross_pow(t1, i, m):
+    """a^i d^m (t1 = 0) or d^i a^m (t1 = 1) as ((monomial, s-exponent), ...)
+    using ad = 1 + q bc and da = 1 + q^{-1} bc."""
+    if i == 0 or m == 0:
+        # a single power: of the second letter if i = 0, else of the first
+        t, p = (1 - t1, m) if i == 0 else (t1, i)
+        return (((t, p, 0, 0) if p else MONO_ID, 0),)
+    step = 4 * m - 2 if t1 == 0 else 2 - 4 * m
+    out = []
+    for (t, p, j, k), e in _cross_pow(t1, i - 1, m - 1):
+        out.append(((t, p, j, k), e))
+        out.append(((t, p, j + 1, k + 1), e + step))
+    return tuple(out)
 
 
-def _ad_pow(i, m):
-    """a^i d^m as ((monomial, s-exponent), ...) using ad = 1 + q bc."""
-    key = (i, m)
-    out = _ad_cache.get(key)
-    if out is not None:
-        return out
-    if i == 0:
-        out = (((1, m, 0, 0) if m else MONO_ID, 0),)
-    elif m == 0:
-        out = (((0, i, 0, 0), 0),)
-    else:
-        prev = _ad_pow(i - 1, m - 1)
-        acc = []
-        for (t, p, j, k), e in prev:
-            acc.append(((t, p, j, k), e))
-            acc.append(((t, p, j + 1, k + 1), e + 4 * m - 2))
-        out = tuple(acc)
-    _ad_cache[key] = out
-    return out
-
-
-def _da_pow(i, m):
-    """d^i a^m as ((monomial, s-exponent), ...) using da = 1 + q^{-1} bc."""
-    key = (i, m)
-    out = _da_cache.get(key)
-    if out is not None:
-        return out
-    if i == 0:
-        out = (((0, m, 0, 0), 0),)
-    elif m == 0:
-        out = (((1, i, 0, 0), 0),)
-    else:
-        prev = _da_pow(i - 1, m - 1)
-        acc = []
-        for (t, p, j, k), e in prev:
-            acc.append(((t, p, j, k), e))
-            acc.append(((t, p, j + 1, k + 1), e - (4 * m - 2)))
-        out = tuple(acc)
-    _da_cache[key] = out
-    return out
-
-
+@functools.cache
 def mono_mul(m1, m2):
     """Product of two normal-form monomials: ((monomial, s-exponent), ...)."""
-    key = (m1, m2)
-    out = _mul_cache.get(key)
-    if out is not None:
-        return out
     t1, i1, j1, k1 = m1
     t2, i2, j2, k2 = m2
     if i2 == 0:
-        out = (((t1, i1, j1 + j2, k1 + k2), 0),)
-    else:
-        bc1 = j1 + k1
-        sexp = 2 * i2 * bc1 if t2 else -2 * i2 * bc1
-        if i1 == 0:
-            out = (((t2, i2, j1 + j2, k1 + k2), sexp),)
-        elif t1 == t2:
-            out = (((t1, i1 + i2, j1 + j2, k1 + k2), sexp),)
-        else:
-            cross = _ad_pow(i1, i2) if t1 == 0 else _da_pow(i1, i2)
-            out = tuple(((t, p, j + j1 + j2, k + k1 + k2), e + sexp)
-                        for (t, p, j, k), e in cross)
-    _mul_cache[key] = out
-    return out
+        return (((t1, i1, j1 + j2, k1 + k2), 0),)
+    bc1 = j1 + k1
+    sexp = 2 * i2 * bc1 if t2 else -2 * i2 * bc1
+    if i1 == 0:
+        return (((t2, i2, j1 + j2, k1 + k2), sexp),)
+    if t1 == t2:
+        return (((t1, i1 + i2, j1 + j2, k1 + k2), sexp),)
+    return tuple(((t, p, j + j1 + j2, k + k1 + k2), e + sexp)
+                 for (t, p, j, k), e in _cross_pow(t1, i1, i2))
 
 
 def mono_star(m):
@@ -311,13 +273,9 @@ _LETTER = {"a": GEN_A, "b": GEN_B, "c": GEN_C, "d": GEN_D}
 # ---------------------------------------------------------------------------
 
 # del_e: a -> b, c -> d; del_f: b -> a, d -> c
-_DE_LETTER = {_M_A: _M_B, _M_C: _M_D}
-_DF_LETTER = {_M_B: _M_A, _M_D: _M_C}
+_DEL_LETTER = {"e": {_M_A: _M_B, _M_C: _M_D}, "f": {_M_B: _M_A, _M_D: _M_C}}
 
 _LETTER_DEG = {_M_A: -1, _M_B: 1, _M_C: -1, _M_D: 1}
-
-_de_cache = {MONO_ID: {}}
-_df_cache = {MONO_ID: {}}
 
 
 def _mono_split(m):
@@ -332,21 +290,24 @@ def _mono_split(m):
     return _M_C, (0, 0, 0, k - 1)
 
 
-def _mono_del(m, letter_map, cache):
-    out = cache.get(m)
-    if out is not None:
-        return out
+@functools.cache
+def _mono_del(m, which):
+    """del_e (which = "e") or del_f ("f") of a monomial, as a dict
+    monomial -> Scalar, by the twisted Leibniz rule on its leftmost
+    letter."""
+    if m == MONO_ID:
+        return {}
     letter, rest = _mono_split(m)
     ldeg = _LETTER_DEG[letter]
     out = {}
-    hit = letter_map.get(letter)
+    hit = _DEL_LETTER[which].get(letter)
     if hit is not None:
         rdeg = mono_degree(rest)
         for mm, e in mono_mul(hit, rest):
             c = s_pow(e + rdeg)
             prev = out.get(mm)
             out[mm] = c if prev is None else prev + c
-    for mm, c in _mono_del(rest, letter_map, cache).items():
+    for mm, c in _mono_del(rest, which).items():
         for mmm, e in mono_mul(letter, mm):
             v = c.scale_s(e - ldeg)
             prev = out.get(mmm)
@@ -358,15 +319,13 @@ def _mono_del(m, letter_map, cache):
                     out[mmm] = prev
                 else:
                     del out[mmm]
-    out = {mm: c for mm, c in out.items() if c}
-    cache[m] = out
-    return out
+    return {mm: c for mm, c in out.items() if c}
 
 
-def _apply_del(x: Element, letter_map, cache) -> Element:
+def _apply_del(x: Element, which) -> Element:
     out = {}
     for m, c in x.terms.items():
-        for mm, d in _mono_del(m, letter_map, cache).items():
+        for mm, d in _mono_del(m, which).items():
             v = c * d
             prev = out.get(mm)
             if prev is None:
@@ -382,12 +341,12 @@ def _apply_del(x: Element, letter_map, cache) -> Element:
 
 def del_e(x: Element) -> Element:
     """Raising derivation: the upper-right entry of the Dirac commutator."""
-    return _apply_del(x, _DE_LETTER, _de_cache)
+    return _apply_del(x, "e")
 
 
 def del_f(x: Element) -> Element:
     """Lowering derivation: the lower-left entry of the Dirac commutator."""
-    return _apply_del(x, _DF_LETTER, _df_cache)
+    return _apply_del(x, "f")
 
 
 def del_k(x: Element, power: int = 1) -> Element:
@@ -410,9 +369,7 @@ def spin_half(i2: int, j2: int) -> Element:
     return table[(i2, j2)]
 
 
-_spin_one_cache = {}
-
-
+@functools.cache
 def spin_one(m: int, j: int) -> Element:
     """Matrix element t(m, j) of the vector corepresentation, m, j in
     {-1, 0, 1}.
@@ -422,23 +379,18 @@ def spin_one(m: int, j: int) -> Element:
     carries a constant term, pinned by Haar-orthogonality to the identity);
     the j = +-1 columns are [2]_q^{-1/2} del_{e/f} of the middle one.
     """
-    key = (m, j)
-    out = _spin_one_cache.get(key)
-    if out is None:
-        rinv = ROOT_TWO_Q.inverse()
-        if j == 0:
-            if m == -1:
-                out = (GEN_A * GEN_B).scale(ROOT_TWO_Q.scale_s(-1))
-            elif m == 0:
-                out = ONE_EL + (GEN_B * GEN_C).scale(qnum(4))
-            else:
-                out = (GEN_C * GEN_D).scale(ROOT_TWO_Q.scale_s(-1))
-        elif j == 1:
-            out = del_e(spin_one(m, 0)).scale(rinv)
-        else:
-            out = del_f(spin_one(m, 0)).scale(rinv)
-        _spin_one_cache[key] = out
-    return out
+    if m not in (-1, 0, 1) or j not in (-1, 0, 1):
+        raise ValueError("spin_one needs m, j in {-1, 0, 1}, got (%r, %r)"
+                         % (m, j))
+    if j == 1:
+        return del_e(spin_one(m, 0)).scale(ROOT_TWO_Q.inverse())
+    if j == -1:
+        return del_f(spin_one(m, 0)).scale(ROOT_TWO_Q.inverse())
+    if m == -1:
+        return (GEN_A * GEN_B).scale(ROOT_TWO_Q.scale_s(-1))
+    if m == 0:
+        return ONE_EL + (GEN_B * GEN_C).scale(qnum(4))
+    return (GEN_C * GEN_D).scale(ROOT_TWO_Q.scale_s(-1))
 
 
 def matrix_element(l, i, j) -> Element:

@@ -30,6 +30,8 @@ for every off-diagonal matrix rho.
 
 from __future__ import annotations
 
+import functools
+
 from .algebra import Element, ONE_EL, ZERO_EL, del_e, del_f, spin_one
 from .coeff import ROOT_TWO_Q, Scalar, q_pow
 
@@ -122,19 +124,13 @@ def ip_left(x: OneForm, y: OneForm) -> Element:
         (x.minus * y.minus.star()).scale(q_pow(-1))
 
 
-_frame = None
-
-
+@functools.cache
 def frame():
     """The three-element right-module frame built from the vector
     corepresentation: w_j = q^{j-2} [2]_q^{-1/2} dee(t(j-2, 0))."""
-    global _frame
-    if _frame is None:
-        rinv = ROOT_TWO_Q.inverse()
-        _frame = tuple(
-            dee(spin_one(j - 2, 0)).scale(q_pow(j - 2) * rinv)
-            for j in (1, 2, 3))
-    return _frame
+    rinv = ROOT_TWO_Q.inverse()
+    return tuple(dee(spin_one(j - 2, 0)).scale(q_pow(j - 2) * rinv)
+                 for j in (1, 2, 3))
 
 
 def frame_expand_right(rho: OneForm) -> OneForm:

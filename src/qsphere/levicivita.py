@@ -3,9 +3,10 @@
 The frame gives a single right connection nabla->(rho) = sum_j w_j (x)
 dee(<w_j, rho>) and, by conjugation, a left connection nabla<- =
 -dag o nabla-> o dag.  These are Hermitian, torsion-free and form a
-bimodule connection with respect to the braiding, which pins them down
-uniquely; the checks below certify each property on the frame and on
-families of module elements.
+bimodule connection with respect to the braiding; the checks below
+certify each property on the frame and on families of module elements.
+That these properties pin the connection down uniquely is the source
+paper's theorem; it is not yet decided here.
 
 Curvature comes out of the same frame data.  The raw bracket-product sum
 
@@ -28,6 +29,7 @@ converges to 2 classically, the value for the unit round two-sphere.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 
@@ -35,8 +37,8 @@ from .algebra import Element
 from .coeff import Scalar, q_pow, qnum, rational
 from .forms import ZERO_FORM, OneForm, dee, frame, ip_left, ip_right
 from .tensors import (
-    Tensor, as_scalar, contract_left, diag_scalars, e_beta, ip_T2, map_legs,
-    metric, tensor,
+    Tensor, as_scalar, contract_left, diag_scalars, e_beta, ip_T, map_legs,
+    metric,
 )
 from .calculus import ext_d, sigma, volume_form
 
@@ -154,10 +156,6 @@ def check_bimodule_connection() -> bool:
 # curvature
 # ---------------------------------------------------------------------------
 
-_riemann_cache = None
-_ricci_cache = None
-
-
 def riemann_pre_projection() -> Tensor:
     """The curvature sum before the junk projection of the middle legs,
     in the positive-scalar-curvature orientation:
@@ -178,27 +176,25 @@ def riemann_pre_projection() -> Tensor:
     return Tensor(4, terms)
 
 
+@functools.cache
 def riemann() -> Tensor:
     """Riemann curvature of the right connection, a four-tensor whose middle
     two legs lie in the genuine two-forms.  Same orientation as
     riemann_pre_projection: the overall sign is fixed by asking for scalar
     curvature +2 in the classical limit."""
-    global _riemann_cache
-    if _riemann_cache is None:
-        vf = volume_form()
-        ws = frame()
-        minus = rational(-1)
-        terms = []
-        for k in range(3):
-            for p in range(3):
-                wpd = ws[p].dag()
-                mid = Tensor(2, [
-                    (dee(ip_right(ws[k], ws[j])), dee(ip_right(ws[j], ws[p])))
-                    for j in range(3)])
-                for c1, c2 in vf.complement(mid).terms:
-                    terms.append((ws[k].scale(minus), c1, c2, wpd))
-        _riemann_cache = Tensor(4, terms)
-    return _riemann_cache
+    vf = volume_form()
+    ws = frame()
+    minus = rational(-1)
+    terms = []
+    for k in range(3):
+        for p in range(3):
+            wpd = ws[p].dag()
+            mid = Tensor(2, [
+                (dee(ip_right(ws[k], ws[j])), dee(ip_right(ws[j], ws[p])))
+                for j in range(3)])
+            for c1, c2 in vf.complement(mid).terms:
+                terms.append((ws[k].scale(minus), c1, c2, wpd))
+    return Tensor(4, terms)
 
 
 def riemann_contract(rho: OneForm) -> Tensor:
@@ -252,52 +248,29 @@ def riemann_closed_form() -> Tensor:
     return Tensor(4, terms)
 
 
+@functools.cache
 def ricci() -> Tensor:
     """Ricci tensor: the left pairing of the Riemann tensor with the
     metric on its last two legs."""
-    global _ricci_cache
-    if _ricci_cache is None:
-        _ricci_cache = contract_left(riemann(), metric()).canonical()
-    return _ricci_cache
+    return contract_left(riemann(), metric())
 
 
 def ricci_closed_form() -> Tensor:
     """([2]_q/(q^2+q^-2)) sum_i w_i (x) diag(q^-4, q^4) w_i^dag."""
     scale = qnum(4) * e_beta().inverse()
     d = diag_scalars(q_pow(-4), q_pow(4))
-    terms = [(w.scale(scale), d * w.dag()) for w in frame()]
-    return Tensor(2, terms).canonical()
+    return Tensor(2, [(w.scale(scale), d * w.dag()) for w in frame()])
 
 
 def scalar_curvature() -> Scalar:
     """The scalar curvature <G, Ric>, with an error if the pairing is not
     a multiple of the identity."""
-    return as_scalar(ip_T2(metric(), ricci()))
+    return as_scalar(ip_T(metric(), ricci()))
 
 
 # ---------------------------------------------------------------------------
 # container types
 # ---------------------------------------------------------------------------
-
-
-class FrameConnection:
-    """One of the two Grassmann connections, tagged by direction."""
-
-    __slots__ = ("direction",)
-
-    def __init__(self, direction: str = "right"):
-        if direction not in ("right", "left"):
-            raise ValueError("direction must be 'right' or 'left'")
-        self.direction = direction
-
-    @property
-    def frame(self):
-        return frame()
-
-    def __call__(self, rho: OneForm) -> Tensor:
-        if self.direction == "right":
-            return conn_right(rho)
-        return conn_left(rho)
 
 
 def _coeff_strings(t: Tensor) -> dict:

@@ -47,11 +47,13 @@ same matrix.
 
 from __future__ import annotations
 
+import functools
+
 from .coeff import Scalar, q_pow, rational
 from .algebra import (Element, ONE_EL, ZERO_EL, SPHERE_A, SPHERE_B,
                       SPHERE_BSTAR, del_e, del_f, spin_half)
 from .forms import OneForm, dee, frame, ip_right
-from .tensors import Diag, Tensor, e_beta, ip_T2, metric, mul_map
+from .tensors import Diag, Tensor, e_beta, ip_T, metric, mul_map
 from .calculus import sigma, volume_form
 from .levicivita import conn_right
 from .haar import haar
@@ -275,15 +277,10 @@ def clifford_curvature_action(psi: Spinor) -> Spinor:
 # ---------------------------------------------------------------------------
 
 
-_MG = None
-
-
+@functools.cache
 def _metric_diag() -> Diag:
     """m(G) = diag(q, q^{-1})."""
-    global _MG
-    if _MG is None:
-        _MG = mul_map(metric())
-    return _MG
+    return mul_map(metric())
 
 
 def laplacian(psi: Spinor) -> Spinor:
@@ -297,11 +294,11 @@ def laplacian(psi: Spinor) -> Spinor:
     acc = ZERO_SP
     for w, chi in conn_spinor(psi):
         for u, v in conn_right(w).terms:
-            g = ip_T2(metric(), Tensor(2, [(u, v)]))
+            g = ip_T(metric(), Tensor(2, [(u, v)]))
             if not g.is_zero():
                 acc = acc + g * chi
         for eta, xi in conn_spinor(chi):
-            g = ip_T2(metric(), Tensor(2, [(w, eta)]))
+            g = ip_T(metric(), Tensor(2, [(w, eta)]))
             if not g.is_zero():
                 acc = acc + g * xi
     return (_metric_diag() * acc).scale(e_beta().inverse())

@@ -30,33 +30,26 @@ inner products on tensor powers all read corners:
                                                        the last leg)
 
 The frame coefficients stay as a derived view: ``canonical()`` re-expresses
-a tensor through them as at most 3^k simple terms (term lists that grow past
-a threshold are re-expressed automatically), and the golden files,
-``coeff_json`` and the command line read them.
+a tensor through them as at most 3^k simple terms, and the golden files,
+``coeff_json`` and the command line read them.  Sums and ``map_legs`` only
+concatenate term lists.
 
-The module also provides the adjoint dag_T which reverses legs, the
-multiplication map m onto diagonal 2x2 matrices (the two mixed corners of a
-two-tensor), the bidegree decomposition of two-tensors, and the metric
-two-tensor
+The module also provides the multiplication map m onto diagonal 2x2
+matrices (the two mixed corners of a two-tensor), the corner selector
+``select``, and the metric two-tensor
 
     G = sum_j w_j (x) dag(w_j),        e^beta = <G, G> = q^2 + q^{-2},
 
 whose corners are the constants G^{+-} = q and G^{-+} = q^{-1}.
-
-The normalised metric Z = e^{-beta/2} G involves a square root that the
-coefficient field does not contain, so Z is kept as a base tensor together
-with the square of its scale; pairing Z with itself multiplies by the exact
-square.
 """
 
 from __future__ import annotations
 
+import functools
 
 from .algebra import Element, ONE_EL, ZERO_EL
 from .coeff import Scalar, rational
 from .forms import OneForm, frame, ip_right
-
-COMPRESS_THRESHOLD = 64
 
 _MINUS_ONE = rational(-1)
 
@@ -152,18 +145,17 @@ class Tensor:
             self._coeffs = {i: x for i, x in out.items() if not x.is_zero()}
         return self._coeffs
 
-    def _reconstruction_terms(self):
+    def canonical(self) -> "Tensor":
+        """Re-express through the frame: one simple term
+        w_{i_1} (x) ... (x) w_{i_k} coeff[I] per nonzero coefficient, in
+        sorted multi-index order, so at most 3^k terms."""
         ws = frame()
         terms = []
         for idx, c in sorted(self.coeffs().items()):
             legs = [ws[i] for i in idx]
             legs[-1] = legs[-1] * c
             terms.append(tuple(legs))
-        return terms
-
-    def canonical(self) -> "Tensor":
-        """Re-express through the frame; at most 3^k simple terms."""
-        out = Tensor(self.k, self._reconstruction_terms())
+        out = Tensor(self.k, terms)
         out._coeffs = self.coeffs()
         out._corners = self._corners
         return out
@@ -186,10 +178,7 @@ class Tensor:
             return NotImplemented
         if self.k != other.k:
             raise ValueError("cannot add tensors of different rank")
-        out = Tensor(self.k, self.terms + other.terms)
-        if len(out.terms) > COMPRESS_THRESHOLD:
-            out = out.canonical()
-        return out
+        return Tensor(self.k, self.terms + other.terms)
 
     def __neg__(self):
         return self.scale(_MINUS_ONE)
@@ -240,10 +229,6 @@ def tensor(*legs) -> Tensor:
     return Tensor(len(legs), [legs])
 
 
-def dag_T(t: Tensor) -> Tensor:
-    return t.dag()
-
-
 # ---------------------------------------------------------------------------
 # inner products on tensor powers
 # ---------------------------------------------------------------------------
@@ -275,12 +260,6 @@ def ip_left_T(s: Tensor, t: Tensor) -> Element:
         if y is not None:
             acc = acc + (x * y.star()).scale_s(2 * sum(eps))
     return acc
-
-
-def ip_T2(s: Tensor, t: Tensor) -> Element:
-    if s.k != 2 or t.k != 2:
-        raise ValueError("ip_T2 needs two-tensors")
-    return ip_T(s, t)
 
 
 def contract_left(r: Tensor, g: Tensor) -> Tensor:
@@ -374,7 +353,7 @@ def mul_map(t: Tensor) -> Diag:
 
 
 # ---------------------------------------------------------------------------
-# bidegree decomposition
+# corner selection and leg maps
 # ---------------------------------------------------------------------------
 
 
@@ -386,31 +365,13 @@ _COMPONENT = {
 
 def select(t: Tensor, pattern: str) -> Tensor:
     """Keep one matrix corner per leg: pattern is a string of '+'/'-'."""
-    if len(pattern) != t.k:
-        raise ValueError("pattern length must match tensor rank")
+    if len(pattern) != t.k or not set(pattern) <= set(_COMPONENT):
+        raise ValueError("select needs one '+' or '-' per leg of a %d-tensor,"
+                         " got %r" % (t.k, pattern))
     pickers = [_COMPONENT[ch] for ch in pattern]
     return Tensor(t.k,
                   [tuple(pick(leg) for pick, leg in zip(pickers, term))
                    for term in t.terms])
-
-
-class BidegreeParts:
-    """The four corner components of a two-tensor; they sum back to it."""
-
-    __slots__ = ("mm", "pp", "pm", "mp")
-
-    def __init__(self, mm, pp, pm, mp):
-        self.mm = mm
-        self.pp = pp
-        self.pm = pm
-        self.mp = mp
-
-
-def bidegree(t: Tensor) -> BidegreeParts:
-    if t.k != 2:
-        raise ValueError("bidegree splits two-tensors")
-    return BidegreeParts(mm=select(t, "--"), pp=select(t, "++"),
-                         pm=select(t, "+-"), mp=select(t, "-+"))
 
 
 def map_legs(t: Tensor, pos: int, f2) -> Tensor:
@@ -423,25 +384,17 @@ def map_legs(t: Tensor, pos: int, f2) -> Tensor:
         image = f2(Tensor(2, [(term[pos], term[pos + 1])]))
         for pair in image.terms:
             terms.append(term[:pos] + pair + term[pos + 2:])
-    out = Tensor(t.k, terms)
-    if len(out.terms) > COMPRESS_THRESHOLD:
-        out = out.canonical()
-    return out
+    return Tensor(t.k, terms)
 
 
 # ---------------------------------------------------------------------------
 # the metric
 # ---------------------------------------------------------------------------
 
-_metric_cache = None
-
-
+@functools.cache
 def metric() -> Tensor:
     """G = sum_j w_j (x) dag(w_j)."""
-    global _metric_cache
-    if _metric_cache is None:
-        _metric_cache = Tensor(2, [(w, w.dag()) for w in frame()])
-    return _metric_cache
+    return Tensor(2, [(w, w.dag()) for w in frame()])
 
 
 def as_scalar(x: Element) -> Scalar:
@@ -456,90 +409,7 @@ def as_scalar(x: Element) -> Scalar:
 
 def e_beta() -> Scalar:
     """e^beta = <G, G> = q^2 + q^{-2}."""
-    return as_scalar(ip_T2(metric(), metric()))
-
-
-class ScaledTensor:
-    """A tensor multiplied by the square root of an exact scalar.
-
-    Stands in for elements like Z = e^{-beta/2} G whose scale lives outside
-    the coefficient field; only pairings in which the roots combine to the
-    stored square are allowed.
-    """
-
-    __slots__ = ("base", "scale_sq")
-
-    def __init__(self, base: Tensor, scale_sq: Scalar):
-        self.base = base
-        self.scale_sq = scale_sq
-
-    def ip_with(self, other: "ScaledTensor") -> Element:
-        if self.scale_sq != other.scale_sq:
-            raise ValueError("scales do not pair to an exact square")
-        return ip_T(self.base, other.base).scale(self.scale_sq)
-
-    def mul_map(self) -> "ScaledDiag":
-        return ScaledDiag(mul_map(self.base), self.scale_sq)
-
-    def __repr__(self):
-        return "ScaledTensor(base=%r, scale_sq=%r)" % (self.base, self.scale_sq)
-
-
-class ScaledDiag:
-    """A diagonal matrix times the square root of an exact scalar."""
-
-    __slots__ = ("base", "scale_sq")
-
-    def __init__(self, base: Diag, scale_sq: Scalar):
-        self.base = base
-        self.scale_sq = scale_sq
-
-    def __repr__(self):
-        return "ScaledDiag(base=%r, scale_sq=%r)" % (self.base, self.scale_sq)
-
-
-def metric_data():
-    """(e^beta, G, Z, z): the scalar <G,G>, the metric, its normalisation
-    Z = e^{-beta/2} G, and z = m(Z)."""
-    eb = e_beta()
-    g = metric()
-    z_tensor = ScaledTensor(g, eb.inverse())
-    return eb, g, z_tensor, z_tensor.mul_map()
-
-
-# ---------------------------------------------------------------------------
-# the metric's two halves (building blocks for the braiding and the volume
-# form): G = q . t_pm + q^{-1} . t_mp
-# ---------------------------------------------------------------------------
-
-_t_pm_cache = None
-_t_mp_cache = None
-
-
-def t_pm() -> Tensor:
-    """sum_j t(2-j,-1)* E12 (x) t(2-j,-1) E21."""
-    global _t_pm_cache
-    if _t_pm_cache is None:
-        from .algebra import spin_one
-        terms = []
-        for m in (1, 0, -1):
-            el = spin_one(m, -1)
-            terms.append((OneForm(plus=el.star()), OneForm(minus=el)))
-        _t_pm_cache = Tensor(2, terms)
-    return _t_pm_cache
-
-
-def t_mp() -> Tensor:
-    """sum_j t(2-j,1)* E21 (x) t(2-j,1) E12."""
-    global _t_mp_cache
-    if _t_mp_cache is None:
-        from .algebra import spin_one
-        terms = []
-        for m in (1, 0, -1):
-            el = spin_one(m, 1)
-            terms.append((OneForm(minus=el.star()), OneForm(plus=el)))
-        _t_mp_cache = Tensor(2, terms)
-    return _t_mp_cache
+    return as_scalar(ip_T(metric(), metric()))
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,12 @@ def test_spin_one_degrees():
             assert spin_one(m, j).degrees() <= {2 * j}
 
 
+@pytest.mark.parametrize("m,j", [(2, 0), (0, 2), (-2, 1), (1, -2)])
+def test_spin_one_rejects_indices_outside_the_vector_rep(m, j):
+    with pytest.raises(ValueError, match="spin_one"):
+        spin_one(m, j)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ from qsphere.calculus import (
 from qsphere.coeff import q_pow, rational, s_pow
 from qsphere.forms import E12, E21, OneForm, dee, frame, ip_right
 from qsphere.tensors import (
-    Tensor, as_scalar, diag_scalars, e_beta, ip_T2, metric, mul_map, select,
-    t_mp, t_pm, tensor,
+    Tensor, as_scalar, diag_scalars, e_beta, ip_T, metric, mul_map, select,
+    tensor,
 )
+
+from metric_halves import t_mp, t_pm
 
 
 _sph = [SPHERE_A, SPHERE_B, SPHERE_BSTAR]
@@ -92,7 +94,7 @@ def test_chern_closed_form():
 
 
 def test_metric_chern_pairing():
-    pairing = as_scalar(ip_T2(metric(), chern2()))
+    pairing = as_scalar(ip_T(metric(), chern2()))
     assert pairing == q_pow(1) - q_pow(-3)
 
 
@@ -102,7 +104,7 @@ def test_metric_pairing_is_the_sweedler_pairing(t):
     # <G, rho (x) eta> collapses to <rho^dag, eta> term by term
     direct = sum(
         (ip_right(rho.dag(), eta) for rho, eta in t.terms), ZERO_EL)
-    assert ip_T2(metric(), t) == direct
+    assert ip_T(metric(), t) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +119,8 @@ def test_alpha_value_and_classical_limit():
 
 def test_volume_form_shape():
     vf = volume_form()
-    assert ip_T2(vf.C, vf.G).is_zero()
-    assert as_scalar(ip_T2(vf.C, vf.C)) == vf.alpha
+    assert ip_T(vf.C, vf.G).is_zero()
+    assert as_scalar(ip_T(vf.C, vf.C)) == vf.alpha
     assert vf.C.dag() == vf.C
     # C is a combination of the two halves of the metric
     factor = rational(2) * q_pow(-1) * e_beta().inverse()
@@ -168,7 +170,7 @@ def test_psi_commutes_with_dag(t):
 @settings(deadline=None, max_examples=8)
 def test_psi_is_self_adjoint(s, t):
     vf = volume_form()
-    assert ip_T2(vf.psi(s), t) == ip_T2(s, vf.psi(t))
+    assert ip_T(vf.psi(s), t) == ip_T(s, vf.psi(t))
 
 
 @given(proper_forms, proper_forms)

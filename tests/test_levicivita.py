@@ -13,14 +13,14 @@ from qsphere.calculus import JunkData, ext_d, sigma, volume_form
 from qsphere.coeff import ROOT_TWO_Q, q_pow, qnum, rational
 from qsphere.forms import OneForm, dee, frame, ip_right
 from qsphere.levicivita import (
-    CurvatureData, FrameConnection, check_bimodule_connection,
+    CurvatureData, check_bimodule_connection,
     check_hermitian, check_torsion_free, conn_left, conn_left_direct,
     conn_right, curvature_of, hermitian_defect, ricci, ricci_closed_form,
     riemann, riemann_closed_form, riemann_contract, riemann_pre_projection,
     scalar_curvature,
 )
 from qsphere.tensors import (
-    Tensor, as_scalar, diag_scalars, ip_T2, metric, select, tensor,
+    Tensor, as_scalar, diag_scalars, ip_T, metric, select, tensor,
 )
 
 
@@ -326,7 +326,7 @@ def test_scalar_curvature_values():
 
 def test_scalar_rejects_noncentral_pairing():
     ws = frame()
-    bad = ip_T2(metric(), Tensor(2, [(ws[0], ws[0].dag())]))
+    bad = ip_T(metric(), Tensor(2, [(ws[0], ws[0].dag())]))
     with pytest.raises(ValueError):
         as_scalar(bad)
 
@@ -334,17 +334,6 @@ def test_scalar_rejects_noncentral_pairing():
 # ---------------------------------------------------------------------------
 # containers and serialisation
 # ---------------------------------------------------------------------------
-
-
-def test_frame_connection_dispatch():
-    rho = dee(SPHERE_A) * SPHERE_B
-    right = FrameConnection("right")
-    left = FrameConnection("left")
-    assert right(rho) == conn_right(rho)
-    assert left(rho) == conn_left(rho)
-    assert len(right.frame) == 3
-    with pytest.raises(ValueError):
-        FrameConnection("sideways")
 
 
 def test_curvature_data_serialisation():

@@ -1,0 +1,57 @@
+"""Every memo in qsphere is a functools.cache: no hand-rolled module
+caches, a cache_clear on each memoised entry point, and clearing them all
+rebuilds the same objects with no stale pieces left behind."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import qsphere
+from qsphere import algebra, calculus, forms, levicivita, spectra, spinor, tensors
+
+MEMOISED = [
+    algebra._cross_pow, algebra.mono_mul, algebra._mono_del, algebra.spin_one,
+    forms.frame, tensors.metric, calculus.chern2, calculus.volume_form,
+    levicivita.riemann, levicivita.ricci, spinor._metric_diag,
+    spectra._reduced, spectra._block_matrix,
+]
+
+
+def _modules():
+    return [importlib.import_module("qsphere." + info.name)
+            for info in pkgutil.iter_modules(qsphere.__path__)]
+
+
+def test_no_hand_rolled_module_caches():
+    for module in _modules():
+        names = [name for name in vars(module) if name.endswith("_cache")]
+        assert not names, (module.__name__, names)
+        tree = ast.parse(inspect.getsource(module))
+        globals_ = [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Global)]
+        assert not globals_, (module.__name__, globals_)
+
+
+def test_every_memoised_entry_point_can_be_cleared():
+    for fn in MEMOISED:
+        assert callable(getattr(fn, "cache_clear", None)), fn
+        assert callable(getattr(fn, "cache_info", None)), fn
+
+
+def test_clearing_every_memo_rebuilds_the_same_objects():
+    ws = forms.frame()
+    c_terms = repr(calculus.volume_form().C.terms)
+    assert len(calculus.volume_form().C.terms) == 9
+    for fn in MEMOISED:
+        fn.cache_clear()
+    assert all(fn.cache_info().currsize == 0 for fn in MEMOISED)
+
+    vf = calculus.volume_form()
+    fresh = forms.frame()
+    assert fresh is not ws and fresh == ws
+    assert repr(vf.C.terms) == c_terms
+    # the rebuilt objects refer to each other, not to the cleared ones
+    assert vf.G is tensors.metric()
+    legs = [leg for leg, _ in tensors.metric().terms]
+    assert len(legs) == 3 and all(a is b for a, b in zip(legs, fresh))

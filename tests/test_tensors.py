@@ -13,11 +13,11 @@ from qsphere.algebra import (
 from qsphere.coeff import ONE, q_pow, rational, s_pow
 from qsphere.forms import E12, E21, OneForm, dee, frame, ip_left, ip_right
 from qsphere.tensors import (
-    BidegreeParts, Diag, ScaledTensor, Tensor, as_scalar, bidegree,
-    coeff_json, contract_left, dag_T, diag_scalars, e_beta, ip_left_T, ip_T,
-    ip_T2, map_legs, metric, metric_data, mul_map, select, t_mp, t_pm, tensor,
+    Diag, Tensor, as_scalar, coeff_json, contract_left, diag_scalars, e_beta,
+    ip_left_T, ip_T, map_legs, metric, mul_map, select, tensor,
 )
 
+from metric_halves import t_mp, t_pm
 from test_forms import one_forms
 
 
@@ -35,7 +35,7 @@ two_tensors = st.lists(
 @given(two_tensors)
 @settings(deadline=None, max_examples=15)
 def test_reconstruction_has_the_same_coefficients(t):
-    fresh = Tensor(2, t._reconstruction_terms())
+    fresh = Tensor(2, t.canonical().terms)
     assert fresh.coeffs() == t.coeffs()
 
 
@@ -52,23 +52,22 @@ def test_coefficients_agree_with_frame_pairings(rho, eta):
     ws = frame()
     for idx, c in t.coeffs().items():
         probe = tensor(ws[idx[0]], ws[idx[1]])
-        assert ip_T2(probe, t) == c
+        assert ip_T(probe, t) == c
 
 
 def test_three_tensor_reconstruction():
     w1, w2, w3 = frame()
     t = tensor(w1 * SPHERE_A, w2, w3 * SPHERE_B) + tensor(w2, w2, w1)
-    fresh = Tensor(3, t._reconstruction_terms())
+    fresh = Tensor(3, t.canonical().terms)
     assert fresh.coeffs() == t.coeffs()
     assert t == t.canonical()
 
 
-def test_compression_keeps_the_tensor():
+def test_repeated_sum_is_the_scaled_tensor():
     g = metric()
     acc = g
     for _ in range(40):
         acc = acc + g
-    assert len(acc.terms) <= 27
     assert acc == g.scale(rational(41))
 
 
@@ -213,21 +212,21 @@ def test_constant_corners_of_the_metric_and_the_volume_form():
 
 @given(two_tensors, two_tensors)
 @settings(deadline=None, max_examples=10)
-def test_ip_T2_conjugate_symmetry(s, t):
-    assert ip_T2(s, t).star() == ip_T2(t, s)
+def test_ip_T_conjugate_symmetry(s, t):
+    assert ip_T(s, t).star() == ip_T(t, s)
 
 
 @given(two_tensors, two_tensors, sphere_gens)
 @settings(deadline=None, max_examples=10)
-def test_ip_T2_module_linearity(s, t, b):
-    assert ip_T2(s, t * b) == ip_T2(s, t) * b
-    assert ip_T2(s * b, t) == b.star() * ip_T2(s, t)
+def test_ip_T_module_linearity(s, t, b):
+    assert ip_T(s, t * b) == ip_T(s, t) * b
+    assert ip_T(s * b, t) == b.star() * ip_T(s, t)
 
 
 @given(two_tensors, two_tensors)
 @settings(deadline=None, max_examples=10)
 def test_left_right_duality(s, t):
-    assert ip_left_T(s, t) == ip_T2(s.dag(), t.dag())
+    assert ip_left_T(s, t) == ip_T(s.dag(), t.dag())
 
 
 def test_left_ip_matrix_unit_pattern():
@@ -260,34 +259,42 @@ def test_contract_left_pairs_the_last_two_legs():
 
 @given(two_tensors)
 @settings(deadline=None, max_examples=15)
-def test_dag_T_is_an_involution(t):
-    assert dag_T(dag_T(t)) == t
+def test_dag_is_an_involution(t):
+    assert t.dag().dag() == t
 
 
-def test_dag_T_reverses_legs():
+def test_dag_reverses_legs():
     w1, w2, _ = frame()
-    assert dag_T(tensor(w1, w2)) == tensor(w2.dag(), w1.dag())
+    assert tensor(w1, w2).dag() == tensor(w2.dag(), w1.dag())
 
 
 # ---------------------------------------------------------------------------
 # multiplication map and bidegree parts
 # ---------------------------------------------------------------------------
 
+_BIDEGREES = ("--", "++", "+-", "-+")
+
+
 @given(two_tensors)
 @settings(deadline=None, max_examples=15)
 def test_bidegree_parts_sum_back(t):
-    parts = bidegree(t)
-    assert parts.mm + parts.pp + parts.pm + parts.mp == t
+    parts = [select(t, pattern) for pattern in _BIDEGREES]
+    assert parts[0] + parts[1] + parts[2] + parts[3] == t
 
 
 @given(two_tensors, two_tensors)
 @settings(deadline=None, max_examples=10)
 def test_bidegree_parts_are_orthogonal(s, t):
-    sp = bidegree(s)
-    tp = bidegree(t)
-    for left, right in [(sp.mm, tp.pp), (sp.mm, tp.pm), (sp.mm, tp.mp),
-                        (sp.pp, tp.pm), (sp.pp, tp.mp), (sp.pm, tp.mp)]:
-        assert ip_T2(left, right).is_zero()
+    for left, right in itertools.combinations(_BIDEGREES, 2):
+        assert ip_T(select(s, left), select(t, right)).is_zero()
+
+
+def test_select_rejects_a_bad_pattern():
+    w1, w2, _ = frame()
+    with pytest.raises(ValueError, match=r"got '\+x'$"):
+        select(tensor(w1, w2), "+x")
+    with pytest.raises(ValueError, match=r"got '\+'$"):
+        select(tensor(w1, w2), "+")
 
 
 def test_mul_map_kills_matching_corners():
@@ -315,25 +322,11 @@ def test_metric_multiplication():
 
 def test_metric_pairing():
     assert e_beta() == q_pow(2) + q_pow(-2)
-    assert ip_T2(metric(), metric()) == ONE_EL.scale(q_pow(2) + q_pow(-2))
-
-
-def test_normalised_metric_is_a_unit_vector():
-    eb, g, z, zm = metric_data()
-    assert z.ip_with(z) == ONE_EL
-    assert zm.base == diag_scalars(q_pow(1), q_pow(-1))
-    assert zm.scale_sq == eb.inverse()
-
-
-def test_scaled_tensors_only_pair_matching_scales():
-    _, g, z, _ = metric_data()
-    other = ScaledTensor(g, q_pow(2))
-    with pytest.raises(ValueError):
-        z.ip_with(other)
+    assert ip_T(metric(), metric()) == ONE_EL.scale(q_pow(2) + q_pow(-2))
 
 
 def test_metric_is_dag_invariant():
-    assert dag_T(metric()) == metric()
+    assert metric().dag() == metric()
 
 
 @given(sphere_gens)
@@ -344,9 +337,9 @@ def test_metric_is_central(b):
 
 
 def test_metric_bidegree():
-    parts = bidegree(metric())
-    assert parts.mm.is_zero() and parts.pp.is_zero()
-    assert parts.pm + parts.mp == metric()
+    g = metric()
+    assert select(g, "--").is_zero() and select(g, "++").is_zero()
+    assert select(g, "+-") + select(g, "-+") == g
 
 
 def test_metric_splits_into_the_two_halves():
@@ -355,9 +348,9 @@ def test_metric_splits_into_the_two_halves():
 
 
 def test_halves_are_orthonormal():
-    assert ip_T2(t_pm(), t_pm()) == ONE_EL
-    assert ip_T2(t_mp(), t_mp()) == ONE_EL
-    assert ip_T2(t_pm(), t_mp()).is_zero()
+    assert ip_T(t_pm(), t_pm()) == ONE_EL
+    assert ip_T(t_mp(), t_mp()) == ONE_EL
+    assert ip_T(t_pm(), t_mp()).is_zero()
 
 
 # ---------------------------------------------------------------------------
