@@ -63,7 +63,7 @@ def test_three_tensor_reconstruction():
     assert t == t.canonical()
 
 
-def test_repeated_sum_is_the_scaled_tensor():
+def test_compression_keeps_the_tensor():
     g = metric()
     acc = g
     for _ in range(40):
@@ -212,13 +212,13 @@ def test_constant_corners_of_the_metric_and_the_volume_form():
 
 @given(two_tensors, two_tensors)
 @settings(deadline=None, max_examples=10)
-def test_ip_T_conjugate_symmetry(s, t):
+def test_ip_T2_conjugate_symmetry(s, t):
     assert ip_T(s, t).star() == ip_T(t, s)
 
 
 @given(two_tensors, two_tensors, sphere_gens)
 @settings(deadline=None, max_examples=10)
-def test_ip_T_module_linearity(s, t, b):
+def test_ip_T2_module_linearity(s, t, b):
     assert ip_T(s, t * b) == ip_T(s, t) * b
     assert ip_T(s * b, t) == b.star() * ip_T(s, t)
 
@@ -259,11 +259,11 @@ def test_contract_left_pairs_the_last_two_legs():
 
 @given(two_tensors)
 @settings(deadline=None, max_examples=15)
-def test_dag_is_an_involution(t):
+def test_dag_T_is_an_involution(t):
     assert t.dag().dag() == t
 
 
-def test_dag_reverses_legs():
+def test_dag_T_reverses_legs():
     w1, w2, _ = frame()
     assert tensor(w1, w2).dag() == tensor(w2.dag(), w1.dag())
 
