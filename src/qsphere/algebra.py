@@ -265,9 +265,6 @@ SPHERE_A = Element.from_mono((0, 0, 1, 1), -q_pow(-1))
 SPHERE_B = Element.from_mono((0, 1, 1, 0), -q_pow(-1))
 SPHERE_BSTAR = GEN_C * GEN_D
 
-_LETTER = {"a": GEN_A, "b": GEN_B, "c": GEN_C, "d": GEN_D}
-
-
 # ---------------------------------------------------------------------------
 # twisted derivations
 # ---------------------------------------------------------------------------

@@ -310,42 +310,6 @@ class Scalar:
     def den(self):
         return _fracs(self._den, self._n)
 
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_rational(x) -> "Scalar":
-        c = Fraction(x)
-        if not c:
-            return ZERO
-        d = c.denominator
-        return _make({0: c.numerator}, {}, {0: d}, d, True)
-
-    @staticmethod
-    def s_power(k: int) -> "Scalar":
-        """s^k, i.e. q^(k/2)."""
-        return _make({k: 1}, {}, {0: 1}, 1, True)
-
-    @staticmethod
-    def q_power(k: int) -> "Scalar":
-        return _make({2 * k: 1}, {}, {0: 1}, 1, True)
-
-    @staticmethod
-    def root_two_q() -> "Scalar":
-        """r = [2]_q^{1/2}."""
-        return _make({}, {0: 1}, {0: 1}, 1, True)
-
-    @staticmethod
-    def qnumber(two_x: int) -> "Scalar":
-        """The q-number [x]_q = (q^{-x} - q^x)/(q^{-1} - q) for x = two_x/2.
-
-        Integer x gives the familiar Laurent polynomial
-        q^{-(x-1)} + q^{-(x-3)} + ... + q^{x-1}; half-integer x stays a
-        rational function of s.
-        """
-        if two_x == 0:
-            return ZERO
-        return _scalar({-two_x: 1, two_x: -1}, {}, {-2: 1, 2: -1}, 1)
-
     # -- canonical key, equality, hashing -----------------------------------
 
     def _freeze(self):
@@ -365,7 +329,7 @@ class Scalar:
         if self is other:
             return True
         if isinstance(other, (int, Fraction)):
-            other = Scalar.from_rational(other)
+            other = rational(other)
         elif not isinstance(other, Scalar):
             return NotImplemented
         return self._freeze() == other._freeze()
@@ -617,20 +581,33 @@ def _normalise(pe, pr, den):
 
 ZERO = _make({}, {}, {0: 1}, 1, True)
 ONE = _make({0: 1}, {}, {0: 1}, 1, True)
-ROOT_TWO_Q = Scalar.root_two_q()
+ROOT_TWO_Q = _make({}, {0: 1}, {0: 1}, 1, True)  # r = [2]_q^{1/2}
 
 
 def rational(x) -> Scalar:
-    return Scalar.from_rational(x)
+    c = Fraction(x)
+    if not c:
+        return ZERO
+    d = c.denominator
+    return _make({0: c.numerator}, {}, {0: d}, d, True)
 
 
 def s_pow(k: int) -> Scalar:
-    return Scalar.s_power(k)
+    """s^k, i.e. q^(k/2)."""
+    return _make({k: 1}, {}, {0: 1}, 1, True)
 
 
 def q_pow(k: int) -> Scalar:
-    return Scalar.q_power(k)
+    return _make({2 * k: 1}, {}, {0: 1}, 1, True)
 
 
 def qnum(two_x: int) -> Scalar:
-    return Scalar.qnumber(two_x)
+    """The q-number [x]_q = (q^{-x} - q^x)/(q^{-1} - q) for x = two_x/2.
+
+    Integer x gives the familiar Laurent polynomial
+    q^{-(x-1)} + q^{-(x-3)} + ... + q^{x-1}; half-integer x stays a
+    rational function of s.
+    """
+    if two_x == 0:
+        return ZERO
+    return _scalar({-two_x: 1, two_x: -1}, {}, {-2: 1, 2: -1}, 1)

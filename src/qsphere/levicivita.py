@@ -37,8 +37,8 @@ from .algebra import Element
 from .coeff import Scalar, q_pow, qnum, rational
 from .forms import ZERO_FORM, OneForm, dee, frame, ip_left, ip_right
 from .tensors import (
-    Tensor, as_scalar, contract_left, diag_scalars, e_beta, ip_T, map_legs,
-    metric,
+    Tensor, as_scalar, coeff_json, contract_left, diag_scalars, e_beta, ip_T,
+    metric, tensor,
 )
 from .calculus import ext_d, sigma, volume_form
 
@@ -231,8 +231,10 @@ def curvature_of(rho: OneForm) -> Tensor:
             terms.append((u, v, b))
         for u, v in ext_d(ONE_EL, y).terms:
             terms.append((w, u, v))
-    out = map_legs(Tensor(3, terms), 1, vf.complement)
-    return out.scale(rational(-1))
+    out = []
+    for a, b, c in terms:
+        out.extend((a,) + pair for pair in vf.complement(tensor(b, c)).terms)
+    return Tensor(3, out).scale(rational(-1))
 
 
 def riemann_closed_form() -> Tensor:
@@ -273,11 +275,6 @@ def scalar_curvature() -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_strings(t: Tensor) -> dict:
-    return {",".join(str(i) for i in idx): repr(el)
-            for idx, el in sorted(t.coeffs().items())}
-
-
 _POW_RE = re.compile(r"\^(-?\d+)")
 
 
@@ -302,8 +299,8 @@ class CurvatureData:
 
     def as_dict(self) -> dict:
         return {
-            "riemann": {"legs": 4, "coeffs": _coeff_strings(self.riemann)},
-            "ricci": {"legs": 2, "coeffs": _coeff_strings(self.ricci)},
+            "riemann": coeff_json(self.riemann),
+            "ricci": coeff_json(self.ricci),
             "scalar": repr(self.scalar),
         }
 

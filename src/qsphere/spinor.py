@@ -24,12 +24,15 @@ q^{-1} x y* on S-.  The associated Grassmann connection
 
     conn(psi) = sum_i dee({}_B<psi, s_i>) (x) s_i
 
-satisfies D = c o conn, and the curvature of this connection, cut down by
-the junk projection on the two-form legs, is a multiple of the volume form:
+satisfies D = c o conn.  The curvature of this connection, cut down by
+the junk projection on the two-form legs, lies on the volume-form line.
+Two-forms are rank one here: 1 - Psi = alpha^{-1} C <C, .> and
+<C, C z> = alpha z, so every element of Omega^2 (x)_B S is C (x) Phi for
+exactly one spinor Phi, and curvature is stored as that spinor:
 
-    curv(psi) = (q/2) C (x) diag(-q^{-1}, q) psi.
+    curv(psi) = C (x) Phi,      Phi = (q/2) diag(-q^{-1}, q) psi.
 
-Its braided Clifford action is the constant positive matrix
+Its braided Clifford action m(sigma(C)) Phi is the constant positive matrix
 (1/(q^2+q^-2)) diag(q^2, q^-2), which is exactly the defect in the
 Weitzenbock identity
 
@@ -37,6 +40,8 @@ Weitzenbock identity
 
 where the connection laplacian is built from the metric pairing,
 lap(psi) = e^{-beta} m(G) <G, (conn_right (x) 1 + 1 (x) conn) conn(psi)>_B.
+The laplacian and the curvature share one walk of that second covariant
+derivative: each pairs a two-tensor (G or C) with its two one-form legs.
 The identity holds exactly at symbolic q; at q = 1 the defect becomes
 (1/2) Id, one quarter of the classical round scalar curvature.
 
@@ -53,7 +58,7 @@ from .coeff import Scalar, q_pow, rational
 from .algebra import (Element, ONE_EL, ZERO_EL, SPHERE_A, SPHERE_B,
                       SPHERE_BSTAR, del_e, del_f, spin_half)
 from .forms import OneForm, dee, frame, ip_right
-from .tensors import Diag, Tensor, e_beta, ip_T, metric, mul_map
+from .tensors import Diag, Tensor, e_beta, ip_T, metric, mul_map, tensor
 from .calculus import sigma, volume_form
 from .levicivita import conn_right
 from .haar import haar
@@ -133,15 +138,14 @@ def ip_spin_left(x: Spinor, y: Spinor) -> Element:
         + (x.minus * y.minus.star()).scale(q_pow(-1))
 
 
+FRAME_SPINORS = (Spinor(plus=frame_plus(-1)), Spinor(plus=frame_plus(1)),
+                 Spinor(minus=frame_minus(-1)), Spinor(minus=frame_minus(1)))
+
+
 def frame_expand(psi: Spinor):
-    """The frame coefficients ({}_B<psi, s_i> per sector); summing the
+    """The frame coefficients {}_B<psi, s> over FRAME_SPINORS; summing the
     coefficients against the frames recovers psi."""
-    out = []
-    for i2 in (-1, 1):
-        out.append((psi.plus * frame_plus(i2).star()).scale(q_pow(1)))
-    for i2 in (-1, 1):
-        out.append((psi.minus * frame_minus(i2).star()).scale(q_pow(-1)))
-    return out
+    return [ip_spin_left(psi, s) for s in FRAME_SPINORS]
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +181,8 @@ def conn_spinor(psi: Spinor):
     left Leibniz rule conn(b psi) = dee(b) (x) psi + b conn(psi) and
     c o conn = D.
     """
-    out = []
-    if not psi.plus.is_zero():
-        for i2 in (-1, 1):
-            b = (psi.plus * frame_plus(i2).star()).scale(q_pow(1))
-            if not b.is_zero():
-                out.append((dee(b), Spinor(plus=frame_plus(i2))))
-    if not psi.minus.is_zero():
-        for i2 in (-1, 1):
-            b = (psi.minus * frame_minus(i2).star()).scale(q_pow(-1))
-            if not b.is_zero():
-                out.append((dee(b), Spinor(minus=frame_minus(i2))))
-    return out
+    return [(dee(b), s) for b, s in zip(frame_expand(psi), FRAME_SPINORS)
+            if not b.is_zero()]
 
 
 def braided_product(u: OneForm, v: OneForm) -> Diag:
@@ -201,80 +195,59 @@ def braided_product(u: OneForm, v: OneForm) -> Diag:
 
 
 # ---------------------------------------------------------------------------
-# curvature of the spinor connection
+# the second covariant derivative: curvature and laplacian
 # ---------------------------------------------------------------------------
 
 
-def spinor_curvature(psi: Spinor):
-    """Curvature triples ((1-Psi) (x) 1)(conn_right (x) 1 + 1 (x) conn) conn(psi).
-
-    Both composite terms are computed; the conn_right (x) 1 part consists of
-    covariant derivatives of exact forms, which are pure junk, so it dies
-    under the projection (this is relied on nowhere: the projection is
-    applied to everything).  Returns (one-form, one-form, spinor) triples
-    whose two-form part is always a multiple of the volume form.
-    """
-    vf = volume_form()
-    raw = []
+def _pair_second(x: Tensor, psi: Spinor) -> Spinor:
+    """<X, (conn_right (x) 1 + 1 (x) conn) conn(psi)>: pair the two-tensor
+    X (through ip_T) with the two one-form legs of the second covariant
+    derivative and let the result act on the spinor leg."""
+    acc = ZERO_SP
     for w, chi in conn_spinor(psi):
         for u, v in conn_right(w).terms:
-            raw.append((u, v, chi))
+            g = ip_T(x, tensor(u, v))
+            if not g.is_zero():
+                acc = acc + g * chi
         for eta, xi in conn_spinor(chi):
-            raw.append((w, eta, xi))
-    out = []
-    for u, v, chi in raw:
-        img = vf.complement(Tensor(2, [(u, v)]))
-        for a, b in img.terms:
-            out.append((a, b, chi))
-    return out
-
-
-def spinor_curvature_closed_form(psi: Spinor):
-    """(q/2) C (x) diag(-q^{-1}, q) psi, in the same triple format."""
-    vf = volume_form()
-    half = rational(2).inverse()
-    chi = Spinor(psi.plus.scale(half * rational(-1)),
-                 psi.minus.scale(half * q_pow(2)))
-    return [(u, v, chi) for u, v in vf.C.terms]
-
-
-def curvature_coeffs(triples) -> dict:
-    """Canonical coordinates of curvature triples: expand both one-form legs
-    over the frame and push the coefficients onto the spinor, keyed by the
-    frame index pair."""
-    ws = frame()
-    out = {}
-    for u, v, chi in triples:
-        for i in range(3):
-            a = ip_right(ws[i], u)
-            if a.is_zero():
-                continue
-            av = a * v
-            for j in range(3):
-                b = ip_right(ws[j], av)
-                if b.is_zero():
-                    continue
-                key = (i, j)
-                out[key] = out.get(key, ZERO_SP) + b * chi
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def clifford_curvature_action(psi: Spinor) -> Spinor:
-    """The braided Clifford action of the curvature,
-    sum braided_product(u, v) . chi over the curvature triples.
-
-    Equals (1/(q^2+q^-2)) diag(q^2, q^-2) psi: the constant positive
-    operator appearing as the Weitzenbock defect.
-    """
-    acc = ZERO_SP
-    for u, v, chi in spinor_curvature(psi):
-        acc = acc + braided_product(u, v) * chi
+            g = ip_T(x, tensor(w, eta))
+            if not g.is_zero():
+                acc = acc + g * xi
     return acc
 
 
-# ---------------------------------------------------------------------------
-# the connection laplacian and the Weitzenbock defect
-# ---------------------------------------------------------------------------
+def spinor_curvature(psi: Spinor) -> Spinor:
+    """The spinor Phi with ((1-Psi) (x) 1)(conn_right (x) 1 + 1 (x) conn)
+    conn(psi) = C (x) Phi, namely Phi = alpha^{-1} <C, .> of the second
+    covariant derivative.
+
+    Since 1 - Psi = alpha^{-1} C <C, .>, each simple term u (x) v (x) chi
+    projects to C (x) alpha^{-1} <C, u (x) v> chi.  Phi decides the
+    curvature: pairing with C sends C (x) Phi to <C, C> Phi = alpha Phi, so
+    C (x) Phi = C (x) Phi' forces Phi = Phi'.  The conn_right (x) 1 part
+    consists of covariant derivatives of exact forms, which are pure junk
+    and pair to zero; it is computed all the same.
+    """
+    vf = volume_form()
+    return _pair_second(vf.C, psi).scale(vf.alpha.inverse())
+
+
+def spinor_curvature_closed_form(psi: Spinor) -> Spinor:
+    """Phi = (q/2) diag(-q^{-1}, q) psi, so curv(psi) = C (x) Phi."""
+    half = rational(2).inverse()
+    return Spinor(psi.plus.scale(half * rational(-1)),
+                  psi.minus.scale(half * q_pow(2)))
+
+
+def clifford_curvature_action(psi: Spinor) -> Spinor:
+    """The braided Clifford action of the curvature, m(sigma(C)) Phi.
+
+    m o sigma is a bimodule map, so summing braided_product over the terms
+    of C (x) Phi collapses to the constant matrix m(sigma(C)) acting on
+    Phi.  Equals (1/(q^2+q^-2)) diag(q^2, q^-2) psi: the constant positive
+    operator appearing as the Weitzenbock defect.
+    """
+    return mul_map(sigma(volume_form().C)) * spinor_curvature(psi)
 
 
 @functools.cache
@@ -288,20 +261,11 @@ def laplacian(psi: Spinor) -> Spinor:
 
         lap(psi) = e^{-beta} m(G) <G, (conn_right (x) 1 + 1 (x) conn) conn(psi)>_B,
 
-    pairing the metric against the two leading legs and letting the
-    resulting algebra elements act on the spinor legs from the left.
+    the shared walk _pair_second with X = G: the metric pairs with the two
+    one-form legs and the resulting algebra elements act on the spinor legs.
     """
-    acc = ZERO_SP
-    for w, chi in conn_spinor(psi):
-        for u, v in conn_right(w).terms:
-            g = ip_T(metric(), Tensor(2, [(u, v)]))
-            if not g.is_zero():
-                acc = acc + g * chi
-        for eta, xi in conn_spinor(chi):
-            g = ip_T(metric(), Tensor(2, [(w, eta)]))
-            if not g.is_zero():
-                acc = acc + g * xi
-    return (_metric_diag() * acc).scale(e_beta().inverse())
+    return (_metric_diag() * _pair_second(metric(), psi)) \
+        .scale(e_beta().inverse())
 
 
 def weitzenbock_correction(psi: Spinor) -> Spinor:

@@ -31,8 +31,8 @@ inner products on tensor powers all read corners:
 
 The frame coefficients stay as a derived view: ``canonical()`` re-expresses
 a tensor through them as at most 3^k simple terms, and the golden files,
-``coeff_json`` and the command line read them.  Sums and ``map_legs`` only
-concatenate term lists.
+``coeff_json`` and the command line read them.  Sums only concatenate term
+lists.
 
 The module also provides the multiplication map m onto diagonal 2x2
 matrices (the two mixed corners of a two-tensor), the corner selector
@@ -353,7 +353,7 @@ def mul_map(t: Tensor) -> Diag:
 
 
 # ---------------------------------------------------------------------------
-# corner selection and leg maps
+# corner selection
 # ---------------------------------------------------------------------------
 
 
@@ -374,19 +374,6 @@ def select(t: Tensor, pattern: str) -> Tensor:
                    for term in t.terms])
 
 
-def map_legs(t: Tensor, pos: int, f2) -> Tensor:
-    """Apply a bimodule map of two-tensors to legs (pos, pos+1) of a
-    k-tensor, leaving the other legs alone."""
-    if pos < 0 or pos + 1 >= t.k:
-        raise ValueError("leg position out of range")
-    terms = []
-    for term in t.terms:
-        image = f2(Tensor(2, [(term[pos], term[pos + 1])]))
-        for pair in image.terms:
-            terms.append(term[:pos] + pair + term[pos + 2:])
-    return Tensor(t.k, terms)
-
-
 # ---------------------------------------------------------------------------
 # the metric
 # ---------------------------------------------------------------------------
@@ -400,7 +387,7 @@ def metric() -> Tensor:
 def as_scalar(x: Element) -> Scalar:
     """The coefficient of a scalar multiple of 1; raises otherwise."""
     if x.is_zero():
-        return Scalar.from_rational(0)
+        return rational(0)
     from .algebra import MONO_ID
     if set(x.terms) != {MONO_ID}:
         raise ValueError("element is not a scalar: %r" % (x,))
@@ -413,15 +400,16 @@ def e_beta() -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# JSON export of canonical coefficients (for golden tests)
+# JSON export of canonical coefficients
 # ---------------------------------------------------------------------------
 
 
 def coeff_json(t: Tensor):
-    """Canonical coefficient array as a JSON-ready dict; entries render
-    through the parseable Element repr."""
+    """Frame coefficient array as a JSON-ready dict: the number of legs,
+    and each nonzero entry keyed by its 0-based multi-index "i,j,..." and
+    rendered through the parseable Element repr."""
     return {
-        "rank": t.k,
-        "coeff": {",".join(str(i + 1) for i in idx): repr(c)
-                  for idx, c in sorted(t.coeffs().items())},
+        "legs": t.k,
+        "coeffs": {",".join(str(i) for i in idx): repr(c)
+                   for idx, c in sorted(t.coeffs().items())},
     }

@@ -12,13 +12,15 @@ from qsphere.coeff import q_pow, rational
 from qsphere.forms import OneForm, dee, frame, ip_right
 from qsphere.levicivita import conn_right
 from qsphere.spinor import (
-    Spinor, ZERO_SP, braided_product, check_compatibility, check_divergence,
-    clifford, clifford_curvature_action, conn_spinor, curvature_coeffs,
-    dirac, dirac_commutator, frame_expand, frame_minus, frame_plus,
-    ip_spin_left, laplacian, proj_minus, proj_plus, spinor_curvature,
+    FRAME_SPINORS, Spinor, ZERO_SP, check_compatibility, check_divergence,
+    clifford, clifford_curvature_action, conn_spinor, dirac,
+    dirac_commutator, frame_expand, frame_minus, frame_plus, ip_spin_left,
+    laplacian, proj_minus, proj_plus, spinor_curvature,
     spinor_curvature_closed_form, weitzenbock_correction,
 )
-from qsphere.tensors import Diag, Tensor, diag_scalars, e_beta, metric, mul_map
+from qsphere.tensors import (
+    Diag, Tensor, diag_scalars, e_beta, ip_T, metric, mul_map,
+)
 
 _sph = [SPHERE_A, SPHERE_B, SPHERE_BSTAR]
 
@@ -110,11 +112,8 @@ def test_frame_column_identities():
 @settings(deadline=None, max_examples=10)
 @given(coeff_spinors)
 def test_left_frame_identity(psi):
-    coeffs = frame_expand(psi)
-    frames = [Spinor(plus=frame_plus(-1)), Spinor(plus=frame_plus(1)),
-              Spinor(minus=frame_minus(-1)), Spinor(minus=frame_minus(1))]
     acc = ZERO_SP
-    for b, s in zip(coeffs, frames):
+    for b, s in zip(frame_expand(psi), FRAME_SPINORS):
         acc = acc + b * s
     assert acc == psi
 
@@ -193,23 +192,28 @@ def test_connection_leibniz(b, psi):
 
 
 def test_curvature_closed_form_on_frames():
-    for psi in (Spinor(plus=th(1)), Spinor(minus=tl(-1))):
-        got = curvature_coeffs(spinor_curvature(psi))
-        want = curvature_coeffs(spinor_curvature_closed_form(psi))
-        assert coeffs_eq(got, want)
+    for psi in FRAME_SPINORS:
+        assert spinor_curvature(psi) == spinor_curvature_closed_form(psi)
 
 
 def test_curvature_closed_form_with_coefficient():
-    psi = Spinor(plus=SPHERE_A * th(1))
-    got = curvature_coeffs(spinor_curvature(psi))
-    want = curvature_coeffs(spinor_curvature_closed_form(psi))
-    assert coeffs_eq(got, want)
+    for psi in (Spinor(plus=SPHERE_A * th(1)),
+                Spinor(plus=SPHERE_BSTAR * th(-1), minus=SPHERE_A * tl(1))):
+        assert spinor_curvature(psi) == spinor_curvature_closed_form(psi)
+
+
+def test_volume_pairing_is_faithful():
+    # <C, C z> = alpha z: pairing with C recovers the spinor Phi from
+    # C (x) Phi, so comparing spinor curvatures decides curvature equality
+    vf = volume_form()
+    for z in (ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR * SPHERE_A):
+        assert ip_T(vf.C, vf.C * z) == z.scale(vf.alpha)
 
 
 def test_curvature_two_form_legs_are_volume_multiples():
-    # the curvature triples all come out of the junk complement, whose image
-    # is the C-line; Psi kills that line (single terms of the expansion are
-    # not separately C-multiples, only their sum is)
+    # the curvature lies in the image of the junk complement, which is the
+    # C-line; Psi kills that line (single terms of a two-tensor are not
+    # separately C-multiples, only their sum is)
     vf = volume_form()
     assert vf.psi(vf.C).is_zero()
     ws = frame()

@@ -11,10 +11,10 @@ from qsphere.algebra import (
     spin_one,
 )
 from qsphere.coeff import ONE, q_pow, rational, s_pow
-from qsphere.forms import E12, E21, OneForm, dee, frame, ip_left, ip_right
+from qsphere.forms import E12, E21, dee, frame, ip_left, ip_right
 from qsphere.tensors import (
     Diag, Tensor, as_scalar, coeff_json, contract_left, diag_scalars, e_beta,
-    ip_left_T, ip_T, map_legs, metric, mul_map, select, tensor,
+    ip_left_T, ip_T, metric, mul_map, select, tensor,
 )
 
 from metric_halves import t_mp, t_pm
@@ -304,14 +304,6 @@ def test_mul_map_kills_matching_corners():
     assert mul_map(tensor(E21, E12)) == Diag(bot=ONE_EL)
 
 
-def test_map_legs_applies_a_two_tensor_map_in_place():
-    w1, w2, w3 = frame()
-    t = tensor(w1, w2, w3)
-    assert map_legs(t, 0, lambda x: x) == t
-    mm = map_legs(t, 1, lambda x: select(x, "--"))
-    assert mm == tensor(w1, OneForm(minus=w2.minus), OneForm(minus=w3.minus))
-
-
 # ---------------------------------------------------------------------------
 # the metric
 # ---------------------------------------------------------------------------
@@ -375,9 +367,9 @@ def test_rank_checks():
 def test_coeff_json_round_trips():
     g = metric()
     blob = coeff_json(g)
-    assert blob["rank"] == 2
-    rebuilt = {tuple(int(p) - 1 for p in key.split(",")): parse(text)
-               for key, text in blob["coeff"].items()}
+    assert blob["legs"] == 2
+    rebuilt = {tuple(int(p) for p in key.split(",")): parse(text)
+               for key, text in blob["coeffs"].items()}
     assert rebuilt == g.coeffs()
 
 
@@ -386,7 +378,7 @@ def test_coeff_json_entries_with_denominators_round_trip():
     from qsphere.calculus import ext_d, volume_form
     for t in (volume_form().C, ext_d(SPHERE_A, SPHERE_B)):
         blob = coeff_json(t)
-        assert all("/" in text for text in blob["coeff"].values())
-        rebuilt = {tuple(int(p) - 1 for p in key.split(",")): parse(text)
-                   for key, text in blob["coeff"].items()}
+        assert all("/" in text for text in blob["coeffs"].values())
+        rebuilt = {tuple(int(p) for p in key.split(",")): parse(text)
+                   for key, text in blob["coeffs"].items()}
         assert rebuilt == t.coeffs()
