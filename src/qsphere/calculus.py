@@ -24,10 +24,11 @@ The exterior derivative of a one-form a.dee(b) is the closed form
 (q/2) C (q^{-1} del_e(a) del_f(b) - q del_f(a) del_e(b)), certified
 elsewhere against (1 - Psi)(dee(a) (x) dee(b)).
 
-The braiding sigma scales the (-,-) and (+,+) corners by q^2 and q^{-2} and
-swaps the mixed corners through frame insertions; it fixes G, acts affinely
-on C, and intertwines the two Grassmann connections.  Its inverse differs
-only in the powers on the (-,-) and (+,+) corners.
+The braiding sigma is a fixed map on corners: q^2 on (-,-), q^{-2} on (+,+),
+sigma(T)^{-+} = q^{-2} T^{+-} and sigma(T)^{+-} = q^2 T^{-+}, turned back
+into terms by ``tensors.from_corners``.  It fixes G, acts affinely on C, and
+intertwines the two Grassmann connections.  Its inverse differs only in the
+powers on the (-,-) and (+,+) corners.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .algebra import Element, ONE_EL, del_e, del_f, spin_half, spin_one
-from .coeff import Scalar, q_pow, rational
-from .forms import OneForm, dee
-from .tensors import Tensor, as_scalar, e_beta, ip_T, metric, select, tensor
+from .algebra import Element, ONE_EL, del_e, del_f, spin_half
+from .coeff import q_pow, rational
+from .forms import dee
+from .tensors import (Tensor, as_scalar, e_beta, from_corners, ip_T, metric,
+                      select, tensor)
 
 _HALF = rational(Fraction(1, 2))
 
@@ -143,42 +145,27 @@ def ext_d_via_junk(a: Element, b: Element) -> Tensor:
 
 
 def _check_proper(t: Tensor):
-    for term in t.terms:
-        for leg in term:
-            if not leg.is_proper():
-                raise ValueError("braiding needs genuine one-form legs")
-
-
-def _swap_terms(part: Tensor, js: tuple, make):
-    terms = []
-    for rho, eta in part.terms:
-        for u in js:
-            terms.append(make(u, rho, eta))
-    return Tensor(2, terms)
+    # the legs, not the corners: E21 (x) E12 has a corner of the right degree
+    if not all(leg.is_proper() for term in t.terms for leg in term):
+        raise ValueError("braiding needs genuine one-form legs")
 
 
 def _braid(t: Tensor, e: int) -> Tensor:
-    """q^e on the (-,-) corner, q^{-e} on the (+,+) corner, and the
-    frame-mediated swaps of the mixed corners."""
+    """q^e on the (-,-) corner, q^{-e} on the (+,+) corner, and the mixed
+    corners swapped: (-,+) gets q^{-2} T^{+-} and (+,-) gets q^2 T^{-+}."""
     _check_proper(t)
-    ups = tuple(spin_one(m, 1) for m in (1, 0, -1))
-    downs = tuple(spin_one(m, -1) for m in (1, 0, -1))
-    swapped_pm = _swap_terms(
-        select(t, "+-"), ups,
-        lambda u, rho, eta: (OneForm(minus=u.star()),
-                             OneForm(plus=u * (rho.plus * eta.minus))))
-    swapped_mp = _swap_terms(
-        select(t, "-+"), downs,
-        lambda v, rho, eta: (OneForm(plus=v.star()),
-                             OneForm(minus=v * (rho.minus * eta.plus))))
-    return select(t, "--").scale(q_pow(e)) + \
-        select(t, "++").scale(q_pow(-e)) + \
-        swapped_pm.scale(q_pow(-2)) + swapped_mp.scale(q_pow(2))
+    out = {}
+    for (a, b), x in t.corners().items():
+        if a == b:
+            out[(a, b)] = x.scale_s(-2 * e * a)
+        else:
+            out[(b, a)] = x.scale_s(4 * b)
+    return from_corners(2, out)
 
 
 def sigma(t: Tensor) -> Tensor:
     """The braiding on two-tensors: q^2 on the (-,-) corner, q^{-2} on the
-    (+,+) corner, and frame-mediated swaps of the mixed corners."""
+    (+,+) corner, and the mixed corners swapped."""
     return _braid(t, 2)
 
 

@@ -174,8 +174,6 @@ class SpinBlock:
         self.l = _half_integer(l)
         if not 0.0 < q0 <= 1.0:
             raise ValueError("q0 must lie in (0, 1]: %r" % (q0,))
-        if self.l > Fraction(11, 2):
-            raise ValueError("blocks above l = 11/2 are out of desk scale")
         self.q0 = q0
         self.operator = operator
         if operator not in _OPERATORS:

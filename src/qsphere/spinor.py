@@ -185,15 +185,6 @@ def conn_spinor(psi: Spinor):
             if not b.is_zero()]
 
 
-def braided_product(u: OneForm, v: OneForm) -> Diag:
-    """m o sigma on a simple two-tensor: multiply after braiding.
-
-    This is the twisted product entering both the compatibility identity
-    and the Clifford action of the curvature.
-    """
-    return mul_map(sigma(Tensor(2, [(u, v)])))
-
-
 # ---------------------------------------------------------------------------
 # the second covariant derivative: curvature and laplacian
 # ---------------------------------------------------------------------------
@@ -205,10 +196,9 @@ def _pair_second(x: Tensor, psi: Spinor) -> Spinor:
     derivative and let the result act on the spinor leg."""
     acc = ZERO_SP
     for w, chi in conn_spinor(psi):
-        for u, v in conn_right(w).terms:
-            g = ip_T(x, tensor(u, v))
-            if not g.is_zero():
-                acc = acc + g * chi
+        g = ip_T(x, conn_right(w))
+        if not g.is_zero():
+            acc = acc + g * chi
         for eta, xi in conn_spinor(chi):
             g = ip_T(x, tensor(w, eta))
             if not g.is_zero():
@@ -242,9 +232,9 @@ def spinor_curvature_closed_form(psi: Spinor) -> Spinor:
 def clifford_curvature_action(psi: Spinor) -> Spinor:
     """The braided Clifford action of the curvature, m(sigma(C)) Phi.
 
-    m o sigma is a bimodule map, so summing braided_product over the terms
-    of C (x) Phi collapses to the constant matrix m(sigma(C)) acting on
-    Phi.  Equals (1/(q^2+q^-2)) diag(q^2, q^-2) psi: the constant positive
+    m o sigma is a bimodule map, so the braided product summed over the
+    terms of C (x) Phi collapses to the constant matrix m(sigma(C)) acting
+    on Phi.  Equals (1/(q^2+q^-2)) diag(q^2, q^-2) psi: the constant positive
     operator appearing as the Weitzenbock defect.
     """
     return mul_map(sigma(volume_form().C)) * spinor_curvature(psi)
@@ -303,9 +293,9 @@ def check_compatibility() -> bool:
 
     For one-forms rho = dee(b) a and spinors psi:
 
-        D(c(rho (x) psi)) = sum braided_product over conn_right(rho) acting
-                            on psi, plus braided_product(rho, -) over the
-                            pairs of conn(psi),
+        D(c(rho (x) psi)) = m(sigma(conn_right(rho))) psi
+                            + sum m(sigma(rho (x) w)) chi over the pairs
+                              (w, chi) of conn(psi),
 
     together with the multiplication identity
     m(Psi(rho (x) eta)) = e^{-beta} m(G) <rho^dag, eta>_B on a family of
@@ -321,11 +311,9 @@ def check_compatibility() -> bool:
     for b, a, psi in cases:
         rho = dee(b) * a
         lhs = dirac(clifford(rho, psi))
-        acc = ZERO_SP
-        for u, v in conn_right(rho).terms:
-            acc = acc + braided_product(u, v) * psi
+        acc = mul_map(sigma(conn_right(rho))) * psi
         for w, chi in conn_spinor(psi):
-            acc = acc + braided_product(rho, w) * chi
+            acc = acc + mul_map(sigma(tensor(rho, w))) * chi
         if lhs != acc:
             return False
 
@@ -337,7 +325,7 @@ def check_compatibility() -> bool:
               SPHERE_B * dee(SPHERE_BSTAR)]
     for rho in probes:
         for eta in probes:
-            lhs = mul_map(vf.psi(Tensor(2, [(rho, eta)])))
+            lhs = mul_map(vf.psi(tensor(rho, eta)))
             rhs = (mg * ip_right(rho.dag(), eta)).scale(ebi)
             if lhs != rhs:
                 return False

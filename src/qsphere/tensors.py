@@ -34,9 +34,12 @@ a tensor through them as at most 3^k simple terms, and the golden files,
 ``coeff_json`` and the command line read them.  Sums only concatenate term
 lists.
 
+``from_corners``, the one frame insertion of the library, turns corners
+back into simple terms; maps on corners (the braiding in ``calculus``, the
+corner filter ``select``) return their results through it.
+
 The module also provides the multiplication map m onto diagonal 2x2
-matrices (the two mixed corners of a two-tensor), the corner selector
-``select``, and the metric two-tensor
+matrices (the two mixed corners of a two-tensor) and the metric two-tensor
 
     G = sum_j w_j (x) dag(w_j),        e^beta = <G, G> = q^2 + q^{-2},
 
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import functools
 
-from .algebra import Element, ONE_EL, ZERO_EL
+from .algebra import Element, ONE_EL, ZERO_EL, spin_one
 from .coeff import Scalar, rational
 from .forms import OneForm, frame, ip_right
 
@@ -353,25 +356,47 @@ def mul_map(t: Tensor) -> Diag:
 
 
 # ---------------------------------------------------------------------------
-# corner selection
+# tensors from their corners
 # ---------------------------------------------------------------------------
 
 
-_COMPONENT = {
-    "+": lambda w: OneForm(plus=w.plus),
-    "-": lambda w: OneForm(minus=w.minus),
-}
+def _slot(sign: int, x: Element) -> OneForm:
+    return OneForm(plus=x) if sign > 0 else OneForm(minus=x)
+
+
+def from_corners(k: int, corners) -> Tensor:
+    """The k-tensor with the given corners, a dict eps -> Element, preset as
+    its corner cache.  Each corner X becomes 3^(k-1) single-entry terms
+    g_{m_1} (x) ... (x) g_{m_{k-1}} (x) g_{m_{k-1}}* ... g_{m_1}* X through
+    sum_m g_m g_m* = 1, with g_m = t(m, -1)* in a '+' slot and t(m, 1)* in a
+    '-' slot (t = spin_one); the sums over the m_i telescope to X."""
+    terms = []
+    kept = {}
+    for eps, x in sorted(corners.items()):
+        if len(eps) != k or not set(eps) <= {1, -1}:
+            raise ValueError("corner %r is not a %d-tuple of +1/-1" % (eps, k))
+        if x.is_zero():
+            continue
+        kept[eps] = x
+        states = [((), x)]
+        for sign in eps[:-1]:
+            us = [spin_one(m, -sign) for m in (1, 0, -1)]
+            states = [(legs + (_slot(sign, u.star()),), u * back)
+                      for legs, back in states for u in us]
+        terms.extend(legs + (_slot(eps[-1], back),) for legs, back in states)
+    out = Tensor(k, terms)
+    out._corners = kept
+    return out
 
 
 def select(t: Tensor, pattern: str) -> Tensor:
-    """Keep one matrix corner per leg: pattern is a string of '+'/'-'."""
-    if len(pattern) != t.k or not set(pattern) <= set(_COMPONENT):
+    """Keep one corner: pattern is a string of '+'/'-', one per leg."""
+    if len(pattern) != t.k or not set(pattern) <= {"+", "-"}:
         raise ValueError("select needs one '+' or '-' per leg of a %d-tensor,"
                          " got %r" % (t.k, pattern))
-    pickers = [_COMPONENT[ch] for ch in pattern]
-    return Tensor(t.k,
-                  [tuple(pick(leg) for pick, leg in zip(pickers, term))
-                   for term in t.terms])
+    eps = tuple(1 if ch == "+" else -1 for ch in pattern)
+    return from_corners(t.k,
+                        {e: x for e, x in t.corners().items() if e == eps})
 
 
 # ---------------------------------------------------------------------------

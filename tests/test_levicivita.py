@@ -152,6 +152,36 @@ def test_bimodule_connection():
     assert check_bimodule_connection()
 
 
+# the nine words x, y, z of the connection benchmark (bench/workloads.py),
+# copied so that a change there does not silently shrink this family
+_CONNECTION_WORDS = (("", "A", ""), ("", "B", ""), ("", "*", ""),
+                     ("B", "A", ""), ("", "*", "A"), ("*", "*", ""),
+                     ("A", "B", "A"), ("B", "*", "A"), ("A", "A", "A"))
+
+
+def _word(letters):
+    gens = {"A": SPHERE_A, "B": SPHERE_B, "*": SPHERE_BSTAR}
+    out = ONE_EL
+    for ch in letters:
+        out = out * gens[ch]
+    return out
+
+
+@pytest.mark.parametrize("xs,ys,zs", _CONNECTION_WORDS)
+def test_connection_identities_on_the_benchmark_words(xs, ys, zs):
+    # covers dee(B), dee(B*) and dee(B*) A, which the check families miss
+    x = _word(xs).scale(q_pow(-2))
+    y, z = _word(ys), _word(zs)
+    rho = (x * dee(y)) * z
+    # d(x dee(y) z) via x dee(y) z = x dee(yz) - (xy) dee(z)
+    d_rho = ext_d(x, y * z) - ext_d(x * y, z)
+    right, left = conn_right(rho), conn_left(rho)
+    vf = volume_form()
+    assert vf.complement(right) == -d_rho
+    assert vf.complement(left) == d_rho
+    assert sigma(right) == left
+
+
 def test_connection_identities_never_read_frame_coefficients(monkeypatch):
     # equality, the zero test and the pairings read corners, so the
     # torsion and bimodule identities are decided with Tensor.coeffs

@@ -14,10 +14,11 @@ from qsphere.coeff import ONE, q_pow, rational, s_pow
 from qsphere.forms import E12, E21, dee, frame, ip_left, ip_right
 from qsphere.tensors import (
     Diag, Tensor, as_scalar, coeff_json, contract_left, diag_scalars, e_beta,
-    ip_left_T, ip_T, metric, mul_map, select, tensor,
+    from_corners, ip_left_T, ip_T, metric, mul_map, select, tensor,
 )
 
 from metric_halves import t_mp, t_pm
+from test_calculus import proper_two_tensors
 from test_forms import one_forms
 
 
@@ -194,6 +195,76 @@ def test_one_term_perturbation_compares_unequal(k, seed):
     assert extra.coeffs()
     assert t + extra != t
     assert (t + extra) - extra == t
+
+
+# ---------------------------------------------------------------------------
+# tensors from their corners
+# ---------------------------------------------------------------------------
+
+def _legs_agree_with_the_preset_corners(s):
+    """The corners preset by from_corners are those of its legs."""
+    return Tensor(s.k, s.terms).corners() == s.corners()
+
+
+@pytest.mark.parametrize("j", [-1, 1])
+def test_frame_insertion_is_exact(j):
+    # g_m = t(m, j)*: sum_m g_m g_m* = 1, the insertion of a '+' slot for
+    # j = -1 and of a '-' slot for j = 1
+    gs = [spin_one(m, j).star() for m in (1, 0, -1)]
+    assert sum((g * g.star() for g in gs), ZERO_EL) == ONE_EL
+
+
+@given(proper_two_tensors)
+@settings(deadline=None, max_examples=10)
+def test_from_corners_rebuilds_proper_two_tensors(t):
+    s = from_corners(2, t.corners())
+    assert _legs_agree_with_the_preset_corners(s)
+    assert s == t
+    assert s.coeffs() == t.coeffs()
+    # one single-entry term per corner and frame index
+    assert len(s.terms) <= 3 * len(t.corners())
+
+
+@pytest.mark.parametrize("idx", [(0, 1, 2), (2, 2, 1), (0, 2, 1, 1)])
+def test_from_corners_rebuilds_simple_frame_tensors(idx):
+    ws = frame()
+    t = tensor(*[ws[i] for i in idx]) * SPHERE_B
+    s = from_corners(t.k, t.corners())
+    assert len(t.corners()) == 2 ** t.k
+    assert _legs_agree_with_the_preset_corners(s)
+    assert s == t
+    assert all(leg.plus.is_zero() or leg.minus.is_zero()
+               for term in s.terms for leg in term)
+
+
+def test_from_corners_rejects_a_bad_corner():
+    with pytest.raises(ValueError, match="corner"):
+        from_corners(2, {(1, 0): ONE_EL})
+    with pytest.raises(ValueError, match="corner"):
+        from_corners(3, {(1, -1): ONE_EL})
+
+
+@given(proper_two_tensors)
+@settings(deadline=None, max_examples=8)
+def test_braided_and_selected_tensors_keep_their_corners(t):
+    from qsphere.calculus import sigma, sigma_inv
+    outputs = [sigma(t), sigma_inv(t), sigma(sigma(t))]
+    outputs += [select(t, pattern) for pattern in _BIDEGREES]
+    assert all(_legs_agree_with_the_preset_corners(s) for s in outputs)
+
+
+@pytest.mark.parametrize("k,seed", [(3, 4), (3, 5), (4, 6)])
+def test_select_keeps_one_corner_of_higher_tensors(k, seed):
+    t, _ = _case(k, seed)
+    corners = t.corners()
+    parts = []
+    for eps in itertools.product((1, -1), repeat=k):
+        part = select(t, "".join("+" if e > 0 else "-" for e in eps))
+        assert _legs_agree_with_the_preset_corners(part)
+        assert part.corners() == ({eps: corners[eps]} if eps in corners
+                                  else {})
+        parts.append(part)
+    assert sum(parts[1:], parts[0]) == t
 
 
 def test_constant_corners_of_the_metric_and_the_volume_form():
