@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .coeff import ONE, ROOT_TWO_Q, ZERO, Scalar, q_pow, qnum, rational, s_pow
+from .coeff import ONE, ROOT_TWO_Q, Scalar, q_pow, qnum, rational, s_pow
 
 # monomial: (branch, i, j, k); branch 0 = a^i b^j c^k, branch 1 = d^i b^j c^k
 MONO_ID = (0, 0, 0, 0)

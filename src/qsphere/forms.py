@@ -40,6 +40,7 @@ class OneForm:
     """An off-diagonal 2x2 matrix over the quantum group algebra."""
 
     __slots__ = ("plus", "minus")
+    k = 1  # legs, as for a tensor (see corners)
 
     def __init__(self, plus: Element = ZERO_EL, minus: Element = ZERO_EL):
         self.plus = plus
@@ -86,6 +87,12 @@ class OneForm:
 
     def dag(self) -> "OneForm":
         return OneForm(self.minus.star(), self.plus.star())
+
+    def corners(self):
+        """The nonzero entries keyed as the corners of a one-leg tensor:
+        (1,) for plus and (-1,) for minus."""
+        return {eps: x for eps, x in (((1,), self.plus), ((-1,), self.minus))
+                if not x.is_zero()}
 
     def is_proper(self) -> bool:
         """True when the corner degrees are those of a genuine one-form."""

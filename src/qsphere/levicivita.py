@@ -6,7 +6,9 @@ dee(<w_j, rho>) and, by conjugation, a left connection nabla<- =
 bimodule connection with respect to the braiding; the checks below
 certify each property on the frame and on families of module elements.
 That these properties pin the connection down uniquely is the source
-paper's theorem; it is not yet decided here.
+paper's theorem; it is not yet decided here.  All routes work on corners
+(see ``tensors``) except three term-list cross-checks: conn_left_direct,
+riemann_pre_projection and curvature_of.
 
 Curvature comes out of the same frame data.  The raw bracket-product sum
 
@@ -33,12 +35,13 @@ import functools
 import json
 import re
 
-from .algebra import Element
+from .algebra import ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR, ZERO_EL
 from .coeff import Scalar, q_pow, qnum, rational
-from .forms import ZERO_FORM, OneForm, dee, frame, ip_left, ip_right
+from .forms import OneForm, dee, frame, ip_left, ip_right
 from .tensors import (
-    Tensor, as_scalar, coeff_json, contract_left, diag_scalars, e_beta, ip_T,
-    metric, tensor,
+    Tensor, as_scalar, coeff_json, contract_left, diag_scalars, e_beta,
+    from_corners, ip_T, metric, pair_first_legs, product_corners,
+    sum_corners, tensor,
 )
 from .calculus import ext_d, sigma, volume_form
 
@@ -76,45 +79,31 @@ def conn_left_direct(rho: OneForm) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _pair_conn_first(ct: Tensor, y: OneForm) -> OneForm:
-    """<nabla x, y>: for nabla x = sum x0 (x) xi this is sum xi^dag <x0, y>."""
-    out = ZERO_FORM
-    for x0, xi in ct.terms:
-        out = out + xi.dag() * ip_right(x0, y)
-    return out
-
-
-def _pair_conn_second(x: OneForm, ct: Tensor) -> OneForm:
-    """<x, nabla y>: for nabla y = sum y0 (x) eta this is sum <x, y0> eta."""
-    out = ZERO_FORM
-    for y0, eta in ct.terms:
-        out = out + ip_right(x, y0) * eta
-    return out
+def _pair_first_leg(x: OneForm, t: Tensor) -> OneForm:
+    """<x, t> on the first leg of a two-tensor t = sum t0 (x) t1, that is
+    sum <x, t0> t1."""
+    c = pair_first_legs(x, t)
+    return OneForm(c.get((1,), ZERO_EL), c.get((-1,), ZERO_EL))
 
 
 def hermitian_defect(x: OneForm, y: OneForm) -> OneForm:
     """-<nabla x, y> + <x, nabla y> - dee(<x, y>); zero iff the connection
-    is metric-compatible on the pair."""
-    lhs = -_pair_conn_first(conn_right(x), y) + \
-        _pair_conn_second(x, conn_right(y))
+    is metric-compatible on the pair.  <nabla x, y> is the dag of
+    <y, nabla x>, both pairing on the first leg."""
+    lhs = -_pair_first_leg(y, conn_right(x)).dag() + \
+        _pair_first_leg(x, conn_right(y))
     return lhs - dee(ip_right(x, y))
 
 
 def check_hermitian() -> bool:
     """Certify the Hermitian property: the conjugate-pair frame sum
-    vanishes as a three-tensor, and metric compatibility holds on sample
-    pairs."""
+    sum_j nabla->(w_j) (x) w_j^dag + w_j (x) nabla<-(w_j^dag) vanishes as a
+    three-tensor, and metric compatibility holds on sample pairs."""
     ws = frame()
-    terms = []
-    for w in ws:
-        wd = w.dag()
-        for a, b in conn_right(w).terms:
-            terms.append((a, b, wd))
-        for c, d in conn_left(wd).terms:
-            terms.append((w, c, d))
-    if not Tensor(3, terms).is_zero():
+    if sum_corners(part for w in ws
+                   for part in (product_corners(conn_right(w), w.dag()),
+                                product_corners(w, conn_left(w.dag())))):
         return False
-    from .algebra import SPHERE_A, SPHERE_B, SPHERE_BSTAR
     samples = [
         (ws[0], ws[1]),
         (ws[2], ws[2]),
@@ -127,7 +116,6 @@ def check_hermitian() -> bool:
 def check_torsion_free() -> bool:
     """(1 - Psi) o nabla-> = -d and (1 - Psi) o nabla<- = +d on the
     monomial test family a dee(b)."""
-    from .algebra import ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR
     vf = volume_form()
     pairs = [
         (ONE_EL, SPHERE_A), (SPHERE_B, SPHERE_A), (SPHERE_A, SPHERE_BSTAR),
@@ -145,7 +133,6 @@ def check_torsion_free() -> bool:
 
 def check_bimodule_connection() -> bool:
     """sigma o nabla-> = nabla<- on the test family x dee(y) z."""
-    from .algebra import ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR
     gens = (SPHERE_A, SPHERE_B, SPHERE_BSTAR)
     family = [dee(SPHERE_A), dee(SPHERE_B) * SPHERE_A, SPHERE_BSTAR * dee(SPHERE_A)]
     family += [(x * dee(y)) * z for x in gens for y in gens for z in (ONE_EL, SPHERE_A)]
@@ -181,33 +168,29 @@ def riemann() -> Tensor:
     """Riemann curvature of the right connection, a four-tensor whose middle
     two legs lie in the genuine two-forms.  Same orientation as
     riemann_pre_projection: the overall sign is fixed by asking for scalar
-    curvature +2 in the classical limit."""
+    curvature +2 in the classical limit.  The nine blocks (k, p) are
+    summed on corners."""
     vf = volume_form()
     ws = frame()
     minus = rational(-1)
-    terms = []
+    blocks = []
     for k in range(3):
         for p in range(3):
-            wpd = ws[p].dag()
             mid = Tensor(2, [
                 (dee(ip_right(ws[k], ws[j])), dee(ip_right(ws[j], ws[p])))
                 for j in range(3)])
-            for c1, c2 in vf.complement(mid).terms:
-                terms.append((ws[k].scale(minus), c1, c2, wpd))
-    return Tensor(4, terms)
+            blocks.append(product_corners(ws[k].scale(minus),
+                                          vf.complement(mid), ws[p].dag()))
+    return from_corners(4, sum_corners(blocks))
 
 
 def riemann_contract(rho: OneForm) -> Tensor:
     """Evaluate the Riemann tensor on a one-form: the last leg pairs
     against rho through the right inner product, leaving a three-tensor
     with two genuine-two-form legs.  This is the right-module action of
-    the curvature, so riemann_contract(rho * b) = riemann_contract(rho) * b."""
-    terms = []
-    for a, b, c, d in riemann().terms:
-        pairing = ip_right(d.dag(), rho)
-        if not pairing.is_zero():
-            terms.append((a, b, c * pairing))
-    return Tensor(3, terms)
+    the curvature, so riemann_contract(rho * b) = riemann_contract(rho) * b.
+    It is {}_B<R, rho^dag>, since <d^dag, rho> = {}_B<d, rho^dag>."""
+    return contract_left(riemann(), rho.dag())
 
 
 def curvature_of(rho: OneForm) -> Tensor:
@@ -219,7 +202,6 @@ def curvature_of(rho: OneForm) -> Tensor:
     collapse used by riemann(), so the two routes cross-check each other:
     curvature_of(rho) must agree with pairing rho into the last leg of
     the assembled Riemann tensor."""
-    from .algebra import ONE_EL
     vf = volume_form()
     terms = []
     for w in frame():
@@ -239,15 +221,11 @@ def curvature_of(rho: OneForm) -> Tensor:
 
 def riemann_closed_form() -> Tensor:
     """([2]_q/2) q sum_i w_i (x) C (x) diag(q^-2, -q^2) w_i^dag."""
-    vf = volume_form()
+    c = volume_form().C
     scale = qnum(4) * q_pow(1) * rational(2).inverse()
     d = diag_scalars(q_pow(-2), -q_pow(2))
-    terms = []
-    for w in frame():
-        twisted = d * w.dag()
-        for c1, c2 in vf.C.terms:
-            terms.append((w.scale(scale), c1, c2, twisted))
-    return Tensor(4, terms)
+    return from_corners(4, sum_corners(
+        product_corners(w.scale(scale), c, d * w.dag()) for w in frame()))
 
 
 @functools.cache

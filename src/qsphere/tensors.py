@@ -29,14 +29,20 @@ inner products on tensor powers all read corners:
     B<S, T>  = sum_eps q^{sum eps} S^eps (T^eps)*     (left, nested from
                                                        the last leg)
 
+and so do products and contractions.  A one-form is the one-leg tensor
+with corners (1,) -> plus, (-1,) -> minus; a tensor product over B has
+(S (x) T)^{(e, f)} = S^e T^f (``product_corners``, summed over the terms
+by ``Tensor.corners``); ``pair_first_legs`` and ``pair_last_legs`` pair
+into the first or last legs as above, keeping the other corner indices.
+
 The frame coefficients stay as a derived view: ``canonical()`` re-expresses
 a tensor through them as at most 3^k simple terms, and the golden files,
 ``coeff_json`` and the command line read them.  Sums only concatenate term
-lists.
+lists; a sum of many products adds corners instead (``sum_corners``).
 
 ``from_corners``, the one frame insertion of the library, turns corners
-back into simple terms; maps on corners (the braiding in ``calculus``, the
-corner filter ``select``) return their results through it.
+back into simple terms; maps on corners (the braiding in ``calculus``,
+``select``, ``contract_left`` and the curvature) return results through it.
 
 The module also provides the multiplication map m onto diagonal 2x2
 matrices (the two mixed corners of a two-tensor) and the metric two-tensor
@@ -50,7 +56,7 @@ from __future__ import annotations
 
 import functools
 
-from .algebra import Element, ONE_EL, ZERO_EL, spin_one
+from .algebra import MONO_ID, Element, ONE_EL, ZERO_EL, spin_one
 from .coeff import Scalar, rational
 from .forms import OneForm, frame, ip_right
 
@@ -86,30 +92,11 @@ class Tensor:
     # -- corners ------------------------------------------------------------
 
     def corners(self):
-        """The corners as a dict eps -> Element, eps a k-tuple of +1/-1,
-        holding only the nonzero entries.
-
-        Walks the legs once per term, sharing each partial product across
-        the corners with a common prefix.
-        """
+        """The nonzero corners as a dict eps -> Element, eps a k-tuple of
+        +1/-1: the sum of ``product_corners`` over the terms."""
         if self._corners is None:
-            out = {}
-            for term in self.terms:
-                states = [((), None)]
-                for leg in term:
-                    nxt = []
-                    for eps, x in states:
-                        for sign, part in ((1, leg.plus), (-1, leg.minus)):
-                            if part.is_zero():
-                                continue
-                            y = part if x is None else x * part
-                            if not y.is_zero():
-                                nxt.append((eps + (sign,), y))
-                    states = nxt
-                for eps, x in states:
-                    acc = out.get(eps)
-                    out[eps] = x if acc is None else acc + x
-            self._corners = {e: x for e, x in out.items() if not x.is_zero()}
+            self._corners = sum_corners(product_corners(*term)
+                                        for term in self.terms)
         return self._corners
 
     # -- canonical coefficients ---------------------------------------------
@@ -232,50 +219,78 @@ def tensor(*legs) -> Tensor:
     return Tensor(len(legs), [legs])
 
 
+def product_corners(*factors):
+    """The corners of the tensor product over B of one-forms and tensors,
+    (S (x) T)^{(e, f)} = S^e T^f, as a dict holding only the nonzero
+    entries.  Each partial product is shared by the corners with its
+    prefix."""
+    states = [((), None)]
+    for factor in factors:
+        parts = factor.corners().items()
+        nxt = []
+        for eps, x in states:
+            for e, part in parts:
+                y = part if x is None else x * part
+                if not y.is_zero():
+                    nxt.append((eps + e, y))
+        states = nxt
+    return dict(states)
+
+
+def sum_corners(parts):
+    """The entrywise sum of corner dicts, holding only the nonzero
+    entries."""
+    out = {}
+    for part in parts:
+        for eps, x in part.items():
+            acc = out.get(eps)
+            out[eps] = x if acc is None else acc + x
+    return {eps: x for eps, x in out.items() if not x.is_zero()}
+
+
 # ---------------------------------------------------------------------------
 # inner products on tensor powers
 # ---------------------------------------------------------------------------
 
 
+def pair_first_legs(s, t):
+    """<S, T> on the first legs of T, S a one-form or tensor: the corners
+    f -> sum_eps q^{-sum eps} (S^eps)* T^{(eps, f)} of what is left."""
+    m, sc = s.k, s.corners()
+    return sum_corners(
+        {eps[m:]: (sc[eps[:m]].star() * y).scale_s(-2 * sum(eps[:m]))}
+        for eps, y in t.corners().items() if eps[:m] in sc)
+
+
+def pair_last_legs(r, g):
+    """{}_B<R, g> on the last legs of R, g a one-form or tensor: the corners
+    e -> sum_eps q^{sum eps} R^{(e, eps)} (g^eps)* of what is left."""
+    m, gc = g.k, g.corners()
+    return sum_corners(
+        {eps[:-m]: (x * gc[eps[-m:]].star()).scale_s(2 * sum(eps[-m:]))}
+        for eps, x in r.corners().items() if eps[-m:] in gc)
+
+
 def ip_T(s: Tensor, t: Tensor) -> Element:
-    """Right inner product of two k-tensors, nested from the first leg:
-    sum_eps q^{-sum eps} (S^eps)* T^eps."""
+    """The right inner product <S, T> of two k-tensors (module docstring)."""
     if s.k != t.k:
         raise ValueError("rank mismatch in inner product")
-    tc = t.corners()
-    acc = ZERO_EL
-    for eps, x in s.corners().items():
-        y = tc.get(eps)
-        if y is not None:
-            acc = acc + (x.star() * y).scale_s(-2 * sum(eps))
-    return acc
+    return pair_first_legs(s, t).get((), ZERO_EL)
 
 
 def ip_left_T(s: Tensor, t: Tensor) -> Element:
-    """Left inner product of two k-tensors, nested from the last leg:
-    sum_eps q^{sum eps} S^eps (T^eps)*."""
+    """The left inner product B<S, T> of two k-tensors (module docstring)."""
     if s.k != t.k:
         raise ValueError("rank mismatch in inner product")
-    tc = t.corners()
-    acc = ZERO_EL
-    for eps, x in s.corners().items():
-        y = tc.get(eps)
-        if y is not None:
-            acc = acc + (x * y.star()).scale_s(2 * sum(eps))
-    return acc
+    return pair_last_legs(s, t).get((), ZERO_EL)
 
 
-def contract_left(r: Tensor, g: Tensor) -> Tensor:
-    """{}_B<R, g> for a four-tensor R: pair the last two legs of R against
-    the two-tensor g with the left inner product, leaving a two-tensor."""
-    if r.k != 4 or g.k != 2:
-        raise ValueError("contract_left pairs a four-tensor with a two-tensor")
-    terms = []
-    for a, b, c, d in r.terms:
-        z = ip_left_T(Tensor(2, [(c, d)]), g)
-        if not z.is_zero():
-            terms.append((a, b * z))
-    return Tensor(2, terms)
+def contract_left(r: Tensor, g) -> Tensor:
+    """{}_B<R, g>: pair the last legs of R against the two-tensor or one-form
+    g with the left inner product, keeping at least two legs in front."""
+    if r.k - g.k < 2:
+        raise ValueError("contract_left must leave two legs or more")
+    return from_corners(r.k - g.k, pair_last_legs(r, g))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +428,6 @@ def as_scalar(x: Element) -> Scalar:
     """The coefficient of a scalar multiple of 1; raises otherwise."""
     if x.is_zero():
         return rational(0)
-    from .algebra import MONO_ID
     if set(x.terms) != {MONO_ID}:
         raise ValueError("element is not a scalar: %r" % (x,))
     return x.terms[MONO_ID]

@@ -1,5 +1,6 @@
 """Grassmann connections, their certification, and the curvature pipeline."""
 
+import hashlib
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from qsphere.calculus import JunkData, ext_d, sigma, volume_form
 from qsphere.coeff import ROOT_TWO_Q, q_pow, qnum, rational
 from qsphere.forms import OneForm, dee, frame, ip_right
 from qsphere.levicivita import (
-    CurvatureData, check_bimodule_connection,
+    CurvatureData, _pair_first_leg, check_bimodule_connection,
     check_hermitian, check_torsion_free, conn_left, conn_left_direct,
     conn_right, curvature_of, hermitian_defect, ricci, ricci_closed_form,
     riemann, riemann_closed_form, riemann_contract, riemann_pre_projection,
@@ -22,6 +23,9 @@ from qsphere.levicivita import (
 from qsphere.tensors import (
     Tensor, as_scalar, diag_scalars, ip_T, metric, select, tensor,
 )
+
+from test_calculus import proper_two_tensors
+from test_memo import MEMOISED
 
 
 _sph = [SPHERE_A, SPHERE_B, SPHERE_BSTAR]
@@ -138,6 +142,35 @@ def test_hermitian():
     assert check_hermitian()
 
 
+def _pair_conn_first_walk(ct, y):
+    """<nabla x, y> term by term: sum xi^dag <x0, y> for nabla x =
+    sum x0 (x) xi."""
+    out = OneForm()
+    for x0, xi in ct.terms:
+        out = out + xi.dag() * ip_right(x0, y)
+    return out
+
+
+def _pair_conn_second_walk(x, ct):
+    """<x, nabla y> term by term: sum <x, y0> eta for nabla y =
+    sum y0 (x) eta."""
+    out = OneForm()
+    for y0, eta in ct.terms:
+        out = out + ip_right(x, y0) * eta
+    return out
+
+
+@given(proper_forms, proper_forms, proper_two_tensors)
+@settings(deadline=None, max_examples=10)
+def test_first_leg_pairing_matches_the_term_walks(x, y, t):
+    cx, cy = conn_right(x), conn_right(y)
+    assert _pair_first_leg(x, cy) == _pair_conn_second_walk(x, cy)
+    assert _pair_first_leg(y, cx).dag() == _pair_conn_first_walk(cx, y)
+    assert _pair_first_leg(x, t) == _pair_conn_second_walk(x, t)
+    assert _pair_first_leg(E21f(SPHERE_A), t) == \
+        _pair_conn_second_walk(E21f(SPHERE_A), t)
+
+
 def test_hermitian_defect_on_pairs():
     ws = frame()
     assert hermitian_defect(ws[0], ws[1]).is_zero()
@@ -182,12 +215,10 @@ def test_connection_identities_on_the_benchmark_words(xs, ys, zs):
     assert sigma(right) == left
 
 
-def test_connection_identities_never_read_frame_coefficients(monkeypatch):
-    # equality, the zero test and the pairings read corners, so the
-    # torsion and bimodule identities are decided with Tensor.coeffs
-    # unreadable; constructing the volume form may read it only through
-    # canonical(), which puts C on its frame terms
-    vf = volume_form()
+@pytest.fixture
+def coeffs_unreadable(monkeypatch):
+    """Tensor.coeffs raises unless called from canonical(), which puts the
+    volume form C on its frame terms."""
     real_coeffs, real_canonical = Tensor.coeffs, Tensor.canonical
     reshaping = []
 
@@ -206,6 +237,14 @@ def test_connection_identities_never_read_frame_coefficients(monkeypatch):
     monkeypatch.setattr(Tensor, "coeffs", coeffs)
     monkeypatch.setattr(Tensor, "canonical", canonical)
 
+
+def test_connection_identities_never_read_frame_coefficients(
+        coeffs_unreadable):
+    # equality, the zero test and the pairings read corners, so the
+    # torsion and bimodule identities are decided with Tensor.coeffs
+    # unreadable; constructing the volume form may read it only through
+    # canonical(), which puts C on its frame terms
+    vf = volume_form()
     rho = SPHERE_B * dee(SPHERE_A)
     d_rho = ext_d(SPHERE_B, SPHERE_A)
     right, left = conn_right(rho), conn_left(rho)
@@ -223,6 +262,20 @@ def test_connection_identities_never_read_frame_coefficients(monkeypatch):
 
     with pytest.raises(AssertionError, match="outside canonical"):
         vf.C.coeffs()
+
+
+def test_curvature_never_reads_frame_coefficients(coeffs_unreadable):
+    # every memo is cleared first, so that no cached tensor hides a read
+    for fn in MEMOISED:
+        fn.cache_clear()
+    assert riemann() == riemann_closed_form()
+    assert ricci() == ricci_closed_form()
+    gap = q_pow(-2) - q_pow(2)
+    assert scalar_curvature() == qnum(4) * (rational(1) + gap * gap)
+    rho = dee(SPHERE_B)
+    assert riemann_contract(rho) == curvature_of(rho)
+    assert riemann_contract(rho) != riemann_contract(frame()[0])
+    assert check_hermitian()
 
 
 def test_bracket_of_frame_pairings():
@@ -246,15 +299,10 @@ def test_bracket_of_frame_pairings():
 # ---------------------------------------------------------------------------
 
 
-def _neg_coeffs(t):
-    minus = rational(-1)
-    return {idx: el.scale(minus) for idx, el in t.coeffs().items()}
-
-
 def test_pre_projection_pattern():
     ws = frame()
     pat = Tensor(4, [(wi.scale(qnum(4)), wi.dag(), wk, wk.dag())
-                     for wi in ws for wk in ws]).canonical()
+                     for wi in ws for wk in ws])
     assert riemann_pre_projection() == pat
 
 
@@ -266,7 +314,8 @@ def test_orientation_against_raw_bracket_products():
     raw = Tensor(4, [(ws[k], dee(ip_right(ws[k], ws[j])),
                       dee(ip_right(ws[j], ws[p])), ws[p].dag())
                      for k in range(3) for j in range(3) for p in range(3)])
-    assert raw.coeffs() == _neg_coeffs(riemann_pre_projection())
+    assert raw == -riemann_pre_projection()
+    assert raw != riemann_pre_projection()
 
 
 def test_riemann_closed_form():
@@ -286,7 +335,7 @@ def test_riemann_closed_form_other_diagonal():
         tw = w.dag() * d2
         for c1, c2 in vf.C.terms:
             terms.append((w.scale(scale), c1, c2, tw))
-    assert riemann() == Tensor(4, terms).canonical()
+    assert riemann() == Tensor(4, terms)
 
 
 def test_riemann_middle_legs_are_genuine():
@@ -381,3 +430,9 @@ def test_curvature_data_serialisation():
     assert tex.startswith("%")
     assert r"\begin{align*}" in tex and r"\end{align*}" in tex
     assert "^{-" in tex  # exponents got braced
+    # the exported bytes are pinned, so that no change of route alters a
+    # character of either format
+    assert hashlib.sha256(data.to_json().encode()).hexdigest() == \
+        "b4fe93ccb90c6628d0f180f23615d28f4f292620b65e62587f786dce6bece136"
+    assert hashlib.sha256(tex.encode()).hexdigest() == \
+        "26b7010b5acbf928bddc7da8285c3b0d529c76141681e33177fc5b1f341656af"

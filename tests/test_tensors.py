@@ -11,10 +11,11 @@ from qsphere.algebra import (
     spin_one,
 )
 from qsphere.coeff import ONE, q_pow, rational, s_pow
-from qsphere.forms import E12, E21, dee, frame, ip_left, ip_right
+from qsphere.forms import E12, E21, OneForm, dee, frame, ip_left, ip_right
 from qsphere.tensors import (
     Diag, Tensor, as_scalar, coeff_json, contract_left, diag_scalars, e_beta,
-    from_corners, ip_left_T, ip_T, metric, mul_map, select, tensor,
+    from_corners, ip_left_T, ip_T, metric, mul_map, product_corners, select,
+    tensor,
 )
 
 from metric_halves import t_mp, t_pm
@@ -88,6 +89,16 @@ def _corner_of(t, eps):
     return sum((_corner(term, eps) for term in t.terms), ZERO_EL)
 
 
+def _corners_by_eps(t):
+    """The nonzero corners of t, eps by eps, from the legs multiplied out."""
+    out = {}
+    for eps in itertools.product((1, -1), repeat=t.k):
+        x = _corner_of(t, eps)
+        if not x.is_zero():
+            out[eps] = x
+    return out
+
+
 def _ip_right_nested(sterm, tterm):
     # <r1 (x) rest, t1 (x) rest'> = <rest, (<r1,t1>.t2) (x) ...>
     x = ip_right(sterm[0], tterm[0])
@@ -111,17 +122,19 @@ def _ip_oracle(nested, s, t):
 _SPHERE = (ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR)
 
 
-def _random_tensor(rng, k, n_terms):
-    """Legs b . base . b' with base from the frame, dee of a sphere
-    generator or a matrix unit (not a genuine one-form), and b, b' in the
-    sphere algebra."""
+def _random_leg(rng):
+    """b . base . b' with base from the frame, dee of a sphere generator or
+    a matrix unit (not a genuine one-form), and b, b' in the sphere
+    algebra."""
     bases = list(frame()) + [dee(SPHERE_A), dee(SPHERE_B), dee(SPHERE_BSTAR),
                              E12, E21]
-    terms = []
-    for _ in range(n_terms):
-        terms.append(tuple((rng.choice(_SPHERE) * rng.choice(bases))
-                           * rng.choice(_SPHERE) for _ in range(k)))
-    return Tensor(k, terms)
+    return (rng.choice(_SPHERE) * rng.choice(bases)) * rng.choice(_SPHERE)
+
+
+def _random_tensor(rng, k, n_terms):
+    """n_terms simple k-tensors of random legs."""
+    return Tensor(k, [tuple(_random_leg(rng) for _ in range(k))
+                      for _ in range(n_terms)])
 
 
 # (rank, seed): k = 4 tensors stay single-term so the oracles keep quick
@@ -136,12 +149,27 @@ def _case(k, seed):
 @pytest.mark.parametrize("k,seed", _CORNER_CASES)
 def test_corners_multiply_out_the_legs(k, seed):
     t, _ = _case(k, seed)
-    want = {}
-    for eps in itertools.product((1, -1), repeat=k):
-        x = _corner_of(t, eps)
-        if not x.is_zero():
-            want[eps] = x
-    assert t.corners() == want
+    assert t.corners() == _corners_by_eps(t)
+
+
+@given(proper_two_tensors, proper_two_tensors, st.sampled_from(range(3)))
+@settings(deadline=None, max_examples=8)
+def test_product_corners_match_the_spliced_legs(s, t, i):
+    # (S (x) T)^{(e, f)} = S^e T^f against the corners of the tensor whose
+    # terms are the legs of each pair of terms, one after the other
+    w, g = frame()[i], metric()
+    cases = [
+        ((s, w), Tensor(3, [a + (w,) for a in s.terms])),
+        ((w, t), Tensor(3, [(w,) + b for b in t.terms])),
+        ((s, t), Tensor(4, [a + b for a in s.terms for b in t.terms])),
+        ((s, g), Tensor(4, [a + b for a in s.terms for b in g.terms])),
+        ((w, g, w.dag()), Tensor(4, [(w,) + b + (w.dag(),)
+                                     for b in g.terms])),
+    ]
+    for factors, spliced in cases:
+        assert product_corners(*factors) == _corners_by_eps(spliced)
+    assert product_corners(w) == {
+        eps: x for eps, x in (((1,), w.plus), ((-1,), w.minus)) if x}
 
 
 @pytest.mark.parametrize("k,seed", _CORNER_CASES)
@@ -316,6 +344,27 @@ def test_left_ip_respects_middle_balance(a, b, c, d, x):
     assert ip_left_T(t, s1) == ip_left_T(t, s2)
 
 
+def _contract_left_walk(r, g):
+    """The term walk: a (x) b {}_B<c (x) d, g> for a two-tensor g and
+    a (x) b (x) c {}_B<d, g> for a one-form g, term by term of R."""
+    if isinstance(g, OneForm):
+        return Tensor(3, [(a, b, c * ip_left(d, g)) for a, b, c, d in r.terms])
+    return Tensor(2, [(a, b * _ip_oracle(_ip_left_nested, tensor(c, d), g))
+                      for a, b, c, d in r.terms])
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_contract_left_matches_the_term_walk(seed):
+    rng = random.Random(seed)
+    r = _random_tensor(rng, 4, 2)
+    for g in (metric(), _random_tensor(rng, 2, 2), rng.choice(frame()),
+              _random_leg(rng)):
+        got, want = contract_left(r, g), _contract_left_walk(r, g)
+        assert got.k == want.k
+        assert got.corners() == _corners_by_eps(want)
+        assert got == want
+
+
 def test_contract_left_pairs_the_last_two_legs():
     w1, w2, w3 = frame()
     r = tensor(w1, w2 * SPHERE_A, w3, w2)
@@ -433,6 +482,8 @@ def test_rank_checks():
         ip_T(tensor(w1, w2), tensor(w1, w2, w3))
     with pytest.raises(ValueError):
         mul_map(tensor(w1, w2, w3))
+    with pytest.raises(ValueError):
+        contract_left(tensor(w1, w2, w3), metric())
 
 
 def test_coeff_json_round_trips():
