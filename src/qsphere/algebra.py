@@ -265,6 +265,71 @@ SPHERE_A = Element.from_mono((0, 0, 1, 1), -q_pow(-1))
 SPHERE_B = Element.from_mono((0, 1, 1, 0), -q_pow(-1))
 SPHERE_BSTAR = GEN_C * GEN_D
 
+
+# ---------------------------------------------------------------------------
+# pairs of elements
+# ---------------------------------------------------------------------------
+
+class Pair:
+    """Two elements (plus, minus): the shared componentwise structure of the
+    one-forms, spinors and diagonal matrices that act on S+ (+) S-.
+
+    Sums, scaling and the left action of the algebra work entry by entry
+    and keep the operand's type; values of different subclasses never
+    compare equal.
+    """
+
+    __slots__ = ("plus", "minus")
+
+    def __init__(self, plus: Element = ZERO_EL, minus: Element = ZERO_EL):
+        self.plus = plus
+        self.minus = minus
+
+    @classmethod
+    def slot(cls, sign: int, x: Element):
+        """x in the plus entry for sign > 0, else in the minus entry."""
+        return cls(plus=x) if sign > 0 else cls(minus=x)
+
+    def is_zero(self) -> bool:
+        return self.plus.is_zero() and self.minus.is_zero()
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.plus == other.plus and self.minus == other.minus
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(self.plus + other.plus, self.minus + other.minus)
+
+    def __neg__(self):
+        return type(self)(-self.plus, -self.minus)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(self.plus - other.plus, self.minus - other.minus)
+
+    def scale(self, c: Scalar):
+        return type(self)(self.plus.scale(c), self.minus.scale(c))
+
+    def __rmul__(self, other):
+        """Left action of the algebra, or scaling by a coefficient."""
+        if isinstance(other, Element):
+            return type(self)(other * self.plus, other * self.minus)
+        if isinstance(other, Scalar):
+            return self.scale(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return "%s(plus=%r, minus=%r)" % (type(self).__name__, self.plus,
+                                          self.minus)
+
+
 # ---------------------------------------------------------------------------
 # twisted derivations
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ A one-form is represented by the matrix
      [minus, 0    ]]
 
 with entries in O(SU_q(2)), acting on the spinor bundle by left
-multiplication.  Differentials of functions on the sphere are commutators
+multiplication.  ``OneForm`` is an ``algebra.Pair``: sums, scaling and the
+left action are the componentwise ones shared with spinors and diagonal
+matrices, and this module adds the right action, the adjoint and the
+corners.  Differentials of functions on the sphere are commutators
 with the Dirac operator,
 
     dee(x) = [D, x] = [[0, q^{-1/2} del_e(x)], [q^{1/2} del_f(x), 0]],
@@ -32,39 +35,15 @@ from __future__ import annotations
 
 import functools
 
-from .algebra import Element, ONE_EL, ZERO_EL, del_e, del_f, spin_one
+from .algebra import Element, ONE_EL, Pair, del_e, del_f, spin_one
 from .coeff import ROOT_TWO_Q, Scalar, q_pow
 
 
-class OneForm:
+class OneForm(Pair):
     """An off-diagonal 2x2 matrix over the quantum group algebra."""
 
-    __slots__ = ("plus", "minus")
+    __slots__ = ()
     k = 1  # legs, as for a tensor (see corners)
-
-    def __init__(self, plus: Element = ZERO_EL, minus: Element = ZERO_EL):
-        self.plus = plus
-        self.minus = minus
-
-    def is_zero(self) -> bool:
-        return self.plus.is_zero() and self.minus.is_zero()
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self.plus == other.plus and self.minus == other.minus
-
-    def __add__(self, other):
-        return OneForm(self.plus + other.plus, self.minus + other.minus)
-
-    def __neg__(self):
-        return OneForm(-self.plus, -self.minus)
-
-    def __sub__(self, other):
-        return OneForm(self.plus - other.plus, self.minus - other.minus)
 
     def __mul__(self, other):
         """Right action of the algebra, or scaling by a coefficient."""
@@ -73,17 +52,6 @@ class OneForm:
         if isinstance(other, Scalar):
             return self.scale(other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        """Left action of the algebra."""
-        if isinstance(other, Element):
-            return OneForm(other * self.plus, other * self.minus)
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: Scalar) -> "OneForm":
-        return OneForm(self.plus.scale(c), self.minus.scale(c))
 
     def dag(self) -> "OneForm":
         return OneForm(self.minus.star(), self.plus.star())
@@ -97,9 +65,6 @@ class OneForm:
     def is_proper(self) -> bool:
         """True when the corner degrees are those of a genuine one-form."""
         return self.plus.degrees() <= {2} and self.minus.degrees() <= {-2}
-
-    def __repr__(self):
-        return "OneForm(plus=%r, minus=%r)" % (self.plus, self.minus)
 
 
 ZERO_FORM = OneForm()

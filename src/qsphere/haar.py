@@ -85,7 +85,6 @@ def _solve(max_length: int) -> dict:
 
     # forward elimination with pivot bookkeeping
     pivots = {}
-    reduced = []
     for row, val in rows:
         row = dict(row)
         for col in sorted(row):
@@ -111,7 +110,6 @@ def _solve(max_length: int) -> dict:
         row = {c: v * inv for c, v in row.items()}
         val = val * inv
         pivots[col] = (row, val)
-        reduced.append(col)
 
     # back substitution, highest pivot column first
     values = {}

@@ -80,11 +80,6 @@ def _row_weight(m) -> int:
     return (i if branch else -i) - j + k
 
 
-def _basis_spinor(sign: int, m) -> Spinor:
-    el = Element.from_mono(m)
-    return Spinor(plus=el) if sign > 0 else Spinor(minus=el)
-
-
 @cache
 def _reduced(n: int):
     """The basis of the total-spin n/2 block, exactly in K.
@@ -112,7 +107,7 @@ def _reduced(n: int):
         for t in pbw_monomials(n, sign):
             if mono_length(t) != n:
                 continue
-            x = _basis_spinor(sign, t)
+            x = Spinor.slot(sign, Element.from_mono(t))
             t_prime = x
             for y, norm in lower.get((sign, _row_weight(t)), ()):
                 c = haar(ip_spin_left(x, y)) * norm.inverse()
@@ -143,7 +138,8 @@ def _block_matrix(n: int, operator: str):
             for m, c in part.terms.items():
                 key = (sign, m)
                 if key not in images:
-                    images[key] = _op_apply(operator, _basis_spinor(sign, m))
+                    images[key] = _op_apply(
+                        operator, Spinor.slot(sign, Element.from_mono(m)))
                 image = image + images[key].scale(c)
         col = [(image.plus if sign > 0 else image.minus).terms.get(t, ZERO)
                for (sign, t), _, _ in block]

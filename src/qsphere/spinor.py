@@ -6,8 +6,9 @@ charge projectors
 
     P+ = (1-A, -B*; -B, q^2 A),      P- = (A, B*; B, 1 - q^2 A).
 
-A spinor is stored as the pair (plus, minus) of its chiral components and
-carries a left action of the sphere subalgebra.  The Dirac operator is the
+A spinor is stored as the pair (plus, minus) of its chiral components, an
+``algebra.Pair`` like one-forms and diagonal matrices, and carries a left
+action of the sphere subalgebra.  The Dirac operator is the
 off-diagonal derivation matrix
 
     D(psi) = (del_e(psi_minus), del_f(psi_plus)),
@@ -54,8 +55,8 @@ from __future__ import annotations
 
 import functools
 
-from .coeff import Scalar, q_pow, rational
-from .algebra import (Element, ONE_EL, ZERO_EL, SPHERE_A, SPHERE_B,
+from .coeff import q_pow, rational
+from .algebra import (Element, ONE_EL, Pair, SPHERE_A, SPHERE_B,
                       SPHERE_BSTAR, del_e, del_f, spin_half)
 from .forms import OneForm, dee, frame, ip_right
 from .tensors import Diag, Tensor, e_beta, ip_T, metric, mul_map, tensor
@@ -64,49 +65,14 @@ from .levicivita import conn_right
 from .haar import haar
 
 
-class Spinor:
-    """A section of S+ (+) S-: a pair of algebra elements of degree +1, -1."""
+class Spinor(Pair):
+    """A section of S+ (+) S-: a pair of algebra elements of degree +1, -1.
 
-    __slots__ = ("plus", "minus")
+    Everything it does is the componentwise structure of ``Pair``; a
+    diagonal matrix acts through ``Diag.__mul__``.
+    """
 
-    def __init__(self, plus: Element = ZERO_EL, minus: Element = ZERO_EL):
-        self.plus = plus
-        self.minus = minus
-
-    def __add__(self, other: "Spinor") -> "Spinor":
-        return Spinor(self.plus + other.plus, self.minus + other.minus)
-
-    def __sub__(self, other: "Spinor") -> "Spinor":
-        return Spinor(self.plus - other.plus, self.minus - other.minus)
-
-    def __neg__(self) -> "Spinor":
-        return Spinor(-self.plus, -self.minus)
-
-    def __rmul__(self, other) -> "Spinor":
-        if isinstance(other, Element):
-            return Spinor(other * self.plus, other * self.minus)
-        if isinstance(other, Diag):
-            return Spinor(other.top * self.plus, other.bot * self.minus)
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: Scalar) -> "Spinor":
-        return Spinor(self.plus.scale(c), self.minus.scale(c))
-
-    def scale_s(self, e: int) -> "Spinor":
-        return Spinor(self.plus.scale_s(e), self.minus.scale_s(e))
-
-    def is_zero(self) -> bool:
-        return self.plus.is_zero() and self.minus.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, Spinor):
-            return NotImplemented
-        return self.plus == other.plus and self.minus == other.minus
-
-    def __repr__(self):
-        return "Spinor(plus=%r, minus=%r)" % (self.plus, self.minus)
+    __slots__ = ()
 
 
 ZERO_SP = Spinor()

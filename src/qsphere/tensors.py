@@ -49,14 +49,18 @@ matrices (the two mixed corners of a two-tensor) and the metric two-tensor
 
     G = sum_j w_j (x) dag(w_j),        e^beta = <G, G> = q^2 + q^{-2},
 
-whose corners are the constants G^{+-} = q and G^{-+} = q^{-1}.
+whose corners are the constants G^{+-} = q and G^{-+} = q^{-1}.  A
+diagonal matrix ``Diag`` is an ``algebra.Pair`` like ``OneForm`` and
+``Spinor``: plus is the entry acting on S+, minus the one on S-.  On the
+left it multiplies any pair entry by entry; a one-form times a ``Diag``
+crosses the entries, (w diag(x, y)) = (w_plus y, w_minus x).
 """
 
 from __future__ import annotations
 
 import functools
 
-from .algebra import MONO_ID, Element, ONE_EL, ZERO_EL, spin_one
+from .algebra import MONO_ID, Element, ONE_EL, Pair, ZERO_EL, spin_one
 from .coeff import Scalar, rational
 from .forms import OneForm, frame, ip_right
 
@@ -298,67 +302,36 @@ def contract_left(r: Tensor, g) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-class Diag:
-    """A diagonal 2x2 matrix over the quantum group algebra."""
+class Diag(Pair):
+    """A diagonal 2x2 matrix over the quantum group algebra: plus acts on
+    S+, minus on S-."""
 
-    __slots__ = ("top", "bot")
-
-    def __init__(self, top: Element = ZERO_EL, bot: Element = ZERO_EL):
-        self.top = top
-        self.bot = bot
-
-    def is_zero(self) -> bool:
-        return self.top.is_zero() and self.bot.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, Diag):
-            return NotImplemented
-        return self.top == other.top and self.bot == other.bot
-
-    def __add__(self, other):
-        return Diag(self.top + other.top, self.bot + other.bot)
-
-    def __neg__(self):
-        return Diag(-self.top, -self.bot)
-
-    def __sub__(self, other):
-        return Diag(self.top - other.top, self.bot - other.bot)
+    __slots__ = ()
 
     def __mul__(self, other):
-        if isinstance(other, Diag):
-            return Diag(self.top * other.top, self.bot * other.bot)
-        if isinstance(other, OneForm):
-            return OneForm(self.top * other.plus, self.bot * other.minus)
+        """Entry by entry on any pair (Diag, OneForm or Spinor); the right
+        action of the algebra, or scaling."""
+        if isinstance(other, Pair):
+            return type(other)(self.plus * other.plus,
+                               self.minus * other.minus)
         if isinstance(other, Element):
-            return Diag(self.top * other, self.bot * other)
+            return Diag(self.plus * other, self.minus * other)
         if isinstance(other, Scalar):
             return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
+        """OneForm times Diag, whose entries cross; else the left action."""
         if isinstance(other, OneForm):
-            return OneForm(other.plus * self.bot, other.minus * self.top)
-        if isinstance(other, Element):
-            return Diag(other * self.top, other * self.bot)
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: Scalar) -> "Diag":
-        return Diag(self.top.scale(c), self.bot.scale(c))
-
-    def star(self) -> "Diag":
-        return Diag(self.top.star(), self.bot.star())
+            return OneForm(other.plus * self.minus, other.minus * self.plus)
+        return super().__rmul__(other)
 
     def trace(self) -> Element:
-        return self.top + self.bot
-
-    def __repr__(self):
-        return "Diag(top=%r, bot=%r)" % (self.top, self.bot)
+        return self.plus + self.minus
 
 
-def diag_scalars(top: Scalar, bot: Scalar) -> Diag:
-    return Diag(ONE_EL.scale(top), ONE_EL.scale(bot))
+def diag_scalars(plus: Scalar, minus: Scalar) -> Diag:
+    return Diag(ONE_EL.scale(plus), ONE_EL.scale(minus))
 
 
 def mul_map(t: Tensor) -> Diag:
@@ -373,10 +346,6 @@ def mul_map(t: Tensor) -> Diag:
 # ---------------------------------------------------------------------------
 # tensors from their corners
 # ---------------------------------------------------------------------------
-
-
-def _slot(sign: int, x: Element) -> OneForm:
-    return OneForm(plus=x) if sign > 0 else OneForm(minus=x)
 
 
 def from_corners(k: int, corners) -> Tensor:
@@ -396,9 +365,10 @@ def from_corners(k: int, corners) -> Tensor:
         states = [((), x)]
         for sign in eps[:-1]:
             us = [spin_one(m, -sign) for m in (1, 0, -1)]
-            states = [(legs + (_slot(sign, u.star()),), u * back)
+            states = [(legs + (OneForm.slot(sign, u.star()),), u * back)
                       for legs, back in states for u in us]
-        terms.extend(legs + (_slot(eps[-1], back),) for legs, back in states)
+        terms.extend(legs + (OneForm.slot(eps[-1], back),)
+                     for legs, back in states)
     out = Tensor(k, terms)
     out._corners = kept
     return out

@@ -420,8 +420,8 @@ def test_select_rejects_a_bad_pattern():
 def test_mul_map_kills_matching_corners():
     assert mul_map(tensor(E21, E21)).is_zero()
     assert mul_map(tensor(E12, E12)).is_zero()
-    assert mul_map(tensor(E12, E21)) == Diag(top=ONE_EL)
-    assert mul_map(tensor(E21, E12)) == Diag(bot=ONE_EL)
+    assert mul_map(tensor(E12, E21)) == Diag(plus=ONE_EL)
+    assert mul_map(tensor(E21, E12)) == Diag(minus=ONE_EL)
 
 
 # ---------------------------------------------------------------------------
