@@ -688,7 +688,10 @@ def parse(text: str) -> Element:
             out = out - term if sign == "-" else out + term
         return out
 
-    result = parse_sum()
+    try:
+        result = parse_sum()
+    except (ZeroDivisionError, RecursionError) as exc:  # 2/0, 0^-1, ((((...
+        raise ValueError("%s in %r" % (type(exc).__name__, text)) from None
     if pos[0] != len(tokens):
         raise ValueError("trailing input in %r" % text)
     return result

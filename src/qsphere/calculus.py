@@ -25,8 +25,8 @@ The exterior derivative of a one-form a.dee(b) is the closed form
 elsewhere against (1 - Psi)(dee(a) (x) dee(b)).
 
 The braiding sigma is a fixed map on corners: q^2 on (-,-), q^{-2} on (+,+),
-sigma(T)^{-+} = q^{-2} T^{+-} and sigma(T)^{+-} = q^2 T^{-+}, turned back
-into terms by ``tensors.from_corners``.  It fixes G, acts affinely on C, and
+sigma(T)^{-+} = q^{-2} T^{+-} and sigma(T)^{+-} = q^2 T^{-+}, kept as
+corners (``tensors.from_corners``).  It fixes G, acts affinely on C, and
 intertwines the two Grassmann connections.  Its inverse differs only in the
 powers on the (-,-) and (+,+) corners.
 """

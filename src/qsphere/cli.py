@@ -13,8 +13,7 @@ non-real.
 ``check`` runs the exact identity checks, one line each with its wall time,
 and exits with status 1 if any fails.  ``curvature`` computes the Riemann,
 Ricci and scalar curvature and prints their frame coefficients as JSON or
-LaTeX; cold, that takes about 6 s, most of it the frame coefficients of
-the Riemann tensor.
+LaTeX; cold, that takes about 0.7 s on 2 vCPUs.
 """
 
 from __future__ import annotations

@@ -82,7 +82,7 @@ def conn_left_direct(rho: OneForm) -> Tensor:
 def _pair_first_leg(x: OneForm, t: Tensor) -> OneForm:
     """<x, t> on the first leg of a two-tensor t = sum t0 (x) t1, that is
     sum <x, t0> t1."""
-    c = pair_first_legs(x, t)
+    c = pair_first_legs(x, t.corners())
     return OneForm(c.get((1,), ZERO_EL), c.get((-1,), ZERO_EL))
 
 

@@ -1,7 +1,7 @@
 """Tensor powers of the one-form bimodule and the quantum metric.
 
-A k-tensor (k = 2, 3, 4) is a formal sum of simple tensors of one-forms,
-stored as a list of k-tuples.  Equality over the sphere algebra B is not
+A k-tensor (k = 2, 3, 4) is a formal sum of simple tensors of one-forms
+(k-tuples), or only its corners.  Equality over the sphere algebra B is not
 decidable term by term; it is decided from the 2^k corners
 
     T^eps = sum_terms leg_1^{eps_1} ... leg_k^{eps_k},    eps in {+1, -1}^k,
@@ -35,14 +35,13 @@ with corners (1,) -> plus, (-1,) -> minus; a tensor product over B has
 by ``Tensor.corners``); ``pair_first_legs`` and ``pair_last_legs`` pair
 into the first or last legs as above, keeping the other corner indices.
 
-The frame coefficients stay as a derived view: ``canonical()`` re-expresses
-a tensor through them as at most 3^k simple terms, and the golden files,
-``coeff_json`` and the command line read them.  Sums only concatenate term
-lists; a sum of many products adds corners instead (``sum_corners``).
-
-``from_corners``, the one frame insertion of the library, turns corners
-back into simple terms; maps on corners (the braiding in ``calculus``,
-``select``, ``contract_left`` and the curvature) return results through it.
+Maps on corners (the braiding in ``calculus``, ``select``, ``contract_left``
+and the curvature) return tensors that keep only their corners
+(``from_corners``), and so does a sum with such a tensor.  The frame
+coefficients, read by ``coeff_json`` and the command line, are paired from
+the corners or walked from the legs; the terms of a corner-built tensor are
+its frame terms (``canonical()``).  Sums of term lists concatenate them; a
+sum of many products adds corners instead (``sum_corners``).
 
 The module also provides the multiplication map m onto diagonal 2x2
 matrices (the two mixed corners of a two-tensor) and the metric two-tensor
@@ -60,7 +59,7 @@ from __future__ import annotations
 
 import functools
 
-from .algebra import MONO_ID, Element, ONE_EL, Pair, ZERO_EL, spin_one
+from .algebra import MONO_ID, Element, ONE_EL, Pair, ZERO_EL
 from .coeff import Scalar, rational
 from .forms import OneForm, frame, ip_right
 
@@ -68,15 +67,15 @@ _MINUS_ONE = rational(-1)
 
 
 class Tensor:
-    """A formal sum of simple k-fold tensors of one-forms, k in {2, 3, 4}.
+    """A formal sum of simple k-fold tensors of one-forms, k in {2, 3, 4},
+    or only its corners when built by ``from_corners``.
 
     Equality, the zero test and the pairings read the corners (see the
-    module docstring); the frame coefficients are a derived view for
-    ``canonical()`` and the exported coefficient arrays.  Both are computed
-    once per tensor.
+    module docstring); the frame coefficients (computed once) and the terms
+    of a corner-built tensor are derived views.
     """
 
-    __slots__ = ("k", "terms", "_coeffs", "_corners")
+    __slots__ = ("k", "_terms", "_coeffs", "_corners")
 
     def __init__(self, k: int, terms=()):
         if k not in (2, 3, 4):
@@ -89,9 +88,16 @@ class Tensor:
                                  % (len(term), k))
             if not any(leg.is_zero() for leg in term):
                 kept.append(tuple(term))
-        self.terms = kept
+        self._terms = kept
         self._coeffs = None
         self._corners = None
+
+    @property
+    def terms(self):
+        """The legs, or the frame terms of a corner-built tensor (not kept)."""
+        if self._terms is None:
+            return self.canonical()._terms
+        return self._terms
 
     # -- corners ------------------------------------------------------------
 
@@ -100,7 +106,7 @@ class Tensor:
         +1/-1: the sum of ``product_corners`` over the terms."""
         if self._corners is None:
             self._corners = sum_corners(product_corners(*term)
-                                        for term in self.terms)
+                                        for term in self._terms)
         return self._corners
 
     # -- canonical coefficients ---------------------------------------------
@@ -109,14 +115,21 @@ class Tensor:
         """Frame coefficient array as a dict multi-index -> Element,
         holding only the nonzero entries.
 
-        Walks the legs once per term, sharing the partial pairing across
-        all frame indices with a common prefix; this matters for the
-        four-tensors of the curvature pipeline.
+        From corners, coeff[I] = <w_{i_1} (x) ... (x) w_{i_k}, T>, paired
+        one first leg at a time; from legs, a walk over the terms that shares
+        the partial pairing across the frame indices with a common prefix.
         """
-        if self._coeffs is None:
-            ws = frame()
+        ws = frame()
+        if self._coeffs is None and self._terms is None:
+            states = {(): self._corners}
+            for _ in range(self.k):
+                states = {idx + (i,): pair_first_legs(w, c)
+                          for idx, c in states.items() if c
+                          for i, w in enumerate(ws)}
+            self._coeffs = {idx: c[()] for idx, c in states.items() if c}
+        elif self._coeffs is None:
             out = {}
-            for term in self.terms:
+            for term in self._terms:
                 states = {}
                 for i, w in enumerate(ws):
                     x = ip_right(w, term[0])
@@ -140,18 +153,14 @@ class Tensor:
         return self._coeffs
 
     def canonical(self) -> "Tensor":
-        """Re-express through the frame: one simple term
-        w_{i_1} (x) ... (x) w_{i_k} coeff[I] per nonzero coefficient, in
-        sorted multi-index order, so at most 3^k terms."""
-        ws = frame()
-        terms = []
-        for idx, c in sorted(self.coeffs().items()):
-            legs = [ws[i] for i in idx]
-            legs[-1] = legs[-1] * c
-            terms.append(tuple(legs))
-        out = Tensor(self.k, terms)
+        """Re-express through the frame: the tensor with the same corners,
+        its coefficients and its frame terms w_{i_1} (x) ... (x) w_{i_k}
+        coeff[I], in sorted multi-index order, set now."""
+        out = from_corners(self.k, self.corners())
         out._coeffs = self.coeffs()
-        out._corners = self._corners
+        ws = frame()
+        out._terms = [tuple(ws[i] for i in idx[:-1]) + (ws[idx[-1]] * c,)
+                      for idx, c in sorted(out._coeffs.items())]
         return out
 
     def is_zero(self) -> bool:
@@ -172,7 +181,10 @@ class Tensor:
             return NotImplemented
         if self.k != other.k:
             raise ValueError("cannot add tensors of different rank")
-        return Tensor(self.k, self.terms + other.terms)
+        if self._terms is None or other._terms is None:
+            return from_corners(self.k, sum_corners((self.corners(),
+                                                     other.corners())))
+        return Tensor(self.k, self._terms + other._terms)
 
     def __neg__(self):
         return self.scale(_MINUS_ONE)
@@ -257,13 +269,13 @@ def sum_corners(parts):
 # ---------------------------------------------------------------------------
 
 
-def pair_first_legs(s, t):
-    """<S, T> on the first legs of T, S a one-form or tensor: the corners
+def pair_first_legs(s, tc):
+    """<S, T> on the first legs of T, given by its corners tc: the corners
     f -> sum_eps q^{-sum eps} (S^eps)* T^{(eps, f)} of what is left."""
     m, sc = s.k, s.corners()
     return sum_corners(
         {eps[m:]: (sc[eps[:m]].star() * y).scale_s(-2 * sum(eps[:m]))}
-        for eps, y in t.corners().items() if eps[:m] in sc)
+        for eps, y in tc.items() if eps[:m] in sc)
 
 
 def pair_last_legs(r, g):
@@ -279,7 +291,7 @@ def ip_T(s: Tensor, t: Tensor) -> Element:
     """The right inner product <S, T> of two k-tensors (module docstring)."""
     if s.k != t.k:
         raise ValueError("rank mismatch in inner product")
-    return pair_first_legs(s, t).get((), ZERO_EL)
+    return pair_first_legs(s, t.corners()).get((), ZERO_EL)
 
 
 def ip_left_T(s: Tensor, t: Tensor) -> Element:
@@ -349,28 +361,15 @@ def mul_map(t: Tensor) -> Diag:
 
 
 def from_corners(k: int, corners) -> Tensor:
-    """The k-tensor with the given corners, a dict eps -> Element, preset as
-    its corner cache.  Each corner X becomes 3^(k-1) single-entry terms
-    g_{m_1} (x) ... (x) g_{m_{k-1}} (x) g_{m_{k-1}}* ... g_{m_1}* X through
-    sum_m g_m g_m* = 1, with g_m = t(m, -1)* in a '+' slot and t(m, 1)* in a
-    '-' slot (t = spin_one); the sums over the m_i telescope to X."""
-    terms = []
-    kept = {}
+    """The k-tensor with the given corners, a dict eps -> Element, kept as
+    its only data: ``Tensor.coeffs`` and ``Tensor.terms`` derive the rest."""
+    out = Tensor(k)
+    out._terms, out._corners = None, {}
     for eps, x in sorted(corners.items()):
         if len(eps) != k or not set(eps) <= {1, -1}:
             raise ValueError("corner %r is not a %d-tuple of +1/-1" % (eps, k))
-        if x.is_zero():
-            continue
-        kept[eps] = x
-        states = [((), x)]
-        for sign in eps[:-1]:
-            us = [spin_one(m, -sign) for m in (1, 0, -1)]
-            states = [(legs + (OneForm.slot(sign, u.star()),), u * back)
-                      for legs, back in states for u in us]
-        terms.extend(legs + (OneForm.slot(eps[-1], back),)
-                     for legs, back in states)
-    out = Tensor(k, terms)
-    out._corners = kept
+        if not x.is_zero():
+            out._corners[eps] = x
     return out
 
 
@@ -380,8 +379,7 @@ def select(t: Tensor, pattern: str) -> Tensor:
         raise ValueError("select needs one '+' or '-' per leg of a %d-tensor,"
                          " got %r" % (t.k, pattern))
     eps = tuple(1 if ch == "+" else -1 for ch in pattern)
-    return from_corners(t.k,
-                        {e: x for e, x in t.corners().items() if e == eps})
+    return from_corners(t.k, {eps: t.corners().get(eps, ZERO_EL)})
 
 
 # ---------------------------------------------------------------------------

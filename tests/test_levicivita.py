@@ -217,15 +217,22 @@ def test_connection_identities_on_the_benchmark_words(xs, ys, zs):
 
 @pytest.fixture
 def coeffs_unreadable(monkeypatch):
-    """Tensor.coeffs raises unless called from canonical(), which puts the
-    volume form C on its frame terms."""
+    """Tensor.coeffs, and the terms of a tensor built from its corners,
+    raise unless read from canonical(), which puts the volume form C on its
+    frame terms."""
     real_coeffs, real_canonical = Tensor.coeffs, Tensor.canonical
+    real_terms = Tensor.terms.fget
     reshaping = []
 
     def coeffs(self):
         if not reshaping:
             raise AssertionError("frame coefficients read outside canonical()")
         return real_coeffs(self)
+
+    def terms(self):
+        if self._terms is None and not reshaping:
+            raise AssertionError("frame terms derived outside canonical()")
+        return real_terms(self)
 
     def canonical(self):
         reshaping.append(self)
@@ -236,14 +243,16 @@ def coeffs_unreadable(monkeypatch):
 
     monkeypatch.setattr(Tensor, "coeffs", coeffs)
     monkeypatch.setattr(Tensor, "canonical", canonical)
+    monkeypatch.setattr(Tensor, "terms", property(terms))
 
 
 def test_connection_identities_never_read_frame_coefficients(
         coeffs_unreadable):
     # equality, the zero test and the pairings read corners, so the
-    # torsion and bimodule identities are decided with Tensor.coeffs
-    # unreadable; constructing the volume form may read it only through
-    # canonical(), which puts C on its frame terms
+    # torsion and bimodule identities are decided with Tensor.coeffs and
+    # the frame terms of corner-built tensors unreadable; constructing the
+    # volume form may read them only through canonical(), which puts C on
+    # its frame terms
     vf = volume_form()
     rho = SPHERE_B * dee(SPHERE_A)
     d_rho = ext_d(SPHERE_B, SPHERE_A)
@@ -262,6 +271,8 @@ def test_connection_identities_never_read_frame_coefficients(
 
     with pytest.raises(AssertionError, match="outside canonical"):
         vf.C.coeffs()
+    with pytest.raises(AssertionError, match="outside canonical"):
+        sigma(right).terms
 
 
 def test_curvature_never_reads_frame_coefficients(coeffs_unreadable):
@@ -276,6 +287,8 @@ def test_curvature_never_reads_frame_coefficients(coeffs_unreadable):
     assert riemann_contract(rho) == curvature_of(rho)
     assert riemann_contract(rho) != riemann_contract(frame()[0])
     assert check_hermitian()
+    with pytest.raises(AssertionError, match="outside canonical"):
+        riemann().terms
 
 
 def test_bracket_of_frame_pairings():

@@ -254,22 +254,15 @@ def test_cli_check_reports_a_failure(monkeypatch, capsys):
     assert lines[1].startswith("PASS torsion-free (")
 
 
-def test_cli_curvature_formats(monkeypatch, capsys):
-    # the cold curvature computation takes about half a minute; the
-    # command's wiring is checked on a stand-in with the same serialisers
+def test_cli_curvature_formats(capsys):
+    # the real export; CurvatureData's two formats are pinned by SHA-256 in
+    # test_curvature_data_serialisation
     from qsphere import cli
-
-    class Data:
-        def to_json(self):
-            return "{json}"
-
-        def to_latex(self):
-            return "latex"
-
-    monkeypatch.setattr(cli, "CurvatureData", Data)
-    for argv, want in ((["curvature"], "{json}"),
-                       (["curvature", "--json"], "{json}"),
-                       (["curvature", "--latex"], "latex")):
+    from qsphere.levicivita import CurvatureData
+    data = CurvatureData()
+    for argv, want in ((["curvature"], data.to_json()),
+                       (["curvature", "--json"], data.to_json()),
+                       (["curvature", "--latex"], data.to_latex())):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == want + "\n"
     with pytest.raises(SystemExit):

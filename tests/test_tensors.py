@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from qsphere.algebra import (
     ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR, ZERO_EL, Element, parse,
-    spin_one,
 )
 from qsphere.coeff import ONE, q_pow, rational, s_pow
 from qsphere.forms import E12, E21, OneForm, dee, frame, ip_left, ip_right
@@ -230,16 +229,8 @@ def test_one_term_perturbation_compares_unequal(k, seed):
 # ---------------------------------------------------------------------------
 
 def _legs_agree_with_the_preset_corners(s):
-    """The corners preset by from_corners are those of its legs."""
+    """The corners kept by from_corners are those of its frame terms."""
     return Tensor(s.k, s.terms).corners() == s.corners()
-
-
-@pytest.mark.parametrize("j", [-1, 1])
-def test_frame_insertion_is_exact(j):
-    # g_m = t(m, j)*: sum_m g_m g_m* = 1, the insertion of a '+' slot for
-    # j = -1 and of a '-' slot for j = 1
-    gs = [spin_one(m, j).star() for m in (1, 0, -1)]
-    assert sum((g * g.star() for g in gs), ZERO_EL) == ONE_EL
 
 
 @given(proper_two_tensors)
@@ -249,8 +240,16 @@ def test_from_corners_rebuilds_proper_two_tensors(t):
     assert _legs_agree_with_the_preset_corners(s)
     assert s == t
     assert s.coeffs() == t.coeffs()
-    # one single-entry term per corner and frame index
-    assert len(s.terms) <= 3 * len(t.corners())
+    # the terms are the frame terms, from coefficients paired on corners
+    assert s.terms == t.canonical().terms
+
+
+@pytest.mark.parametrize("k,seed", [(3, 4), (3, 5), (4, 6)])
+def test_from_corners_rebuilds_higher_tensors(k, seed):
+    t, _ = _case(k, seed)
+    s = from_corners(k, t.corners())
+    assert s.coeffs() == t.coeffs()
+    assert s.terms == t.canonical().terms
 
 
 @pytest.mark.parametrize("idx", [(0, 1, 2), (2, 2, 1), (0, 2, 1, 1)])
@@ -261,8 +260,7 @@ def test_from_corners_rebuilds_simple_frame_tensors(idx):
     assert len(t.corners()) == 2 ** t.k
     assert _legs_agree_with_the_preset_corners(s)
     assert s == t
-    assert all(leg.plus.is_zero() or leg.minus.is_zero()
-               for term in s.terms for leg in term)
+    assert s.terms == t.canonical().terms
 
 
 def test_from_corners_rejects_a_bad_corner():
@@ -362,6 +360,7 @@ def test_contract_left_matches_the_term_walk(seed):
         got, want = contract_left(r, g), _contract_left_walk(r, g)
         assert got.k == want.k
         assert got.corners() == _corners_by_eps(want)
+        assert got.coeffs() == want.coeffs()
         assert got == want
 
 
