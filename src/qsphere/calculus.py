@@ -128,8 +128,8 @@ def psi_decomposed(t: Tensor) -> Tensor:
 def ext_d(a: Element, b: Element) -> Tensor:
     """d(a[D,b]) as a two-tensor: (q/2) C (q^{-1} del_e(a) del_f(b)
     - q del_f(a) del_e(b))."""
-    z = (del_e(a) * del_f(b)).scale(q_pow(-1)) - \
-        (del_f(a) * del_e(b)).scale(q_pow(1))
+    z = (del_e(a) * del_f(b)).scale_s(-2) - \
+        (del_f(a) * del_e(b)).scale_s(2)
     return (volume_form().C * z).scale(q_pow(1) * _HALF)
 
 

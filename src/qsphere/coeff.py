@@ -274,10 +274,14 @@ class Scalar:
     ``pe``, ``pr`` and ``den`` give the same dicts with Fraction
     coefficients.  Arithmetic keeps the raw numerator/denominator dicts
     and defers the gcd reduction until a canonical form is actually needed
-    (equality, hashing, limits, display).  The intermediate scalars of a
+    (equality, hashing, limits, display), or until the denominator has
+    more than ``_LAZY_DEN_TERMS`` terms.  The intermediate scalars of a
     big tensor computation vastly outnumber the surviving ones, so
     reducing lazily is worth an order of magnitude on the curvature
-    pipeline.
+    pipeline.  Products and sums of scalars with monomial denominators
+    never reach a gcd, so a computation whose inputs are first cleared of
+    their denominators (``clear_denominators``) runs gcd-free and divides
+    once at the end; the leg walk of ``Tensor.coeffs`` works that way.
     """
 
     __slots__ = ("_pe", "_pr", "_den", "_n", "_key", "_reduced")
@@ -577,6 +581,37 @@ def _normalise(pe, pr, den):
             pr = _pdiv_exact(pr, g, step)
             den = _pdiv_exact(den, g, step)
     return _content(pe, pr, den, den[max(den)])
+
+
+def clear_denominators(xs):
+    """(d, [x * d for x in xs]) for d the lcm of the reduced denominators
+    of the scalars xs: a polynomial in s of lowest exponent 0 and leading
+    coefficient 1, returned as a Scalar.
+
+    Each x * d is a Laurent polynomial in s and r, stored reduced.  It is
+    x's numerator times d over x's denominator, divided exactly, so the
+    clearing costs the reduction of the xs that are not yet reduced (in
+    place, as any reading of a reduced form does) and the gcds of the lcm,
+    and no gcd per product.
+    """
+    xs = [x._reduce() for x in xs]
+    common = {0: 1}
+    for den in dict.fromkeys(tuple(sorted(x._den.items())) for x in xs
+                             if len(x._den) > 1):
+        g = _poly_gcd(_int_dense(common, 1), _int_dense(dict(den), 1))
+        common = _pmul(common, _pdiv_exact(dict(den), g, 1))
+    lead = common[max(common)]
+    if lead < 0:
+        common, lead = _pneg(common), -lead
+    out = []
+    for x in xs:
+        # x = (pe + pr r) / den = (pe + pr r) / (c p), p primitive, and
+        # x * common / lead = (pe + pr r) (common / p) / (c lead)
+        c = gcd(*x._den.values())
+        quot = _pdiv_exact(common, _int_dense(x._den, 1), 1)
+        out.append(_make(*_content(_pmul(x._pe, quot), _pmul(x._pr, quot),
+                                   {0: c * lead}, c * lead), True))
+    return _make(*_content(common, {}, {0: lead}, lead), True), out
 
 
 ZERO = _make({}, {}, {0: 1}, 1, True)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 
 from .algebra import Element, ONE_EL, Pair, del_e, del_f, spin_one
-from .coeff import ROOT_TWO_Q, Scalar, q_pow
+from .coeff import ROOT_TWO_Q, Scalar, clear_denominators, q_pow
 
 
 class OneForm(Pair):
@@ -86,23 +86,50 @@ def dee(x: Element) -> OneForm:
 
 def ip_right(x: OneForm, y: OneForm) -> Element:
     """Right inner product <x, y>: conjugate-linear in x, B-linear in y."""
-    return (x.minus.star() * y.minus).scale(q_pow(1)) + \
-        (x.plus.star() * y.plus).scale(q_pow(-1))
+    return (x.minus.star() * y.minus).scale_s(2) + \
+        (x.plus.star() * y.plus).scale_s(-2)
 
 
 def ip_left(x: OneForm, y: OneForm) -> Element:
     """Left inner product <x, y>: B-linear in x, conjugate-linear in y."""
-    return (x.plus * y.plus.star()).scale(q_pow(1)) + \
-        (x.minus * y.minus.star()).scale(q_pow(-1))
+    return (x.plus * y.plus.star()).scale_s(2) + \
+        (x.minus * y.minus.star()).scale_s(-2)
+
+
+def cleared(rho: OneForm):
+    """(d, rho * d) for d the lcm of the reduced denominators of rho's
+    coefficients (``coeff.clear_denominators``): rho * d has Laurent
+    polynomial coefficients in s and r, stored reduced."""
+    plus, minus = rho.plus.terms, rho.minus.terms
+    d, cs = clear_denominators([*plus.values(), *minus.values()])
+    n = len(plus)
+    return d, OneForm(Element(dict(zip(plus, cs[:n]))),
+                      Element(dict(zip(minus, cs[n:]))))
 
 
 @functools.cache
 def frame():
     """The three-element right-module frame built from the vector
-    corepresentation: w_j = q^{j-2} [2]_q^{-1/2} dee(t(j-2, 0))."""
+    corepresentation: w_j = kappa_j u_j, with kappa_j = q^{j-2}
+    [2]_q^{-1/2} and u_j = dee(t(j-2, 0)).
+
+    u_1 and u_3 carry a factor r = [2]_q^{1/2} and u_2 a factor [2]_q, so
+    the r^{-1} in kappa_j cancels: w_j is integral, its reduced
+    coefficients being Laurent polynomials in s and r.  ``integral_frame``
+    holds them reduced.
+    """
     rinv = ROOT_TWO_Q.inverse()
     return tuple(dee(spin_one(j - 2, 0)).scale(q_pow(j - 2) * rinv)
                  for j in (1, 2, 3))
+
+
+@functools.cache
+def integral_frame():
+    """The frame with its coefficients stored reduced, as Laurent
+    polynomials in s and r (``cleared``, with d = 1), so that products with
+    them need no gcd.  Clearing reduces the coefficients of ``frame()`` in
+    place too."""
+    return tuple(cleared(w)[1] for w in frame())
 
 
 def frame_expand_right(rho: OneForm) -> OneForm:

@@ -100,8 +100,8 @@ def ip_spin_left(x: Spinor, y: Spinor) -> Element:
     are orthonormal because the t^{1/2} columns are:
     q sum_i s_{i,+}* s_{i,+} = 1 and likewise with q^{-1} on the minus side.
     """
-    return (x.plus * y.plus.star()).scale(q_pow(1)) \
-        + (x.minus * y.minus.star()).scale(q_pow(-1))
+    return (x.plus * y.plus.star()).scale_s(2) \
+        + (x.minus * y.minus.star()).scale_s(-2)
 
 
 FRAME_SPINORS = (Spinor(plus=frame_plus(-1)), Spinor(plus=frame_plus(1)),
@@ -316,8 +316,8 @@ def check_divergence() -> bool:
     for b, a in ((SPHERE_A, ONE_EL), (SPHERE_B, SPHERE_BSTAR),
                  (SPHERE_A, SPHERE_B), (SPHERE_BSTAR, SPHERE_A * SPHERE_A)):
         d = mul_map(conn_right(dee(b) * a))
-        want = Diag(del_f(del_e(b) * a).scale(q_pow(1)),
-                    del_e(del_f(b) * a).scale(q_pow(-1)))
+        want = Diag(del_f(del_e(b) * a).scale_s(2),
+                    del_e(del_f(b) * a).scale_s(-2))
         if d != want:
             return False
         if not haar((wt * d).trace()).is_zero():

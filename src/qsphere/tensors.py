@@ -43,6 +43,20 @@ the corners or walked from the legs; the terms of a corner-built tensor are
 its frame terms (``canonical()``).  Sums of term lists concatenate them; a
 sum of many products adds corners instead (``sum_corners``).
 
+The walk from the legs is fraction-free, as in Bareiss elimination.  Each
+leg L of a term is cleared first: d_L L, with d_L the lcm of the reduced
+denominators of its coefficients, has Laurent polynomial coefficients
+(``forms.cleared``).  The frame is integral once reduced
+(``forms.integral_frame``), and d_L is a real central scalar, so
+
+    coeff[I] = <w_I, d_1 L_1 (x) ... (x) d_k L_k> / (d_1 ... d_k),
+
+and every scalar of the walk has a monomial denominator: no product or
+sum in it reaches a gcd.  The division by d_1 ... d_k is made once per
+entry of a term, as each state of the last leg is produced: one gcd per
+output monomial.  The walk shares the partial pairing across the frame
+indices with a common prefix.
+
 The module also provides the multiplication map m onto diagonal 2x2
 matrices (the two mixed corners of a two-tensor) and the metric two-tensor
 
@@ -58,10 +72,11 @@ crosses the entries, (w diag(x, y)) = (w_plus y, w_minus x).
 from __future__ import annotations
 
 import functools
+from math import prod
 
 from .algebra import MONO_ID, Element, ONE_EL, Pair, ZERO_EL
-from .coeff import Scalar, rational
-from .forms import OneForm, frame, ip_right
+from .coeff import ONE, Scalar, rational
+from .forms import OneForm, cleared, frame, integral_frame, ip_right
 
 _MINUS_ONE = rational(-1)
 
@@ -116,11 +131,12 @@ class Tensor:
         holding only the nonzero entries.
 
         From corners, coeff[I] = <w_{i_1} (x) ... (x) w_{i_k}, T>, paired
-        one first leg at a time; from legs, a walk over the terms that shares
-        the partial pairing across the frame indices with a common prefix.
+        one first leg at a time; from legs, the fraction-free walk over the
+        terms (module docstring): the legs cleared of their denominators,
+        the integral frame, and one division per entry.
         """
-        ws = frame()
         if self._coeffs is None and self._terms is None:
+            ws = frame()
             states = {(): self._corners}
             for _ in range(self.k):
                 states = {idx + (i,): pair_first_legs(w, c)
@@ -130,25 +146,7 @@ class Tensor:
         elif self._coeffs is None:
             out = {}
             for term in self._terms:
-                states = {}
-                for i, w in enumerate(ws):
-                    x = ip_right(w, term[0])
-                    if not x.is_zero():
-                        states[(i,)] = x
-                for pos in range(1, self.k):
-                    nxt = {}
-                    for prefix, x in states.items():
-                        moved = x * term[pos]
-                        if moved.is_zero():
-                            continue
-                        for i, w in enumerate(ws):
-                            y = ip_right(w, moved)
-                            if not y.is_zero():
-                                nxt[prefix + (i,)] = y
-                    states = nxt
-                for idx, x in states.items():
-                    acc = out.get(idx)
-                    out[idx] = x if acc is None else acc + x
+                _walk_term(term, out)
             self._coeffs = {i: x for i, x in out.items() if not x.is_zero()}
         return self._coeffs
 
@@ -227,7 +225,36 @@ class Tensor:
                        for term in self.terms])
 
     def __repr__(self):
-        return "Tensor(k=%d, %d terms)" % (self.k, len(self.terms))
+        if self._terms is None:
+            return "Tensor(k=%d, %d corners)" % (self.k, len(self._corners))
+        return "Tensor(k=%d, %d terms)" % (self.k, len(self._terms))
+
+
+def _walk_term(term, out):
+    """Add <w_{i_1} (x) ... (x) w_{i_k}, term> to out[I] for every I, with
+    the integral frame and the legs cleared (module docstring).  Each
+    state of the last leg is divided by prod d_L as it is produced, so the
+    3^k undivided states are never held at once."""
+    ws = integral_frame()
+    dens, legs = zip(*map(cleared, term))
+    inv = prod(dens, start=ONE).inverse()
+    states = {(): None}
+    for pos, leg in enumerate(legs, 1):
+        nxt = {}
+        for prefix, x in states.items():
+            moved = leg if x is None else x * leg
+            for i, w in enumerate(ws):
+                y = ip_right(w, moved)
+                if y.is_zero():
+                    continue
+                idx = prefix + (i,)
+                if pos < len(legs):
+                    nxt[idx] = y
+                    continue
+                y = y.scale(inv)
+                acc = out.get(idx)
+                out[idx] = y if acc is None else acc + y
+        states = nxt
 
 
 def tensor(*legs) -> Tensor:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from qsphere.coeff import (
     ONE, ROOT_TWO_Q, ZERO, Scalar, _fracs, _int_dense, _normalise, _pdiv_exact,
-    _pmul, _poly_gcd, _pshift, q_pow, qnum, rational, s_pow,
+    _pmul, _poly_gcd, _pshift, clear_denominators, q_pow, qnum, rational,
+    s_pow,
 )
 
 
@@ -606,3 +607,27 @@ def test_canonical_form_matches_sympy_cancel(tree):
     sden = sympy.Poly(sympy.expand(sden.as_expr() / s ** min(sden.monoms())[0]),
                       s).monic()
     assert sympy.expand(sden.as_expr() - den) == 0
+
+
+# ---------------------------------------------------------------------------
+# clearing denominators
+# ---------------------------------------------------------------------------
+
+@given(st.lists(scalars(), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_cleared_scalars_are_laurent_polynomials(xs):
+    d, cleared = clear_denominators(xs)
+    assert not d.pr and d.den == {0: 1}
+    assert min(d.pe) == 0 and d.pe[max(d.pe)] == 1
+    for x, c in zip(xs, cleared):
+        assert c == x * d
+        assert clear_denominators([c])[0] == ONE
+
+
+def test_clear_denominators_takes_the_lcm():
+    # 1/[3]_q and 1/(q^2 + q^-2) are over 1 + s^4 + s^8 and 1 + s^8
+    a, b = qnum(6).inverse(), (q_pow(2) + q_pow(-2)).inverse()
+    three, q2 = Scalar({0: 1, 4: 1, 8: 1}), Scalar({0: 1, 8: 1})
+    assert clear_denominators([a, b, a * b, ROOT_TWO_Q])[0] == three * q2
+    assert clear_denominators([a, a.scale_s(3), -a])[0] == three
+    assert clear_denominators([])[0] == ONE

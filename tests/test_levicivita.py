@@ -289,6 +289,8 @@ def test_curvature_never_reads_frame_coefficients(coeffs_unreadable):
     assert check_hermitian()
     with pytest.raises(AssertionError, match="outside canonical"):
         riemann().terms
+    assert repr(riemann()) == "Tensor(k=4, %d corners)" % len(
+        riemann().corners())
 
 
 def test_bracket_of_frame_pairings():

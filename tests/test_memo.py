@@ -9,12 +9,13 @@ import pkgutil
 
 import qsphere
 from qsphere import algebra, calculus, forms, levicivita, spectra, spinor, tensors
+from qsphere.coeff import ONE, ROOT_TWO_Q, q_pow
 
 MEMOISED = [
     algebra._cross_pow, algebra.mono_mul, algebra._mono_del, algebra.spin_one,
-    forms.frame, tensors.metric, calculus.chern2, calculus.volume_form,
-    levicivita.riemann, levicivita.ricci, spinor._metric_diag,
-    spectra._reduced, spectra._block_matrix,
+    forms.frame, forms.integral_frame, tensors.metric, calculus.chern2,
+    calculus.volume_form, levicivita.riemann, levicivita.ricci,
+    spinor._metric_diag, spectra._reduced, spectra._block_matrix,
 ]
 
 
@@ -50,6 +51,13 @@ def test_clearing_every_memo_rebuilds_the_same_objects():
     vf = calculus.volume_form()
     fresh = forms.frame()
     assert fresh is not ws and fresh == ws
+    # w_j = kappa_j u_j, kappa_j = q^{j-2} [2]_q^{-1/2}, u_j = dee(t(j-2, 0));
+    # the integral frame is the fresh frame, with Laurent polynomial
+    # coefficients
+    kappa = [q_pow(j - 2) * ROOT_TWO_Q.inverse() for j in (1, 2, 3)]
+    for j, (w, integral) in enumerate(zip(fresh, forms.integral_frame())):
+        assert w == forms.dee(algebra.spin_one(j - 1, 0)).scale(kappa[j])
+        assert integral == w and forms.cleared(integral)[0] == ONE
     assert repr(vf.C.terms) == c_terms
     # the rebuilt objects refer to each other, not to the cleared ones
     assert vf.G is tensors.metric()

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from qsphere.algebra import (
     ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR, ZERO_EL, Element, parse,
 )
-from qsphere.coeff import ONE, q_pow, rational, s_pow
+from qsphere import coeff
+from qsphere.calculus import volume_form
+from qsphere.coeff import ONE, q_pow, qnum, rational, s_pow
 from qsphere.forms import E12, E21, OneForm, dee, frame, ip_left, ip_right
 from qsphere.tensors import (
     Diag, Tensor, as_scalar, coeff_json, contract_left, diag_scalars, e_beta,
@@ -171,24 +173,94 @@ def test_product_corners_match_the_spliced_legs(s, t, i):
         eps: x for eps, x in (((1,), w.plus), ((-1,), w.minus)) if x}
 
 
+def _coeffs_by_eps(t):
+    """coeff[I] = sum_eps q^{-sum eps} (w_I^eps)* T^eps, with the corners
+    of t from its legs multiplied out, holding the nonzero entries."""
+    ws = frame()
+    corners = _corners_by_eps(t)
+    out = {}
+    for idx in itertools.product(range(3), repeat=t.k):
+        legs = [ws[i] for i in idx]
+        c = sum(((_corner(legs, eps).star() * x).scale(q_pow(-sum(eps)))
+                 for eps, x in corners.items()), ZERO_EL)
+        if c:
+            out[idx] = c
+    return out
+
+
 @pytest.mark.parametrize("k,seed", _CORNER_CASES)
 def test_corners_and_frame_coefficients_determine_each_other(k, seed):
     # coeff[I] = sum_eps q^{-sum eps} (w_I^eps)* T^eps and
     # T^eps = sum_I w_I^eps coeff[I], exactly in K
     t, _ = _case(k, seed)
     ws = frame()
-    signs = list(itertools.product((1, -1), repeat=k))
-    corners = {eps: _corner_of(t, eps) for eps in signs}
     coeffs = t.coeffs()
+    assert coeffs == _coeffs_by_eps(t)
+    signs = list(itertools.product((1, -1), repeat=k))
     back = dict.fromkeys(signs, ZERO_EL)
-    for idx in itertools.product(range(3), repeat=k):
+    for idx, c in coeffs.items():
         legs = [ws[i] for i in idx]
-        c = coeffs.get(idx, ZERO_EL)
-        assert c == sum(((_corner(legs, eps).star() * corners[eps])
-                         .scale(q_pow(-sum(eps))) for eps in signs), ZERO_EL)
         for eps in signs:
             back[eps] = back[eps] + _corner(legs, eps) * c
-    assert back == corners
+    assert back == {eps: _corner_of(t, eps) for eps in signs}
+
+
+def _cleared_cases():
+    # plus and minus entries over different denominators, so that a leg's
+    # lcm is really taken: 1/(q^2 + q^-2), 1/[3]_q and the pole 1/(q - q^-1)
+    w1, w2, w3 = frame()
+    q2 = (q_pow(2) + q_pow(-2)).inverse()
+    q3 = qnum(6).inverse()
+    pole = (q_pow(1) - q_pow(-1)).inverse()
+    mixed = OneForm(w1.plus.scale(q2), w1.minus.scale(q3))
+    poled = OneForm(dee(SPHERE_B).plus.scale(pole),
+                    dee(SPHERE_B).minus.scale(q2))
+    zero_entry = OneForm(plus=(SPHERE_A * w3.plus).scale(pole))
+    return [
+        tensor(mixed, poled),
+        tensor(zero_entry, w2.scale(q3)),
+        tensor(mixed, zero_entry, w2 * SPHERE_A)
+        + tensor(dee(SPHERE_A).scale(pole), w3, w1.scale(q3)),
+        tensor(poled, w1, zero_entry, w3.scale(q2)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_leg_walk_clears_any_denominators(case):
+    t = _cleared_cases()[case]
+    got = t.coeffs()
+    assert got == from_corners(t.k, t.corners()).coeffs()
+    assert got == _coeffs_by_eps(t)
+
+
+def test_leg_walk_stays_integral(monkeypatch):
+    # the workload-shaped slice -w_0 (x) c_1 (x) c_2 (x) w_2^dag, with
+    # (c_1, c_2) a term of (1 - Psi)(sum_j dee(<w_0,w_j>) (x) dee(<w_j,w_2>))
+    ws = frame()
+    mid = Tensor(2, [(dee(ip_right(ws[0], w)), dee(ip_right(w, ws[2])))
+                     for w in ws])
+    c1, c2 = volume_form().complement(mid).terms[4]
+    legs = (-ws[0], c1, c2, ws[2].dag())
+    t = tensor(*legs)
+    calls = []
+    real = coeff._normalise
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coeff, "_normalise", counting)
+    got = t.coeffs()
+    walked = len(calls)
+    monomials = sum(len(c.terms) for c in got.values())
+    cleared = sum(len(leg.plus.terms) + len(leg.minus.terms) for leg in legs)
+    assert len(got) == 81
+    # one reduction per output monomial and at most one per leg coefficient
+    assert walked <= monomials + cleared
+    # the entries are stored reduced, so their repr reduces nothing
+    for c in got.values():
+        repr(c)
+    assert len(calls) == walked
 
 
 @pytest.mark.parametrize("k,seed", _CORNER_CASES)
