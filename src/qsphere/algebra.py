@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coeff import ONE, ROOT_TWO_Q, Scalar, q_pow, qnum, rational, s_pow
 
@@ -156,8 +157,6 @@ class Element:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
         if not isinstance(other, Element):
             return NotImplemented
         out = {}
@@ -176,11 +175,6 @@ class Element:
                         else:
                             del out[m]
         return Element(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        return NotImplemented
 
     def scale(self, c: Scalar) -> "Element":
         if c.is_zero():
@@ -318,11 +312,9 @@ class Pair:
         return type(self)(self.plus.scale(c), self.minus.scale(c))
 
     def __rmul__(self, other):
-        """Left action of the algebra, or scaling by a coefficient."""
+        """Left action of the algebra."""
         if isinstance(other, Element):
             return type(self)(other * self.plus, other * self.minus)
-        if isinstance(other, Scalar):
-            return self.scale(other)
         return NotImplemented
 
     def __repr__(self):
@@ -481,16 +473,41 @@ def matrix_element(l, i, j) -> Element:
     raise ValueError("only l = 1/2 and l = 1 are stored, got l=%r" % (l,))
 
 
-def podles_relations_check():
-    """Verify the sphere relations exactly; returns (id, statement, ok, witness)."""
-    checks = [
-        ("podles-BA", "B A = q^2 A B", SPHERE_B * SPHERE_A - (SPHERE_A * SPHERE_B).scale(q_pow(2))),
-        ("podles-ABs", "A B* = q^2 B* A", SPHERE_A * SPHERE_BSTAR - (SPHERE_BSTAR * SPHERE_A).scale(q_pow(2))),
-        ("podles-BsB", "B* B = A - A^2", SPHERE_BSTAR * SPHERE_B - (SPHERE_A - SPHERE_A * SPHERE_A)),
-        ("podles-BBs", "B B* = q^2 A - q^4 A^2",
-         SPHERE_B * SPHERE_BSTAR - (SPHERE_A.scale(q_pow(2)) - (SPHERE_A * SPHERE_A).scale(q_pow(4)))),
-    ]
-    return [(cid, stmt, diff.is_zero(), repr(diff)) for cid, stmt, diff in checks]
+class Verdict(NamedTuple):
+    """The outcome of an exact check, falsy on failure: ok, and for a
+    failure the first case that failed and its nonzero residual lhs - rhs."""
+
+    ok: bool
+    case: str | None = None
+    residual: object = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def exact_check(cases):
+    """Turn a generator function of (case, lhs, rhs) triples into a check
+    returning a ``Verdict``.  The triples are drawn one at a time and the
+    first with lhs != rhs stops the check; only then is lhs - rhs
+    computed, so a passing check costs its comparisons."""
+    @functools.wraps(cases)
+    def check() -> Verdict:
+        for case, lhs, rhs in cases():
+            if lhs != rhs:
+                return Verdict(False, case, lhs - rhs)
+        return Verdict(True)
+    return check
+
+
+@exact_check
+def check_podles_relations():
+    """The defining relations of the sphere generators A, B, B*."""
+    a, b, bs = SPHERE_A, SPHERE_B, SPHERE_BSTAR
+    yield "B A = q^2 A B", b * a, (a * b).scale(q_pow(2))
+    yield "A B* = q^2 B* A", a * bs, (bs * a).scale(q_pow(2))
+    yield "B* B = A - A^2", bs * b, a - a * a
+    yield "B B* = q^2 A - q^4 A^2", b * bs, \
+        a.scale(q_pow(2)) - (a * a).scale(q_pow(4))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 
 from .algebra import Element, ONE_EL, Pair, del_e, del_f, spin_one
-from .coeff import ROOT_TWO_Q, Scalar, clear_denominators, q_pow
+from .coeff import ROOT_TWO_Q, clear_denominators, q_pow
 
 
 class OneForm(Pair):
@@ -46,11 +46,9 @@ class OneForm(Pair):
     k = 1  # legs, as for a tensor (see corners)
 
     def __mul__(self, other):
-        """Right action of the algebra, or scaling by a coefficient."""
+        """Right action of the algebra."""
         if isinstance(other, Element):
             return OneForm(self.plus * other, self.minus * other)
-        if isinstance(other, Scalar):
-            return self.scale(other)
         return NotImplemented
 
     def dag(self) -> "OneForm":
@@ -148,12 +146,6 @@ def frame_expand_left(rho: OneForm) -> OneForm:
         wd = w.dag()
         out = out + ip_left(rho, wd) * wd
     return out
-
-
-def frame_check(rho: OneForm) -> bool:
-    """Both frame identities at once: rho = sum_j w_j <w_j, rho> and
-    rho = sum_j <rho, w_j^dag> w_j^dag."""
-    return frame_expand_right(rho) == rho and frame_expand_left(rho) == rho
 
 
 def g_bilinear(w: OneForm, rho: OneForm) -> Element:

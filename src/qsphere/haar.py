@@ -22,6 +22,8 @@ whose first rung h(bc) = -q/(1+q^2) is forced by h(1 + [2]_q bc) = 0.
 
 from __future__ import annotations
 
+import functools
+
 from .coeff import ONE, ZERO, Scalar
 from .algebra import (Element, MONO_ID, del_f, mono_degree, mono_length,
                       pbw_monomials)
@@ -132,13 +134,12 @@ def _solve(max_length: int) -> dict:
     return {unknowns[i]: values[i] for i in range(len(unknowns))}
 
 
-_STATE = HaarState()
+@functools.cache
+def haar_state() -> HaarState:
+    """The shared state instance."""
+    return HaarState()
 
 
 def haar(x: Element) -> Scalar:
     """h(x) for the shared state instance."""
-    return _STATE(x)
-
-
-def haar_state() -> HaarState:
-    return _STATE
+    return haar_state()(x)

@@ -35,7 +35,8 @@ import functools
 import json
 import re
 
-from .algebra import ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR, ZERO_EL
+from .algebra import (SPHERE_A, SPHERE_B, SPHERE_BSTAR, ZERO_EL, exact_check,
+                      parse)
 from .coeff import Scalar, q_pow, qnum, rational
 from .forms import OneForm, dee, frame, ip_left, ip_right
 from .tensors import (
@@ -95,48 +96,48 @@ def hermitian_defect(x: OneForm, y: OneForm) -> OneForm:
     return lhs - dee(ip_right(x, y))
 
 
-def check_hermitian() -> bool:
+@exact_check
+def check_hermitian():
     """Certify the Hermitian property: the conjugate-pair frame sum
     sum_j nabla->(w_j) (x) w_j^dag + w_j (x) nabla<-(w_j^dag) vanishes as a
     three-tensor, and metric compatibility holds on sample pairs."""
     ws = frame()
-    if sum_corners(part for w in ws
-                   for part in (product_corners(conn_right(w), w.dag()),
-                                product_corners(w, conn_left(w.dag())))):
-        return False
-    samples = [
-        (ws[0], ws[1]),
-        (ws[2], ws[2]),
-        (dee(SPHERE_A) * SPHERE_B, ws[1]),
-        (dee(SPHERE_A) * SPHERE_B, dee(SPHERE_BSTAR)),
-    ]
-    return all(hermitian_defect(x, y).is_zero() for x, y in samples)
+    frame_sum = sum_corners(part for w in ws
+                            for part in (product_corners(conn_right(w), w.dag()),
+                                         product_corners(w, conn_left(w.dag()))))
+    yield "the conjugate-pair frame sum", from_corners(3, frame_sum), Tensor(3)
+    rho = dee(SPHERE_A) * SPHERE_B
+    for label, x, y in (("w1, w2", ws[0], ws[1]), ("w3, w3", ws[2], ws[2]),
+                        ("dee(A) B, w2", rho, ws[1]),
+                        ("dee(A) B, dee(Bstar)", rho, dee(SPHERE_BSTAR))):
+        yield "hermitian_defect(%s)" % label, hermitian_defect(x, y), OneForm()
 
 
-def check_torsion_free() -> bool:
+@exact_check
+def check_torsion_free():
     """(1 - Psi) o nabla-> = -d and (1 - Psi) o nabla<- = +d on the
     monomial test family a dee(b)."""
     vf = volume_form()
-    pairs = [
-        (ONE_EL, SPHERE_A), (SPHERE_B, SPHERE_A), (SPHERE_A, SPHERE_BSTAR),
-        (SPHERE_BSTAR, SPHERE_B), (SPHERE_A, SPHERE_A),
-    ]
-    for a, b in pairs:
-        rho = a * dee(b)
-        d_ab = ext_d(a, b)
-        if vf.complement(conn_right(rho)) != -d_ab:
-            return False
-        if vf.complement(conn_left(rho)) != d_ab:
-            return False
-    return True
+    for a, b in (("1", "A"), ("B", "A"), ("A", "Bstar"), ("Bstar", "B"),
+                 ("A", "A")):
+        rho = parse(a) * dee(parse(b))
+        d_ab = ext_d(parse(a), parse(b))
+        yield "(1 - Psi) nabla->(%s dee(%s)) = -d" % (a, b), \
+            vf.complement(conn_right(rho)), -d_ab
+        yield "(1 - Psi) nabla<-(%s dee(%s)) = d" % (a, b), \
+            vf.complement(conn_left(rho)), d_ab
 
 
-def check_bimodule_connection() -> bool:
+@exact_check
+def check_bimodule_connection():
     """sigma o nabla-> = nabla<- on the test family x dee(y) z."""
-    gens = (SPHERE_A, SPHERE_B, SPHERE_BSTAR)
-    family = [dee(SPHERE_A), dee(SPHERE_B) * SPHERE_A, SPHERE_BSTAR * dee(SPHERE_A)]
-    family += [(x * dee(y)) * z for x in gens for y in gens for z in (ONE_EL, SPHERE_A)]
-    return all(sigma(conn_right(rho)) == conn_left(rho) for rho in family)
+    gens = ("A", "B", "Bstar")
+    family = [("1", "A", "1"), ("1", "B", "A"), ("Bstar", "A", "1")]
+    family += [(x, y, z) for x in gens for y in gens for z in ("1", "A")]
+    for x, y, z in family:
+        rho = (parse(x) * dee(parse(y))) * parse(z)
+        yield "sigma nabla->(%s dee(%s) %s)" % (x, y, z), \
+            sigma(conn_right(rho)), conn_left(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +202,16 @@ def curvature_of(rho: OneForm) -> Tensor:
     in the same orientation as riemann().  Independent of the frame
     collapse used by riemann(), so the two routes cross-check each other:
     curvature_of(rho) must agree with pairing rho into the last leg of
-    the assembled Riemann tensor."""
+    the assembled Riemann tensor.  Only nabla (x) 1 is summed: 1 (x) d sends
+    nabla(rho) = sum_j w_j (x) dee(<w_j, rho>) to sum_j w_j (x)
+    ext_d(1, <w_j, rho>), which is 0 as del_e(1) = del_f(1) = 0."""
     vf = volume_form()
     terms = []
     for w in frame():
         y = ip_right(w, rho)
-        if y.is_zero():
-            continue
-        b = dee(y)
-        for u, v in conn_right(w).terms:
-            terms.append((u, v, b))
-        for u, v in ext_d(ONE_EL, y).terms:
-            terms.append((w, u, v))
+        if not y.is_zero():
+            b = dee(y)
+            terms.extend((u, v, b) for u, v in conn_right(w).terms)
     out = []
     for a, b, c in terms:
         out.extend((a,) + pair for pair in vf.complement(tensor(b, c)).terms)
@@ -246,6 +245,31 @@ def scalar_curvature() -> Scalar:
     """The scalar curvature <G, Ric>, with an error if the pairing is not
     a multiple of the identity."""
     return as_scalar(ip_T(metric(), ricci()))
+
+
+@exact_check
+def check_riemann():
+    """The Riemann tensor equals its closed form."""
+    yield "R = riemann_closed_form()", riemann(), riemann_closed_form()
+
+
+@exact_check
+def check_ricci():
+    """The Ricci tensor equals its closed form."""
+    yield "Ric = ricci_closed_form()", ricci(), ricci_closed_form()
+
+
+@exact_check
+def check_scalar_curvature():
+    """The scalar curvature is [2]_q (1 + (q^-2 - q^2)^2), which tends to
+    2 + 0 sqrt(2) at q = 1, the round sphere's value."""
+    scal = scalar_curvature()
+    gap = q_pow(-2) - q_pow(2)
+    yield "scal = [2]_q (1 + (q^-2 - q^2)^2)", scal, \
+        qnum(4) * (rational(1) + gap * gap)
+    u, v = scal.limit_q_one()
+    yield "scal at q = 1", u, 2
+    yield "sqrt(2) part of scal at q = 1", v, 0
 
 
 # ---------------------------------------------------------------------------

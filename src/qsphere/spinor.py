@@ -54,14 +54,17 @@ same matrix.
 from __future__ import annotations
 
 import functools
+import random
 
-from .coeff import q_pow, rational
+from .coeff import ZERO, q_pow, rational
 from .algebra import (Element, ONE_EL, Pair, SPHERE_A, SPHERE_B,
-                      SPHERE_BSTAR, del_e, del_f, spin_half)
+                      SPHERE_BSTAR, del_e, del_f, exact_check, parse,
+                      pbw_monomials, spin_half)
 from .forms import OneForm, dee, frame, ip_right
-from .tensors import Diag, Tensor, e_beta, ip_T, metric, mul_map, tensor
+from .tensors import (Diag, Tensor, as_scalar, e_beta, ip_T, metric, mul_map,
+                      tensor)
 from .calculus import sigma, volume_form
-from .levicivita import conn_right
+from .levicivita import conn_right, scalar_curvature
 from .haar import haar
 
 
@@ -254,7 +257,8 @@ def proj_minus():
 # ---------------------------------------------------------------------------
 
 
-def check_compatibility() -> bool:
+@exact_check
+def check_compatibility():
     """The twisted Leibniz identity for D against the braided product.
 
     For one-forms rho = dee(b) a and spinors psi:
@@ -267,38 +271,33 @@ def check_compatibility() -> bool:
     m(Psi(rho (x) eta)) = e^{-beta} m(G) <rho^dag, eta>_B on a family of
     two-tensors.
     """
-    cases = [
-        (SPHERE_A, ONE_EL, Spinor(plus=spin_half(1, 1))),
-        (SPHERE_B, SPHERE_A, Spinor(minus=spin_half(1, -1))),
-        (SPHERE_BSTAR, SPHERE_B, Spinor(plus=SPHERE_A * spin_half(-1, 1))),
-        (SPHERE_A, SPHERE_BSTAR,
-         Spinor(plus=spin_half(-1, 1), minus=SPHERE_B * spin_half(1, -1))),
-    ]
-    for b, a, psi in cases:
-        rho = dee(b) * a
-        lhs = dirac(clifford(rho, psi))
-        acc = mul_map(sigma(conn_right(rho))) * psi
+    for b, a, plus, minus in (("A", "1", "d", "0"), ("B", "A", "0", "c"),
+                              ("Bstar", "B", "A*b", "0"),
+                              ("A", "Bstar", "b", "B*c")):
+        rho = dee(parse(b)) * parse(a)
+        psi = Spinor(parse(plus), parse(minus))
+        rhs = mul_map(sigma(conn_right(rho))) * psi
         for w, chi in conn_spinor(psi):
-            acc = acc + mul_map(sigma(tensor(rho, w))) * chi
-        if lhs != acc:
-            return False
+            rhs = rhs + mul_map(sigma(tensor(rho, w))) * chi
+        yield "D(c(rho (x) psi)), rho = dee(%s) %s, psi = (%s, %s)" \
+            % (b, a, plus, minus), dirac(clifford(rho, psi)), rhs
 
     vf = volume_form()
     mg = _metric_diag()
     ebi = e_beta().inverse()
     ws = frame()
-    probes = [ws[0], ws[1], ws[2], dee(SPHERE_A) * SPHERE_B,
-              SPHERE_B * dee(SPHERE_BSTAR)]
-    for rho in probes:
-        for eta in probes:
-            lhs = mul_map(vf.psi(tensor(rho, eta)))
-            rhs = (mg * ip_right(rho.dag(), eta)).scale(ebi)
-            if lhs != rhs:
-                return False
-    return True
+    probes = {"w1": ws[0], "w2": ws[1], "w3": ws[2],
+              "dee(A) B": dee(SPHERE_A) * SPHERE_B,
+              "B dee(Bstar)": SPHERE_B * dee(SPHERE_BSTAR)}
+    for x, rho in probes.items():
+        for y, eta in probes.items():
+            yield "m(Psi(%s (x) %s))" % (x, y), \
+                mul_map(vf.psi(tensor(rho, eta))), \
+                (mg * ip_right(rho.dag(), eta)).scale(ebi)
 
 
-def check_divergence() -> bool:
+@exact_check
+def check_divergence():
     """Divergence of covariant derivatives vanishes in Haar expectation.
 
     For omega = dee(b) a the multiplied covariant derivative collapses to
@@ -310,29 +309,44 @@ def check_divergence() -> bool:
     and the vanishing are checked on a monomial family, together with the
     structural h o del_e = h o del_f = 0 on a batch of sampled elements.
     """
-    import random
-
     wt = _metric_diag()
-    for b, a in ((SPHERE_A, ONE_EL), (SPHERE_B, SPHERE_BSTAR),
-                 (SPHERE_A, SPHERE_B), (SPHERE_BSTAR, SPHERE_A * SPHERE_A)):
-        d = mul_map(conn_right(dee(b) * a))
-        want = Diag(del_f(del_e(b) * a).scale_s(2),
-                    del_e(del_f(b) * a).scale_s(-2))
-        if d != want:
-            return False
-        if not haar((wt * d).trace()).is_zero():
-            return False
+    for b, a in (("A", "1"), ("B", "Bstar"), ("A", "B"), ("Bstar", "A^2")):
+        x, y = parse(b), parse(a)
+        d = mul_map(conn_right(dee(x) * y))
+        omega = "omega = dee(%s) %s" % (b, a)
+        yield "m(nabla->(%s))" % omega, d, Diag(
+            del_f(del_e(x) * y).scale_s(2), del_e(del_f(x) * y).scale_s(-2))
+        yield "h(Tr(diag(q, q^-1) m(nabla->(%s))))" % omega, \
+            haar((wt * d).trace()), ZERO
 
     rng = random.Random(20)
-    from .algebra import pbw_monomials
     up = pbw_monomials(6, 2)
     down = pbw_monomials(6, -2)
-    for _ in range(30):
+    for n in range(30):
         y = Element.from_mono(rng.choice(up), q_pow(rng.randrange(-2, 3))) \
             + Element.from_mono(rng.choice(up))
         z = Element.from_mono(rng.choice(down), q_pow(rng.randrange(-2, 3)))
-        if not haar(del_f(y)).is_zero():
-            return False
-        if not haar(del_e(z)).is_zero():
-            return False
-    return True
+        yield "h(del_f(y)), y sample %d of seed 20" % n, haar(del_f(y)), ZERO
+        yield "h(del_e(z)), z sample %d of seed 20" % n, haar(del_e(z)), ZERO
+
+
+@exact_check
+def check_weitzenbock():
+    """D^2 psi - lap(psi) = W psi on the frame spinors and two products,
+    and W tends to (1/2) Id at q = 1, a quarter of the round scalar
+    curvature."""
+    s = FRAME_SPINORS
+    family = {"s(-1/2,+)": s[0], "s(1/2,+)": s[1], "s(-1/2,-)": s[2],
+              "s(1/2,-)": s[3], "B s(-1/2,+)": SPHERE_B * s[0],
+              "Bstar s(-1/2,+) + A s(1/2,-)": SPHERE_BSTAR * s[0]
+              + SPHERE_A * s[3]}
+    for label, psi in family.items():
+        yield "D^2 - lap = W on %s" % label, \
+            dirac(dirac(psi)) - laplacian(psi), weitzenbock_correction(psi)
+    # W acts entrywise, so W(1, 1) holds its two diagonal entries
+    w = weitzenbock_correction(Spinor(ONE_EL, ONE_EL))
+    quarter = scalar_curvature().limit_q_one()[0] / 4
+    for label, x in (("W+", w.plus), ("W-", w.minus)):
+        u, v = as_scalar(x).limit_q_one()
+        yield "%s at q = 1 is scal/4" % label, u, quarter
+        yield "sqrt(2) part of %s at q = 1" % label, v, 0

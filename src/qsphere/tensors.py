@@ -197,23 +197,19 @@ class Tensor:
                       [(term[0].scale(c),) + term[1:] for term in self.terms])
 
     def __mul__(self, other):
-        """Right action of the algebra on the last leg, or scaling."""
+        """Right action of the algebra on the last leg."""
         if isinstance(other, Element):
             return Tensor(self.k,
                           [term[:-1] + (term[-1] * other,)
                            for term in self.terms])
-        if isinstance(other, Scalar):
-            return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        """Left action of the algebra on the first leg, or scaling."""
+        """Left action of the algebra on the first leg."""
         if isinstance(other, Element):
             return Tensor(self.k,
                           [(other * term[0],) + term[1:]
                            for term in self.terms])
-        if isinstance(other, Scalar):
-            return self.scale(other)
         return NotImplemented
 
     # -- involution ----------------------------------------------------------
@@ -348,15 +344,13 @@ class Diag(Pair):
     __slots__ = ()
 
     def __mul__(self, other):
-        """Entry by entry on any pair (Diag, OneForm or Spinor); the right
-        action of the algebra, or scaling."""
+        """Entry by entry on any pair (Diag, OneForm or Spinor), or the
+        right action of the algebra."""
         if isinstance(other, Pair):
             return type(other)(self.plus * other.plus,
                                self.minus * other.minus)
         if isinstance(other, Element):
             return Diag(self.plus * other, self.minus * other)
-        if isinstance(other, Scalar):
-            return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other):

@@ -9,7 +9,7 @@ from qsphere.algebra import (
 )
 from qsphere.coeff import ROOT_TWO_Q, q_pow, s_pow
 from qsphere.forms import (
-    E12, E21, OneForm, ZERO_FORM, dee, frame, frame_check, frame_expand_left,
+    E12, E21, OneForm, ZERO_FORM, dee, frame, frame_expand_left,
     frame_expand_right, g_bilinear, ip_left, ip_right,
 )
 
@@ -154,10 +154,12 @@ def test_frame_identity_on_differentials():
 
 
 def test_frame_check_on_module_elements():
-    assert frame_check(dee(SPHERE_A))
-    for x in (SPHERE_B, SPHERE_BSTAR * SPHERE_A):
-        for z in (ONE_EL, SPHERE_A, SPHERE_B):
-            assert frame_check(x * dee(SPHERE_A) * z)
+    rhos = [dee(SPHERE_A)] + [x * dee(SPHERE_A) * z
+                              for x in (SPHERE_B, SPHERE_BSTAR * SPHERE_A)
+                              for z in (ONE_EL, SPHERE_A, SPHERE_B)]
+    for rho in rhos:
+        assert frame_expand_right(rho) == rho
+        assert frame_expand_left(rho) == rho
 
 
 @given(one_forms, one_forms)

@@ -8,7 +8,8 @@ import inspect
 import pkgutil
 
 import qsphere
-from qsphere import algebra, calculus, forms, levicivita, spectra, spinor, tensors
+from qsphere import (algebra, calculus, forms, haar, levicivita, spectra, spinor,
+                     tensors)
 from qsphere.coeff import ONE, ROOT_TWO_Q, q_pow
 
 MEMOISED = [
@@ -16,6 +17,7 @@ MEMOISED = [
     forms.frame, forms.integral_frame, tensors.metric, calculus.chern2,
     calculus.volume_form, levicivita.riemann, levicivita.ricci,
     spinor._metric_diag, spectra._reduced, spectra._block_matrix,
+    haar.haar_state,
 ]
 
 

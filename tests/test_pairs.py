@@ -44,7 +44,6 @@ def test_linear_structure_keeps_the_type(cls, data):
         (-a, -a.plus, -a.minus),
         (a.scale(c), a.plus.scale(c), a.minus.scale(c)),
         (x * a, x * a.plus, x * a.minus),
-        (c * a, a.plus.scale(c), a.minus.scale(c)),
     ]
     for got, plus, minus in cases:
         assert type(got) is cls

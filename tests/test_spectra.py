@@ -243,15 +243,23 @@ def test_cli_check_runs_the_checks(capsys):
 
 def test_cli_check_reports_a_failure(monkeypatch, capsys):
     from qsphere import cli
+    from qsphere.algebra import SPHERE_A, Verdict
+    from qsphere.tensors import from_corners
+    corners = {(-1, -1): -SPHERE_A, (1, 1): SPHERE_A}
     monkeypatch.setattr(cli, "CHECKS", {
-        "hermitian": lambda: (False, "residual x"),
-        "torsion-free": lambda: (True, ""),
+        "hermitian": lambda: Verdict(False, "case x", SPHERE_A),
+        "bimodule": lambda: Verdict(False, "case y",
+                                    from_corners(2, corners)),
+        "torsion-free": lambda: Verdict(True),
     })
     assert cli.main(["check"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("FAIL hermitian (")
-    assert lines[0].endswith("): residual x")
-    assert lines[1].startswith("PASS torsion-free (")
+    assert lines[0].endswith("): case x: residual %r" % SPHERE_A)
+    # a tensor residual is printed as its nonzero corners
+    assert lines[1].startswith("FAIL bimodule (")
+    assert lines[1].endswith("): case y: residual %r" % corners)
+    assert lines[2].startswith("PASS torsion-free (")
 
 
 def test_cli_curvature_formats(capsys):
