@@ -33,7 +33,6 @@ degree-n element by q^{n/2}.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import NamedTuple
 
 from .coeff import ONE, ROOT_TWO_Q, Scalar, q_pow, qnum, rational, s_pow
@@ -201,18 +200,6 @@ class Element:
 
     def degrees(self):
         return {mono_degree(m) for m in self.terms}
-
-    def degree(self):
-        """The circle-action degree, or None for 0 or mixed elements."""
-        degs = self.degrees()
-        return degs.pop() if len(degs) == 1 else None
-
-    def degree_part(self, n: int) -> "Element":
-        return Element({m: c for m, c in self.terms.items()
-                        if mono_degree(m) == n})
-
-    def max_length(self) -> int:
-        return max((mono_length(m) for m in self.terms), default=0)
 
     # -- display ------------------------------------------------------------
 
@@ -447,32 +434,6 @@ def spin_one(m: int, j: int) -> Element:
     return (GEN_C * GEN_D).scale(ROOT_TWO_Q.scale_s(-1))
 
 
-def matrix_element(l, i, j) -> Element:
-    """Matrix element t^l_{ij} for the stored corepresentations l = 1/2, 1.
-
-    Indices may be ints, floats or Fractions; they must satisfy |i|, |j| <= l
-    with l - i and l - j integral.
-    """
-    try:
-        two_l = Fraction(l) * 2
-        two_i = Fraction(i) * 2
-        two_j = Fraction(j) * 2
-    except (TypeError, ValueError):
-        raise ValueError("bad matrix element index (%r, %r, %r)" % (l, i, j))
-    if two_l.denominator != 1 or two_i.denominator != 1 or two_j.denominator != 1:
-        raise ValueError("indices must be half-integers: (%r, %r, %r)" % (l, i, j))
-    two_l, two_i, two_j = int(two_l), int(two_i), int(two_j)
-    if abs(two_i) > two_l or abs(two_j) > two_l:
-        raise ValueError("index out of range for l=%r: (%r, %r)" % (l, i, j))
-    if (two_l - two_i) % 2 or (two_l - two_j) % 2:
-        raise ValueError("indices must differ from l by integers: (%r, %r, %r)" % (l, i, j))
-    if two_l == 1:
-        return spin_half(two_i, two_j)
-    if two_l == 2:
-        return spin_one(two_i // 2, two_j // 2)
-    raise ValueError("only l = 1/2 and l = 1 are stored, got l=%r" % (l,))
-
-
 class Verdict(NamedTuple):
     """The outcome of an exact check, falsy on failure: ok, and for a
     failure the first case that failed and its nonzero residual lhs - rhs."""
@@ -574,7 +535,7 @@ def _tokenise(text: str):
             while j < n and text[j].isalnum():
                 j += 1
             word = text[i:j]
-            if word in ("q", "s", "r", "t") or word in _NAMED:
+            if word in ("q", "s", "r") or word in _NAMED:
                 tokens.append(word)
             else:
                 # juxtaposed single letters, e.g. "ab^2c"
@@ -591,10 +552,14 @@ def _tokenise(text: str):
 def parse(text: str) -> Element:
     """Parse expressions like ``'a*b^2 - q^-1*c*d'`` or ``'r*A*Bstar'``.
 
-    Understood atoms: the letters a, b, c, d, the sphere generators
-    A, B, Bstar, rationals, and the scalars q, s, r, each with an optional
-    integer exponent.  A factor may be divided by a scalar factor, as in
-    the repr ``'((-1)/(1 + s^4))*b*c'`` of an element whose coefficients
+    Understood atoms: the letters a, b, c, d (juxtaposed letters such as
+    ``ab^2c`` are a product), the sphere generators A, B and Bstar (alias
+    Bs), rationals, the scalars q, s, r, and parenthesised expressions,
+    each with an optional integer exponent (negative only on q, s, r and
+    rationals).  Any other name raises ValueError; matrix elements of the
+    corepresentations are ``spin_half`` and ``spin_one``, not atoms.  A
+    factor may be divided by a scalar factor, as in the repr
+    ``'((-1)/(1 + s^4))*b*c'`` of an element whose coefficients
     have denominators, so ``parse(repr(x)) == x``.
     """
     tokens = _tokenise(text)
@@ -621,16 +586,6 @@ def parse(text: str) -> Element:
             raise ValueError("expected integer exponent in %r" % text)
         return sign * int(tok)
 
-    def parse_index():
-        sign = 1
-        if peek() == "-":
-            take()
-            sign = -1
-        tok = take()
-        if tok is None or not tok[0].isdigit():
-            raise ValueError("expected index in %r" % text)
-        return sign * Fraction(tok)
-
     def parse_atom():
         tok = take()
         if tok == "(":
@@ -638,19 +593,6 @@ def parse(text: str) -> Element:
             if take() != ")":
                 raise ValueError("unbalanced parentheses in %r" % text)
             base = inner
-        elif tok == "t":
-            if take() != "(":
-                raise ValueError("expected '(' after t in %r" % text)
-            l = parse_index()
-            if take() != ",":
-                raise ValueError("expected ',' in matrix element in %r" % text)
-            mi = parse_index()
-            if take() != ",":
-                raise ValueError("expected ',' in matrix element in %r" % text)
-            mj = parse_index()
-            if take() != ")":
-                raise ValueError("unbalanced parentheses in %r" % text)
-            base = matrix_element(l, mi, mj)
         elif tok == "q":
             return Element.scalar(q_pow(parse_exponent()))
         elif tok == "s":

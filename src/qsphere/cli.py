@@ -5,11 +5,12 @@
     qsphere check
     qsphere curvature [--json | --latex]
 
-``spectra`` prints the block spectra as a table or as JSON; a spin or q0
-out of range exits with status 2.  Status 1 means that an exact identity
-failed while a block was reduced in K (a singular Gram matrix, or an
-operator that leaves the block), or that the spectrum at q0 came out
-non-real.
+``spectra`` prints the block spectra as a table or as JSON, the list of
+``spectra.spectrum`` rows {l, q, operator, eigenvalues} indented by 2; a
+spin or q0 out of range exits with status 2.  Status 1 means that an
+exact identity failed while a block was reduced in K (a singular Gram
+matrix, or an operator that leaves the block), or that the spectrum at
+q0 came out non-real.
 ``check`` runs the exact identity checks, one line each with its wall time,
 and exits with status 1 if any fails.  The entries, in order:
 podles-relations, then hermitian, torsion-free and bimodule (the
@@ -21,23 +22,26 @@ a tensor as its nonzero corners (``tensors``; 1 picks a leg's plus entry):
     FAIL bimodule (0.01 s): sigma nabla->(1 dee(B) A): residual {(-1, -1): (-s^2 + s^6)*a^3*c, (1, 1): (s^-8 - s^-4)*d*b^3}
 
 ``curvature`` computes the Riemann, Ricci and scalar curvature and prints
-their frame coefficients as JSON or LaTeX; cold, that takes about 0.7 s on
-2 vCPUs.
+their frame coefficients as JSON (``levicivita.curvature_json``: keys
+riemann, ricci and scalar) or LaTeX (``levicivita.curvature_latex``);
+cold, that takes about 0.7 s on 2 vCPUs.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from fractions import Fraction
 
 from .algebra import check_podles_relations
 from .levicivita import (
-    CurvatureData, check_bimodule_connection, check_hermitian, check_ricci,
-    check_riemann, check_scalar_curvature, check_torsion_free,
+    check_bimodule_connection, check_hermitian, check_ricci, check_riemann,
+    check_scalar_curvature, check_torsion_free, curvature_json,
+    curvature_latex,
 )
-from .spectra import spectra_json, spectra_table, spectrum
+from .spectra import spectra_table, spectrum
 from .spinor import check_compatibility, check_divergence, check_weitzenbock
 from .tensors import Tensor
 
@@ -65,7 +69,8 @@ def _spectra(args) -> int:
     except ArithmeticError as exc:  # an exact identity failed, see above
         print("qsphere spectra: failed: %s" % exc, file=sys.stderr)
         return 1
-    print(spectra_json(results) if args.json else spectra_table(results))
+    print(json.dumps(results, indent=2) if args.json
+          else spectra_table(results))
     return 0
 
 
@@ -87,8 +92,7 @@ def _check(args) -> int:
 
 
 def _curvature(args) -> int:
-    data = CurvatureData()
-    print(data.to_latex() if args.latex else data.to_json())
+    print(curvature_latex() if args.latex else curvature_json())
     return 0
 
 

@@ -445,25 +445,6 @@ class Scalar:
         den = sum(c / n * s ** e for e, c in self._den.items())
         return (pe + pr * r) / den
 
-    def eval_rational(self, q) -> Fraction:
-        """Exact value at a rational q, when the scalar lies in Q(q).
-
-        Raises ValueError if the scalar genuinely involves s = q^{1/2} or
-        r = [2]_q^{1/2}, or if the denominator vanishes at q.
-        """
-        self._reduce()
-        q = Fraction(q)
-        if self._pr:
-            raise ValueError("scalar has a [2]_q^{1/2} part; not rational in q")
-        if any(e % 2 for e in self._pe) or any(e % 2 for e in self._den):
-            raise ValueError("scalar has half-integer q powers; not rational in q")
-        # the common divisor n cancels from the quotient
-        num = sum(c * q ** (e // 2) for e, c in self._pe.items())
-        den = sum(c * q ** (e // 2) for e, c in self._den.items())
-        if den == 0:
-            raise ValueError("denominator vanishes at q = %s" % q)
-        return Fraction(num) / den
-
     def limit_q_one(self):
         """Exact q -> 1 limit by substituting s = 1 into the reduced form.
 

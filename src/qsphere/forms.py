@@ -146,9 +146,3 @@ def frame_expand_left(rho: OneForm) -> OneForm:
         wd = w.dag()
         out = out + ip_left(rho, wd) * wd
     return out
-
-
-def g_bilinear(w: OneForm, rho: OneForm) -> Element:
-    """The bilinear pairing induced by the metric two-tensor,
-    g(w (x) rho) = -<dag(w), rho>."""
-    return -ip_right(w.dag(), rho)

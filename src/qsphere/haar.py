@@ -41,10 +41,6 @@ class HaarState:
         self._table = {MONO_ID: ONE}
         self._length = 0
 
-    @property
-    def solved_length(self) -> int:
-        return self._length
-
     def ensure(self, max_length: int) -> None:
         if max_length <= self._length:
             return

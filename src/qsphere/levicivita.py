@@ -100,13 +100,24 @@ def hermitian_defect(x: OneForm, y: OneForm) -> OneForm:
 def check_hermitian():
     """Certify the Hermitian property: the conjugate-pair frame sum
     sum_j nabla->(w_j) (x) w_j^dag + w_j (x) nabla<-(w_j^dag) vanishes as a
-    three-tensor, and metric compatibility holds on sample pairs."""
+    three-tensor, nabla<- = -dag o nabla-> o dag is the left connection
+    built straight from the frame (conn_left_direct), and metric
+    compatibility holds on sample pairs.
+
+    The frame sum is the Hermitian condition as stated for a frame, so it
+    stays; but each of its halves vanishes on its own, so it does not tie
+    nabla<- to nabla->.  The conn_left_direct cases do: each fails if
+    nabla<- loses its sign."""
     ws = frame()
     frame_sum = sum_corners(part for w in ws
                             for part in (product_corners(conn_right(w), w.dag()),
                                          product_corners(w, conn_left(w.dag()))))
     yield "the conjugate-pair frame sum", from_corners(3, frame_sum), Tensor(3)
     rho = dee(SPHERE_A) * SPHERE_B
+    for label, x in (("w1", ws[0]), ("w2", ws[1]), ("w3", ws[2]),
+                     ("dee(A) B", rho), ("dee(Bstar)", dee(SPHERE_BSTAR))):
+        yield "nabla<-(%s) = conn_left_direct(%s)" % (label, label), \
+            conn_left(x), conn_left_direct(x)
     for label, x, y in (("w1, w2", ws[0], ws[1]), ("w3, w3", ws[2], ws[2]),
                         ("dee(A) B, w2", rho, ws[1]),
                         ("dee(A) B, dee(Bstar)", rho, dee(SPHERE_BSTAR))):
@@ -273,7 +284,7 @@ def check_scalar_curvature():
 
 
 # ---------------------------------------------------------------------------
-# container types
+# serialisation
 # ---------------------------------------------------------------------------
 
 
@@ -287,39 +298,30 @@ def _latex_coeff(text: str) -> str:
     return _POW_RE.sub(lambda m: "^{%s}" % m.group(1), text).replace("*", r"\,")
 
 
-class CurvatureData:
-    """Riemann, Ricci and scalar curvature computed once, with JSON and
-    LaTeX serialisations of the frame coefficient arrays (coefficients as
-    symbolic strings in s and r, never floats)."""
+def curvature_json() -> str:
+    """The frame coefficient arrays of riemann() and ricci() and the
+    scalar curvature as JSON, coefficients as symbolic strings in s and r,
+    never floats."""
+    return json.dumps({
+        "riemann": coeff_json(riemann()),
+        "ricci": coeff_json(ricci()),
+        "scalar": repr(scalar_curvature()),
+    }, indent=2, sort_keys=True)
 
-    __slots__ = ("riemann", "ricci", "scalar")
 
-    def __init__(self):
-        self.riemann = riemann()
-        self.ricci = ricci()
-        self.scalar = scalar_curvature()
-
-    def as_dict(self) -> dict:
-        return {
-            "riemann": coeff_json(self.riemann),
-            "ricci": coeff_json(self.ricci),
-            "scalar": repr(self.scalar),
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
-    def to_latex(self) -> str:
-        lines = [
-            "% frame coefficients of the curvature tensors;"
-            " r = [2]_q^{1/2}, q = s^2",
-            r"\begin{align*}",
-            r"\mathrm{scal} &= %s\\" % _latex_coeff(repr(self.scalar)),
-        ]
-        for label, t in ((r"R", self.riemann), (r"\mathrm{Ric}", self.ricci)):
-            for idx, el in sorted(t.coeffs().items()):
-                sub = ",".join(str(i + 1) for i in idx)
-                lines.append(r"%s_{%s} &= %s\\" % (label, sub,
-                                                   _latex_coeff(repr(el))))
-        lines.append(r"\end{align*}")
-        return "\n".join(lines)
+def curvature_latex() -> str:
+    """The same frame coefficients and scalar curvature as a LaTeX align*
+    block."""
+    lines = [
+        "% frame coefficients of the curvature tensors;"
+        " r = [2]_q^{1/2}, q = s^2",
+        r"\begin{align*}",
+        r"\mathrm{scal} &= %s\\" % _latex_coeff(repr(scalar_curvature())),
+    ]
+    for label, t in ((r"R", riemann()), (r"\mathrm{Ric}", ricci())):
+        for idx, el in sorted(t.coeffs().items()):
+            sub = ",".join(str(i + 1) for i in idx)
+            lines.append(r"%s_{%s} &= %s\\" % (label, sub,
+                                               _latex_coeff(repr(el))))
+    lines.append(r"\end{align*}")
+    return "\n".join(lines)

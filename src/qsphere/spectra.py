@@ -36,7 +36,6 @@ positivity.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import cache
 
@@ -207,10 +206,6 @@ def spectrum(l_max, q0: float, operator: str = "D"):
         })
         l += 1
     return out
-
-
-def spectra_json(results, indent: int = 2) -> str:
-    return json.dumps(results, indent=indent)
 
 
 def spectra_table(results) -> str:

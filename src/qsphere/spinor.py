@@ -6,6 +6,11 @@ charge projectors
 
     P+ = (1-A, -B*; -B, q^2 A),      P- = (A, B*; B, 1 - q^2 A).
 
+P+ has entries t_{r,1/2} t*_{c,1/2} and is defined once, as
+``calculus.projector_entry``, for the volume form; P- = 1 - P+ has
+entries t_{r,-1/2} t*_{c,-1/2}.  This module uses neither matrix, only
+the frames below, built from the same matrix elements.
+
 A spinor is stored as the pair (plus, minus) of its chiral components, an
 ``algebra.Pair`` like one-forms and diagonal matrices, and carries a left
 action of the sphere subalgebra.  The Dirac operator is the
@@ -236,23 +241,6 @@ def weitzenbock_correction(psi: Spinor) -> Spinor:
 
 
 # ---------------------------------------------------------------------------
-# the charge projectors
-# ---------------------------------------------------------------------------
-
-
-def proj_plus():
-    """P+ as a 2x2 matrix of algebra elements, (P+)_{rc} = t_{r,1/2} t*_{c,1/2}."""
-    return tuple(tuple(spin_half(r, 1) * spin_half(c, 1).star()
-                       for c in (1, -1)) for r in (1, -1))
-
-
-def proj_minus():
-    """P- = 1 - P+, with entries t_{r,-1/2} t*_{c,-1/2}."""
-    return tuple(tuple(spin_half(r, -1) * spin_half(c, -1).star()
-                       for c in (1, -1)) for r in (1, -1))
-
-
-# ---------------------------------------------------------------------------
 # verification bundles
 # ---------------------------------------------------------------------------
 
@@ -332,8 +320,11 @@ def check_divergence():
 
 @exact_check
 def check_weitzenbock():
-    """D^2 psi - lap(psi) = W psi on the frame spinors and two products,
-    and W tends to (1/2) Id at q = 1, a quarter of the round scalar
+    """The generalised Weitzenbock formula D^2 = lap + m(sigma(C)) Phi on
+    the frame spinors and two products: D^2 psi - lap(psi) = W psi, the
+    curvature spinor Phi of psi is its closed form (q/2) diag(-q^{-1}, q)
+    psi, and its braided Clifford action m(sigma(C)) Phi is W psi.  W
+    tends to (1/2) Id at q = 1, a quarter of the round scalar
     curvature."""
     s = FRAME_SPINORS
     family = {"s(-1/2,+)": s[0], "s(1/2,+)": s[1], "s(-1/2,-)": s[2],
@@ -341,8 +332,13 @@ def check_weitzenbock():
               "Bstar s(-1/2,+) + A s(1/2,-)": SPHERE_BSTAR * s[0]
               + SPHERE_A * s[3]}
     for label, psi in family.items():
+        w_psi = weitzenbock_correction(psi)
         yield "D^2 - lap = W on %s" % label, \
-            dirac(dirac(psi)) - laplacian(psi), weitzenbock_correction(psi)
+            dirac(dirac(psi)) - laplacian(psi), w_psi
+        yield "Phi = (q/2) diag(-q^-1, q) psi on %s" % label, \
+            spinor_curvature(psi), spinor_curvature_closed_form(psi)
+        yield "m(sigma(C)) Phi = W on %s" % label, \
+            clifford_curvature_action(psi), w_psi
     # W acts entrywise, so W(1, 1) holds its two diagonal entries
     w = weitzenbock_correction(Spinor(ONE_EL, ONE_EL))
     quarter = scalar_curvature().limit_q_one()[0] / 4

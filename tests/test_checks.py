@@ -15,7 +15,7 @@ import pytest
 import qsphere
 from qsphere import algebra, calculus, cli, levicivita, spinor, tensors
 from qsphere.algebra import Verdict, exact_check
-from qsphere.coeff import ONE, q_pow
+from qsphere.coeff import ONE, q_pow, rational
 
 
 # ---------------------------------------------------------------------------
@@ -167,3 +167,35 @@ def test_a_defect_in_a_q_one_limit_is_named(monkeypatch):
     verdict = spinor.check_weitzenbock()
     assert verdict == Verdict(False, "W+ at q = 1 is scal/4",
                               Fraction(1, 2) - Fraction(3, 4))
+
+
+def _failing_cases(check, prefix):
+    """The cases of an exact check whose name starts with prefix, each
+    with whether it fails."""
+    return [(case, lhs != rhs) for case, lhs, rhs in check.__wrapped__()
+            if case.startswith(prefix)]
+
+
+def test_a_dropped_sign_in_the_left_connection_fails_hermitian(monkeypatch):
+    # the frame-sum case cannot see this: each of its halves vanishes
+    conn = levicivita.conn_left
+    monkeypatch.setattr(levicivita, "conn_left", lambda rho: -conn(rho))
+    verdict = levicivita.check_hermitian()
+    w1 = levicivita.frame()[0]
+    assert verdict == Verdict(False, "nabla<-(w1) = conn_left_direct(w1)",
+                              conn(w1).scale(rational(-2)))
+    cases = _failing_cases(levicivita.check_hermitian, "nabla<-(")
+    assert len(cases) == 5 and all(fails for _, fails in cases), cases
+
+
+def test_a_wrong_curvature_spinor_fails_weitzenbock(monkeypatch):
+    # D^2 - lap = W does not read the curvature; the new cases do
+    curv = spinor.spinor_curvature
+    monkeypatch.setattr(spinor, "spinor_curvature",
+                        lambda psi: curv(psi).scale(q_pow(1)))
+    verdict = spinor.check_weitzenbock()
+    assert not verdict
+    assert verdict.case == "Phi = (q/2) diag(-q^-1, q) psi on s(-1/2,+)"
+    for prefix in ("Phi = ", "m(sigma(C)) Phi = W on "):
+        cases = _failing_cases(spinor.check_weitzenbock, prefix)
+        assert len(cases) == 6 and all(fails for _, fails in cases), cases

@@ -33,7 +33,7 @@ def test_solve_extension_is_stable():
     v4 = state(GEN_B * GEN_C)
     state.ensure(8)
     assert state(GEN_B * GEN_C) == v4
-    assert state.solved_length == 8
+    assert state._length == 8
 
 
 def test_spin_one_matrix_elements_vanish():

@@ -14,11 +14,11 @@ from qsphere.calculus import JunkData, ext_d, sigma, volume_form
 from qsphere.coeff import ROOT_TWO_Q, q_pow, qnum, rational
 from qsphere.forms import OneForm, dee, frame, ip_right
 from qsphere.levicivita import (
-    CurvatureData, _pair_first_leg, check_bimodule_connection,
-    check_hermitian, check_torsion_free, conn_left, conn_left_direct,
-    conn_right, curvature_of, hermitian_defect, ricci, ricci_closed_form,
-    riemann, riemann_closed_form, riemann_contract, riemann_pre_projection,
-    scalar_curvature,
+    _pair_first_leg, check_bimodule_connection, check_hermitian,
+    check_torsion_free, conn_left, conn_left_direct, conn_right,
+    curvature_json, curvature_latex, curvature_of, hermitian_defect, ricci,
+    ricci_closed_form, riemann, riemann_closed_form, riemann_contract,
+    riemann_pre_projection, scalar_curvature,
 )
 from qsphere.tensors import (
     Tensor, as_scalar, diag_scalars, ip_T, metric, select, tensor,
@@ -426,28 +426,28 @@ def test_scalar_rejects_noncentral_pairing():
 
 
 # ---------------------------------------------------------------------------
-# containers and serialisation
+# serialisation
 # ---------------------------------------------------------------------------
 
 
 def test_curvature_data_serialisation():
-    data = CurvatureData()
-    assert data.scalar == scalar_curvature()
-    blob = json.loads(data.to_json())
+    exported = curvature_json()
+    blob = json.loads(exported)
     assert set(blob) == {"riemann", "ricci", "scalar"}
+    assert blob["scalar"] == repr(scalar_curvature())
     assert blob["riemann"]["legs"] == 4
     assert blob["ricci"]["legs"] == 2
     assert len(blob["ricci"]["coeffs"]) == len(ricci().coeffs())
     for key, text in blob["ricci"]["coeffs"].items():
         assert len(key.split(",")) == 2
         assert isinstance(text, str) and text
-    tex = data.to_latex()
+    tex = curvature_latex()
     assert tex.startswith("%")
     assert r"\begin{align*}" in tex and r"\end{align*}" in tex
     assert "^{-" in tex  # exponents got braced
     # the exported bytes are pinned, so that no change of route alters a
     # character of either format
-    assert hashlib.sha256(data.to_json().encode()).hexdigest() == \
+    assert hashlib.sha256(exported.encode()).hexdigest() == \
         "b4fe93ccb90c6628d0f180f23615d28f4f292620b65e62587f786dce6bece136"
     assert hashlib.sha256(tex.encode()).hexdigest() == \
         "26b7010b5acbf928bddc7da8285c3b0d529c76141681e33177fc5b1f341656af"

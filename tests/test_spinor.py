@@ -7,7 +7,7 @@ from qsphere.algebra import (
     ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR, ZERO_EL, del_e, del_f,
     spin_half,
 )
-from qsphere.calculus import sigma, volume_form
+from qsphere.calculus import projector_entry, sigma, volume_form
 from qsphere.coeff import q_pow, rational
 from qsphere.forms import OneForm, dee, frame, ip_right
 from qsphere.levicivita import conn_right
@@ -15,7 +15,7 @@ from qsphere.spinor import (
     FRAME_SPINORS, Spinor, ZERO_SP, check_compatibility, check_divergence,
     clifford, clifford_curvature_action, conn_spinor, dirac,
     dirac_commutator, frame_expand, frame_minus, frame_plus, ip_spin_left,
-    laplacian, proj_minus, proj_plus, spinor_curvature,
+    laplacian, spinor_curvature,
     spinor_curvature_closed_form, weitzenbock_correction,
 )
 from qsphere.tensors import (
@@ -288,8 +288,17 @@ def test_weitzenbock_correction_classical_limit():
 # ---------------------------------------------------------------------------
 
 
+def _projectors():
+    """P+ from calculus.projector_entry, and P- with entries
+    t_{r,-1/2} t*_{c,-1/2}, rows and columns in the order r, c = 1/2, -1/2."""
+    pp = [[projector_entry(r, c) for c in (0, 1)] for r in (0, 1)]
+    pm = [[spin_half(r, -1) * spin_half(c, -1).star() for c in (1, -1)]
+          for r in (1, -1)]
+    return pp, pm
+
+
 def test_projector_identities():
-    pp, pm = proj_plus(), proj_minus()
+    pp, pm = _projectors()
     idm = ((ONE_EL, ZERO_EL), (ZERO_EL, ONE_EL))
     for r in range(2):
         for c in range(2):
@@ -299,7 +308,7 @@ def test_projector_identities():
 
 
 def test_projector_entries_in_sphere_generators():
-    pp, pm = proj_plus(), proj_minus()
+    pp, pm = _projectors()
     assert pp[0][0] == ONE_EL - SPHERE_A
     assert pp[0][1] == SPHERE_BSTAR.scale(rational(-1))
     assert pp[1][0] == SPHERE_B.scale(rational(-1))
