@@ -24,7 +24,7 @@ a tensor as its nonzero corners (``tensors``; 1 picks a leg's plus entry):
 ``curvature`` computes the Riemann, Ricci and scalar curvature and prints
 their frame coefficients as JSON (``levicivita.curvature_json``: keys
 riemann, ricci and scalar) or LaTeX (``levicivita.curvature_latex``);
-cold, that takes about 0.7 s on 2 vCPUs.
+cold, that takes about 0.35 s on 2 vCPUs (Python 3.11).
 """
 
 from __future__ import annotations

@@ -112,22 +112,14 @@ def frame():
     [2]_q^{-1/2} and u_j = dee(t(j-2, 0)).
 
     u_1 and u_3 carry a factor r = [2]_q^{1/2} and u_2 a factor [2]_q, so
-    the r^{-1} in kappa_j cancels: w_j is integral, its reduced
-    coefficients being Laurent polynomials in s and r.  ``integral_frame``
-    holds them reduced.
+    the r^{-1} in kappa_j cancels: w_j is integral, and ``cleared`` gives
+    d = 1.  The frame is stored as that cleared form, its coefficients
+    reduced Laurent polynomials in s and r, so that products with them
+    need no gcd.
     """
     rinv = ROOT_TWO_Q.inverse()
-    return tuple(dee(spin_one(j - 2, 0)).scale(q_pow(j - 2) * rinv)
+    return tuple(cleared(dee(spin_one(j - 2, 0)).scale(q_pow(j - 2) * rinv))[1]
                  for j in (1, 2, 3))
-
-
-@functools.cache
-def integral_frame():
-    """The frame with its coefficients stored reduced, as Laurent
-    polynomials in s and r (``cleared``, with d = 1), so that products with
-    them need no gcd.  Clearing reduces the coefficients of ``frame()`` in
-    place too."""
-    return tuple(cleared(w)[1] for w in frame())
 
 
 def frame_expand_right(rho: OneForm) -> OneForm:

@@ -7,8 +7,9 @@ bimodule connection with respect to the braiding; the checks below
 certify each property on the frame and on families of module elements.
 That these properties pin the connection down uniquely is the source
 paper's theorem; it is not yet decided here.  All routes work on corners
-(see ``tensors``) except three term-list cross-checks: conn_left_direct,
-riemann_pre_projection and curvature_of.
+(see ``tensors``): the connections, conn_left_direct and
+riemann_pre_projection are built from legs, and curvature_of splices with
+``product_corners``, reading no legs of a corner-built tensor.
 
 Curvature comes out of the same frame data.  The raw bracket-product sum
 
@@ -217,16 +218,14 @@ def curvature_of(rho: OneForm) -> Tensor:
     nabla(rho) = sum_j w_j (x) dee(<w_j, rho>) to sum_j w_j (x)
     ext_d(1, <w_j, rho>), which is 0 as del_e(1) = del_f(1) = 0."""
     vf = volume_form()
-    terms = []
+    parts = []
     for w in frame():
         y = ip_right(w, rho)
         if not y.is_zero():
             b = dee(y)
-            terms.extend((u, v, b) for u, v in conn_right(w).terms)
-    out = []
-    for a, b, c in terms:
-        out.extend((a,) + pair for pair in vf.complement(tensor(b, c)).terms)
-    return Tensor(3, out).scale(rational(-1))
+            parts.extend(product_corners(u, vf.complement(tensor(v, b)))
+                         for u, v in conn_right(w).terms)
+    return -from_corners(3, sum_corners(parts))
 
 
 def riemann_closed_form() -> Tensor:

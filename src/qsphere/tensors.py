@@ -35,19 +35,24 @@ with corners (1,) -> plus, (-1,) -> minus; a tensor product over B has
 by ``Tensor.corners``); ``pair_first_legs`` and ``pair_last_legs`` pair
 into the first or last legs as above, keeping the other corner indices.
 
-Maps on corners (the braiding in ``calculus``, ``select``, ``contract_left``
-and the curvature) return tensors that keep only their corners
-(``from_corners``), and so does a sum with such a tensor.  The frame
+Every operation is a map on corners that returns a tensor keeping only its
+corners (``from_corners``), as are the braiding in ``calculus``, ``select``,
+``contract_left`` and the curvature:
+
+    (S + T)^eps = S^eps + T^eps,    (T c)^eps = T^eps c,
+    (x T)^eps = x T^eps,  (T x)^eps = T^eps x,  (T^dag)^eps = (T^{-rev eps})*,
+
+the last as dag(w) = (minus*, plus*).  Legs are an input format, taken
+only by ``Tensor(k, terms)`` and ``tensor(*legs)``.  The frame
 coefficients, read by ``coeff_json`` and the command line, are paired from
-the corners or walked from the legs; the terms of a corner-built tensor are
-its frame terms (``canonical()``).  Sums of term lists concatenate them; a
-sum of many products adds corners instead (``sum_corners``).
+the corners or walked from the legs; the terms of a corner-built tensor
+are its frame terms (``canonical()``).
 
 The walk from the legs is fraction-free, as in Bareiss elimination.  Each
 leg L of a term is cleared first: d_L L, with d_L the lcm of the reduced
 denominators of its coefficients, has Laurent polynomial coefficients
-(``forms.cleared``).  The frame is integral once reduced
-(``forms.integral_frame``), and d_L is a real central scalar, so
+(``forms.cleared``).  The frame is integral and stored reduced
+(``forms.frame``), and d_L is a real central scalar, so
 
     coeff[I] = <w_I, d_1 L_1 (x) ... (x) d_k L_k> / (d_1 ... d_k),
 
@@ -76,18 +81,16 @@ from math import prod
 
 from .algebra import MONO_ID, Element, ONE_EL, Pair, ZERO_EL
 from .coeff import ONE, Scalar, rational
-from .forms import OneForm, cleared, frame, integral_frame, ip_right
-
-_MINUS_ONE = rational(-1)
+from .forms import OneForm, cleared, frame, ip_right
 
 
 class Tensor:
     """A formal sum of simple k-fold tensors of one-forms, k in {2, 3, 4},
     or only its corners when built by ``from_corners``.
 
-    Equality, the zero test and the pairings read the corners (see the
-    module docstring); the frame coefficients (computed once) and the terms
-    of a corner-built tensor are derived views.
+    Equality, the zero test, the pairings and the operations read the
+    corners (see the module docstring); the frame coefficients (computed
+    once) and the terms of a corner-built tensor are derived views.
     """
 
     __slots__ = ("k", "_terms", "_coeffs", "_corners")
@@ -172,20 +175,23 @@ class Tensor:
             return NotImplemented
         return self.k == other.k and self.corners() == other.corners()
 
-    # -- linear structure ----------------------------------------------------
+    # -- linear structure and involution, on corners -----------------------
+
+    def _map(self, fn) -> "Tensor":
+        """The tensor with corners fn(T^eps), eps by eps."""
+        return from_corners(self.k, {eps: fn(x)
+                                     for eps, x in self.corners().items()})
 
     def __add__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
         if self.k != other.k:
             raise ValueError("cannot add tensors of different rank")
-        if self._terms is None or other._terms is None:
-            return from_corners(self.k, sum_corners((self.corners(),
-                                                     other.corners())))
-        return Tensor(self.k, self._terms + other._terms)
+        return from_corners(self.k, sum_corners((self.corners(),
+                                                 other.corners())))
 
     def __neg__(self):
-        return self.scale(_MINUS_ONE)
+        return self._map(Element.__neg__)
 
     def __sub__(self, other):
         if not isinstance(other, Tensor):
@@ -193,32 +199,24 @@ class Tensor:
         return self + (-other)
 
     def scale(self, c: Scalar) -> "Tensor":
-        return Tensor(self.k,
-                      [(term[0].scale(c),) + term[1:] for term in self.terms])
+        return self._map(lambda x: x.scale(c))
 
     def __mul__(self, other):
         """Right action of the algebra on the last leg."""
         if isinstance(other, Element):
-            return Tensor(self.k,
-                          [term[:-1] + (term[-1] * other,)
-                           for term in self.terms])
+            return self._map(lambda x: x * other)
         return NotImplemented
 
     def __rmul__(self, other):
         """Left action of the algebra on the first leg."""
         if isinstance(other, Element):
-            return Tensor(self.k,
-                          [(other * term[0],) + term[1:]
-                           for term in self.terms])
+            return self._map(lambda x: other * x)
         return NotImplemented
-
-    # -- involution ----------------------------------------------------------
 
     def dag(self) -> "Tensor":
         """Reverse the legs and dag each one."""
-        return Tensor(self.k,
-                      [tuple(leg.dag() for leg in reversed(term))
-                       for term in self.terms])
+        return from_corners(self.k, {tuple(-e for e in reversed(eps)): x.star()
+                                     for eps, x in self.corners().items()})
 
     def __repr__(self):
         if self._terms is None:
@@ -228,10 +226,10 @@ class Tensor:
 
 def _walk_term(term, out):
     """Add <w_{i_1} (x) ... (x) w_{i_k}, term> to out[I] for every I, with
-    the integral frame and the legs cleared (module docstring).  Each
-    state of the last leg is divided by prod d_L as it is produced, so the
-    3^k undivided states are never held at once."""
-    ws = integral_frame()
+    the legs cleared (module docstring).  Each state of the last leg is
+    divided by prod d_L as it is produced, so the 3^k undivided states are
+    never held at once."""
+    ws = frame()
     dens, legs = zip(*map(cleared, term))
     inv = prod(dens, start=ONE).inverse()
     states = {(): None}

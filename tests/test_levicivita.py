@@ -337,6 +337,19 @@ def test_riemann_closed_form():
     assert riemann() == riemann_closed_form()
 
 
+def test_curvature_residual_is_a_zero_corner_map(monkeypatch):
+    # the difference is taken on corners, never through the frame terms
+    r, closed = riemann(), riemann_closed_form()
+
+    def canonical(self):
+        raise AssertionError("frame terms derived")
+
+    monkeypatch.setattr(Tensor, "canonical", canonical)
+    residual = r - closed
+    assert not residual
+    assert repr(residual) == "Tensor(k=4, 0 corners)"
+
+
 def test_riemann_closed_form_other_diagonal():
     # diag(q^-2, -q^2) w^dag and w^dag diag(-q^2, q^-2) are the same form,
     # so the second displayed shape of the closed formula holds as well

@@ -236,11 +236,14 @@ def test_leg_walk_clears_any_denominators(case):
 def test_leg_walk_stays_integral(monkeypatch):
     # the workload-shaped slice -w_0 (x) c_1 (x) c_2 (x) w_2^dag, with
     # (c_1, c_2) a term of (1 - Psi)(sum_j dee(<w_0,w_j>) (x) dee(<w_j,w_2>))
+    # = alpha^{-1} C <C, mid>, spliced from a frame term of C
     ws = frame()
     mid = Tensor(2, [(dee(ip_right(ws[0], w)), dee(ip_right(w, ws[2])))
                      for w in ws])
-    c1, c2 = volume_form().complement(mid).terms[4]
-    legs = (-ws[0], c1, c2, ws[2].dag())
+    vf = volume_form()
+    c1, c2 = vf.C.terms[4]
+    legs = (-ws[0], c1.scale(vf.alpha.inverse()), c2 * ip_T(vf.C, mid),
+            ws[2].dag())
     t = tensor(*legs)
     calls = []
     real = coeff._normalise
@@ -294,6 +297,43 @@ def test_one_term_perturbation_compares_unequal(k, seed):
     assert extra.coeffs()
     assert t + extra != t
     assert (t + extra) - extra == t
+
+
+def _negated(terms):
+    return [(term[0].scale(rational(-1)),) + term[1:] for term in terms]
+
+
+@pytest.mark.parametrize("built", ["legs", "corners"])
+@pytest.mark.parametrize("k,seed", _CORNER_CASES)
+def test_linear_maps_and_dag_are_corner_maps(k, seed, built):
+    # each operation against its definition on legs, written out here; the
+    # result keeps only its corners, whichever way the inputs were built
+    t, rng = _case(k, seed)
+    s = _random_tensor(rng, k, 1)
+    x = rng.choice(_SPHERE[1:])
+    c = qnum(6).inverse()
+    legs_t, legs_s = t.terms, s.terms
+    if built == "corners":
+        t, s = from_corners(k, t.corners()), from_corners(k, s.corners())
+    cases = [
+        ("scale", t.scale(c),
+         Tensor(k, [(term[0].scale(c),) + term[1:] for term in legs_t])),
+        ("-t", -t, Tensor(k, _negated(legs_t))),
+        ("t + s", t + s, Tensor(k, legs_t + legs_s)),
+        ("t - s", t - s, Tensor(k, legs_t + _negated(legs_s))),
+        ("t * x", t * x,
+         Tensor(k, [term[:-1] + (term[-1] * x,) for term in legs_t])),
+        ("x * t", x * t,
+         Tensor(k, [(x * term[0],) + term[1:] for term in legs_t])),
+        ("dag", t.dag(),
+         Tensor(k, [tuple(leg.dag() for leg in reversed(term))
+                    for term in legs_t])),
+    ]
+    for label, got, want in cases:
+        assert want, label
+        assert got == want, label
+        assert repr(got) == "Tensor(k=%d, %d corners)" % (
+            k, len(want.corners())), label
 
 
 # ---------------------------------------------------------------------------
