@@ -161,9 +161,15 @@ class Element:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for m, e in mono_mul(m1, m2):
-                    c = c12.scale_s(e)
+                prods = mono_mul(m1, m2)
+                if len(prods) == 1:
+                    # one monomial: its s-power goes into the product
+                    (m, e), = prods
+                    terms = ((m, c1.mul_s(c2, e)),)
+                else:
+                    c12 = c1 * c2
+                    terms = [(m, c12.scale_s(e)) for m, e in prods]
+                for m, c in terms:
                     v = out.get(m)
                     if v is None:
                         out[m] = c

@@ -148,16 +148,11 @@ def ext_d_via_junk(a: Element, b: Element) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _check_proper(t: Tensor):
-    # the legs, not the corners: E21 (x) E12 has a corner of the right degree
-    if not all(leg.is_proper() for term in t.terms for leg in term):
-        raise ValueError("braiding needs genuine one-form legs")
-
-
 def _braid(t: Tensor, e: int) -> Tensor:
     """q^e on the (-,-) corner, q^{-e} on the (+,+) corner, and the mixed
     corners swapped: (-,+) gets q^{-2} T^{+-} and (+,-) gets q^2 T^{-+}."""
-    _check_proper(t)
+    if not t.is_proper():
+        raise ValueError("braiding needs genuine one-form legs")
     out = {}
     for (a, b), x in t.corners().items():
         if a == b:

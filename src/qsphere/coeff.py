@@ -36,6 +36,28 @@ run on f(t), t = s^k.  That is exact, because gcd(f(s^k), h(s^k)) =
 gcd(f, h)(s^k) (Euclid's algorithm commutes with t -> s^k), and the
 polynomials of the curvature pipeline come out 4 to 8 times shorter.
 
+Four kernels take the shapes the program makes most, each giving the
+stored form of the general arithmetic exactly:
+
+1. A unit factor shifts.  A scalar stored as +-s^k or +-r s^k over den
+   {0: 1} (every frame entry and its star) multiplies by moving the other
+   factor's exponents, negated for -1, with r (pe + pr r) = pr (s^2 +
+   s^-2) + pe r for r.  An s-power shift of a reduced scalar is reduced,
+   so over a den of more than ``_LAZY_DEN_TERMS`` terms it skips the
+   reduction the product would run.
+2. A monomial's power moves first.  ``mul_s`` folds the s-power of a PBW
+   product into the scalar product: onto the shift of a unit, else onto
+   the factor with fewer terms before the product, not after it.  The
+   inner products shift their starred factor, a frame entry on the hot
+   paths, the same way.
+3. Equal denominators add.  Two scalars with the same den dict and n add
+   their numerator dicts.
+4. A binomial divisor folds.  The remainder by b0 + bm t^m, bm = +-1, is
+   one Horner pass per residue class mod m at t^m = -b0 bm, not one long
+   division step per degree; the gcd comes out the same up to sign.  The
+   reduced denominators of the curvature pipeline, such as 1 + s^8, are
+   of this shape.
+
 ``pe``, ``pr`` and ``den`` are read-only views: a fresh {exponent:
 Fraction} dict per call, the keys in stored order.  ``tests/test_coeff.py``
 pins them for fixed and random scalars, reduced or not.  ``repr``,
@@ -107,6 +129,13 @@ def _pshift(p, k):
     return {e + k: c for e, c in p.items()}
 
 
+def _pmove(p, k, sign):
+    """p times sign * s^k, for sign = +-1."""
+    if sign > 0:
+        return _pshift(p, k)
+    return {e + k: -c for e, c in p.items()}
+
+
 def _pscale(p, f):
     if f == 1:
         return p
@@ -115,8 +144,6 @@ def _pscale(p, f):
 
 def _same(p1, n1, p2, n2):
     """Whether p1/n1 and p2/n2 are the same polynomial."""
-    if n1 == n2:
-        return p1 == p2
     return p1.keys() == p2.keys() and all(
         c * n2 == p2[e] * n1 for e, c in p1.items())
 
@@ -176,10 +203,13 @@ def _primitive(a):
 
 
 def _int_prem(a, b):
-    """Pseudo-remainder of dense integer polys, content-stripped."""
+    """Pseudo-remainder of dense integer polys, content-stripped; a
+    binomial divisor b0 + bm t^m with bm = +-1 folds (``_fold_rem``)."""
     db = len(b) - 1
     if db == 0:
         return []
+    if b[-1] in (1, -1) and not any(b[1:-1]):
+        return _fold_rem(a, b)
     r = list(a)
     lb = b[-1]
     while len(r) - 1 >= db:
@@ -195,6 +225,26 @@ def _int_prem(a, b):
         r.pop()
         while r and r[-1] == 0:
             r.pop()
+    return _primitive(r)
+
+
+def _fold_rem(a, b):
+    """The remainder of a by b = b0 + bm t^m, bm = +-1, content-stripped.
+
+    Modulo b, t^m = -b0 bm, so coefficient j < m of the remainder is
+    sum_i a[j + m i] (-b0 bm)^i: one Horner pass per residue class mod m,
+    where long division takes one step per degree.  It equals the
+    pseudo-remainder of ``_int_prem`` up to sign."""
+    m = len(b) - 1
+    z = -b[0] * b[-1]
+    r = []
+    for j in range(m):
+        v = 0
+        for c in reversed(a[j::m]):
+            v = v * z + c
+        r.append(v)
+    while r and r[-1] == 0:
+        r.pop()
     return _primitive(r)
 
 
@@ -282,6 +332,11 @@ class Scalar:
     never reach a gcd, so a computation whose inputs are first cleared of
     their denominators (``clear_denominators``) runs gcd-free and divides
     once at the end; the leg walk of ``Tensor.coeffs`` works that way.
+
+    The module docstring's four kernels sit in ``mul_s`` (a unit factor
+    shifts, and the s-power of a monomial product moves onto a unit or
+    the shorter factor), ``__add__`` (equal denominators add) and the gcd
+    (a binomial divisor folds).  ``*`` is ``mul_s`` with no s-power.
     """
 
     __slots__ = ("_pe", "_pr", "_den", "_n", "_key", "_reduced")
@@ -365,6 +420,8 @@ class Scalar:
             return other
         pe1, pr1, d1, n1 = self._pe, self._pr, self._den, self._n
         pe2, pr2, d2, n2 = other._pe, other._pr, other._den, other._n
+        if n1 == n2 and d1 == d2:  # equal denominators add
+            return _scalar(_padd(pe1, pe2), _padd(pr1, pr2), d1, n1)
         if _same(d1, n1, d2, n2):
             # one common denominator n for both numerators and the den
             n = lcm(n1, n2)
@@ -388,13 +445,38 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
+        return self.mul_s(other, 0)
+
+    def mul_s(self, other: "Scalar", e: int) -> "Scalar":
+        """self * other * s^e, stored as (self * other).scale_s(e) is.
+
+        A unit factor (``_unit``) takes no product: the other factor
+        shifts by k + e, negated for -1, and r (pe + pr r) = pr (s^2 +
+        s^-2) + pe r.  An s-power shift of a factor reduced over more than
+        ``_LAZY_DEN_TERMS`` den terms needs no new reduction.  Otherwise
+        s^e moves onto the factor with fewer terms before the product."""
         if not self or not other:
             return ZERO
-        pe1, pr1, d1 = self._pe, self._pr, self._den
-        pe2, pr2, d2 = other._pe, other._pr, other._den
-        pe = _padd(_pmul(pe1, pe2), _pmul(_RSQ, _pmul(pr1, pr2)))
-        pr = _padd(_pmul(pe1, pr2), _pmul(pr1, pe2))
-        return _scalar(pe, pr, _pmul(d1, d2), self._n * other._n)
+        unit, x = _unit(self), other
+        if unit is None:
+            unit, x = _unit(other), self
+        if unit is not None:
+            k, sign, with_r = unit
+            pe, pr = _pmove(x._pe, k + e, sign), _pmove(x._pr, k + e, sign)
+            if not with_r:
+                # reduced exactly when _scalar would reduce it
+                return _make(pe, pr, x._den, x._n,
+                             len(x._den) > _LAZY_DEN_TERMS)
+            return _scalar(_pmul(_RSQ, pr), pe, x._den, x._n)
+        a, b = self, other
+        if e:
+            if len(a._pe) + len(a._pr) <= len(b._pe) + len(b._pr):
+                a = a.scale_s(e)
+            else:
+                b = b.scale_s(e)
+        pe = _padd(_pmul(a._pe, b._pe), _pmul(_RSQ, _pmul(a._pr, b._pr)))
+        pr = _padd(_pmul(a._pe, b._pr), _pmul(a._pr, b._pe))
+        return _scalar(pe, pr, _pmul(a._den, b._den), a._n * b._n)
 
     def scale_s(self, k: int) -> "Scalar":
         """Fast multiplication by s^k."""
@@ -501,6 +583,20 @@ def _make(pe, pr, den, n, reduced):
     x = object.__new__(Scalar)
     _init(x, pe, pr, den, n, reduced)
     return x
+
+
+def _unit(x):
+    """(k, sign, r) for a nonzero x stored as sign * s^k (r False) or
+    sign * r s^k (r True) over den {0: 1} with n = 1, sign = +-1; None for
+    every other x.  A product with such a unit is a shift (``mul_s``)."""
+    pe, pr, den = x._pe, x._pr, x._den
+    if len(pe) + len(pr) != 1 or x._n != 1 or len(den) != 1 \
+            or den.get(0) != 1:
+        return None
+    (k, c), = (pe or pr).items()
+    if c != 1 and c != -1:
+        return None
+    return k, c, not pe
 
 
 def _content(pe, pr, den, n):

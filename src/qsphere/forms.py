@@ -84,14 +84,14 @@ def dee(x: Element) -> OneForm:
 
 def ip_right(x: OneForm, y: OneForm) -> Element:
     """Right inner product <x, y>: conjugate-linear in x, B-linear in y."""
-    return (x.minus.star() * y.minus).scale_s(2) + \
-        (x.plus.star() * y.plus).scale_s(-2)
+    return x.minus.star().scale_s(2) * y.minus + \
+        x.plus.star().scale_s(-2) * y.plus
 
 
 def ip_left(x: OneForm, y: OneForm) -> Element:
     """Left inner product <x, y>: B-linear in x, conjugate-linear in y."""
-    return (x.plus * y.plus.star()).scale_s(2) + \
-        (x.minus * y.minus.star()).scale_s(-2)
+    return x.plus * y.plus.star().scale_s(2) + \
+        x.minus * y.minus.star().scale_s(-2)
 
 
 def cleared(rho: OneForm):

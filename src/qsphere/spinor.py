@@ -108,8 +108,8 @@ def ip_spin_left(x: Spinor, y: Spinor) -> Element:
     are orthonormal because the t^{1/2} columns are:
     q sum_i s_{i,+}* s_{i,+} = 1 and likewise with q^{-1} on the minus side.
     """
-    return (x.plus * y.plus.star()).scale_s(2) \
-        + (x.minus * y.minus.star()).scale_s(-2)
+    return x.plus * y.plus.star().scale_s(2) \
+        + x.minus * y.minus.star().scale_s(-2)
 
 
 FRAME_SPINORS = (Spinor(plus=frame_plus(-1)), Spinor(plus=frame_plus(1)),

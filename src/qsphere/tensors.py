@@ -164,6 +164,16 @@ class Tensor:
                       for idx, c in sorted(out._coeffs.items())]
         return out
 
+    def is_proper(self) -> bool:
+        """True when the frame coefficients lie in B.  Legs are checked leg
+        by leg, since E21 (x) E12 has a corner of the right degree; a
+        corner-built tensor is proper when each corner T^eps has degree
+        2 sum eps, which is coeff(T)[I] in B by the module docstring."""
+        if self._terms is None:
+            return all(x.degrees() == {2 * sum(eps)}
+                       for eps, x in self._corners.items())
+        return all(leg.is_proper() for term in self._terms for leg in term)
+
     def is_zero(self) -> bool:
         return not self.corners()
 
@@ -295,7 +305,7 @@ def pair_first_legs(s, tc):
     f -> sum_eps q^{-sum eps} (S^eps)* T^{(eps, f)} of what is left."""
     m, sc = s.k, s.corners()
     return sum_corners(
-        {eps[m:]: (sc[eps[:m]].star() * y).scale_s(-2 * sum(eps[:m]))}
+        {eps[m:]: sc[eps[:m]].star().scale_s(-2 * sum(eps[:m])) * y}
         for eps, y in tc.items() if eps[:m] in sc)
 
 
@@ -304,7 +314,7 @@ def pair_last_legs(r, g):
     e -> sum_eps q^{sum eps} R^{(e, eps)} (g^eps)* of what is left."""
     m, gc = g.k, g.corners()
     return sum_corners(
-        {eps[:-m]: (x * gc[eps[-m:]].star()).scale_s(2 * sum(eps[-m:]))}
+        {eps[:-m]: x * gc[eps[-m:]].star().scale_s(2 * sum(eps[-m:]))}
         for eps, x in r.corners().items() if eps[-m:] in gc)
 
 

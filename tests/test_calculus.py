@@ -13,9 +13,10 @@ from qsphere.calculus import (
 )
 from qsphere.coeff import q_pow, rational, s_pow
 from qsphere.forms import E12, E21, OneForm, dee, frame, ip_right
+from qsphere.levicivita import conn_right
 from qsphere.tensors import (
-    Tensor, as_scalar, diag_scalars, e_beta, ip_T, metric, mul_map, select,
-    tensor,
+    Tensor, as_scalar, diag_scalars, e_beta, from_corners, ip_T, metric,
+    mul_map, select, tensor,
 )
 
 from metric_halves import t_mp, t_pm
@@ -278,3 +279,24 @@ def test_sigma_rejects_improper_forms():
         sigma(tensor(E12, E12))
     with pytest.raises(ValueError):
         sigma_inv(tensor(E21, OneForm(plus=ONE_EL)))
+
+
+def test_sigma_reads_the_corners_of_a_corner_built_tensor(monkeypatch):
+    # sigma(t) is built from corners; braiding it back must decide
+    # properness from those corners, with no frame expansion
+    rho = SPHERE_B * dee(SPHERE_A) * SPHERE_A
+    t = conn_right(rho)
+    calls = []
+    original = Tensor.canonical
+    monkeypatch.setattr(Tensor, "canonical",
+                        lambda self: calls.append(self) or original(self))
+    assert sigma_inv(sigma(t)) == t
+    assert calls == []
+
+
+def test_sigma_rejects_improper_corners():
+    # a (+,+) corner of degree 0 instead of 4
+    with pytest.raises(ValueError):
+        sigma(from_corners(2, {(1, 1): ONE_EL}))
+    with pytest.raises(ValueError):
+        sigma_inv(from_corners(2, {(1, -1): SPHERE_A, (-1, 1): spin_half(1, 1)}))

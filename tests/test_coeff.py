@@ -3,15 +3,16 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsphere.coeff import (
-    ONE, ROOT_TWO_Q, ZERO, Scalar, _fracs, _int_dense, _normalise, _pdiv_exact,
-    _pmul, _poly_gcd, _pshift, clear_denominators, q_pow, qnum, rational,
-    s_pow,
+    ONE, ROOT_TWO_Q, ZERO, Scalar, _fold_rem, _fracs, _int_dense, _int_prem,
+    _normalise, _pdiv_exact, _pmul, _poly_gcd, _pshift, _unit,
+    clear_denominators, q_pow, qnum, rational, s_pow,
 )
 
 
@@ -626,3 +627,208 @@ def test_clear_denominators_takes_the_lcm():
     assert clear_denominators([a, b, a * b, ROOT_TWO_Q])[0] == three * q2
     assert clear_denominators([a, a.scale_s(3), -a])[0] == three
     assert clear_denominators([])[0] == ONE
+
+
+# ---------------------------------------------------------------------------
+# the kernels for units, equal denominators and binomial divisors
+# ---------------------------------------------------------------------------
+#
+# The oracle is plain dict arithmetic on the Fraction views: each product
+# term accumulated in loop order, a key deleted when it cancels.  That is
+# the arithmetic whose stored form, key order included, the kernels keep.
+
+
+def _vadd(*ps):
+    out = {}
+    for p in ps:
+        for e, c in p.items():
+            v = out.get(e, 0) + c
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+    return out
+
+
+def _vmul(p1, p2):
+    return _vadd(*({e1 + e2: c1 * c2} for e1, c1 in p1.items()
+                   for e2, c2 in p2.items()))
+
+
+def _general_product(x, y, e=0):
+    """x * y * s^e by the formula (pe1 + pr1 r)(pe2 + pr2 r) / (d1 d2),
+    r^2 = s^2 + s^-2, from the views."""
+    rsq, se = {2: 1, -2: 1}, {e: 1}
+    pe = _vadd(_vmul(x.pe, y.pe), _vmul(rsq, _vmul(x.pr, y.pr)))
+    pr = _vadd(_vmul(x.pe, y.pr), _vmul(x.pr, y.pe))
+    return Scalar(_vmul(pe, se), _vmul(pr, se), _vmul(x.den, y.den))
+
+
+def _both_forms(x):
+    """The stored form as held, then after the reduction eval_float runs."""
+    return _stored_form(x), _stored_form(x)
+
+
+UNITS = [s_pow(k) * sign for k in range(-5, 6) for sign in (ONE, -ONE)] + \
+    [ROOT_TWO_Q.scale_s(k) * sign for k in range(-5, 6) for sign in (ONE, -ONE)]
+
+
+def _views(*xs):
+    """The stored form without eval_float, which would reduce it."""
+    return [[list(p.items()) for p in (x.pe, x.pr, x.den)] for x in xs]
+
+
+def _check_unit_product(x, u, e):
+    before = _views(x, u)
+    hexes = _stored_form(x)[3] if x._reduced else None
+    for got in (x.mul_s(u, e), u.mul_s(x, e)):
+        assert _both_forms(got) == _both_forms(_general_product(x, u, e))
+    # the operands are not touched, though a shift may share their dicts
+    assert _views(x, u) == before
+    if hexes is not None:
+        assert _stored_form(x)[3] == hexes
+
+
+def test_units_are_recognised():
+    assert all(_unit(u) is not None for u in UNITS)
+    for x in (rational(2), rational(Fraction(1, 2)), qnum(3), qnum(4),
+              s_pow(1) + ROOT_TWO_Q, ROOT_TWO_Q.inverse(),
+              Scalar({3: 1}, {}, {2: 1})):
+        assert _unit(x) is None
+    assert _unit(-ROOT_TWO_Q.scale_s(3)) == (3, -1, True)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_unit_products_match_the_general_formula(seed):
+    rng = random.Random(seed)
+    for x in _random_scalars(seed, 60):
+        if x:
+            _check_unit_product(x, rng.choice(UNITS), rng.randint(-4, 4))
+
+
+@given(scalars(), st.sampled_from(UNITS), st.integers(-4, 4),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_unit_products_keep_the_stored_form(x, u, e, reduce_first):
+    assume(x)
+    if reduce_first:
+        x._reduce()
+    _check_unit_product(x, u, e)
+
+
+def test_unit_shift_keeps_a_reduced_operand_reduced():
+    # over a den of more than _LAZY_DEN_TERMS terms the product needs no
+    # new reduction: the dicts are the operand's, shifted, in its order
+    x = (s_pow(1) + rational(Fraction(2, 3)) * ROOT_TWO_Q.scale_s(-3)) \
+        / (q_pow(2) + ONE + q_pow(-2))
+    assert x._reduced and len(x._den) > 2
+    y = x.mul_s(-s_pow(3), 2)
+    assert y._reduced
+    assert list(y.pe.items()) == [(k + 5, -c) for k, c in x.pe.items()]
+    assert list(y.pr.items()) == [(k + 5, -c) for k, c in x.pr.items()]
+    assert list(y.den.items()) == list(x.den.items())
+
+
+@given(scalars(), scalars(), st.integers(-4, 4))
+@settings(max_examples=100, deadline=None)
+def test_shifted_products_match_the_general_formula(x, y, e):
+    # no unit: s^e moves onto the factor with fewer terms first
+    assume(x and y)
+    assert _both_forms(x.mul_s(y, e)) == _both_forms(_general_product(x, y, e))
+
+
+_DENS = [qnum(6), q_pow(2) + q_pow(-2), qnum(3), ROOT_TWO_Q + ONE,
+         rational(Fraction(3, 4)) * qnum(5)]
+
+
+def _laurent(terms):
+    """sum c s^k r^j over (c, k, j) with j in {0, 1}."""
+    return sum((rational(c) * s_pow(k) * ROOT_TWO_Q ** j for c, k, j in terms),
+               ZERO)
+
+
+def _check_same_den_sum(x, y):
+    before = _views(x, y)
+    got = x + y
+    want = Scalar(_vadd(x.pe, y.pe), _vadd(x.pr, y.pr), x.den)
+    assert _both_forms(got) == _both_forms(want)
+    # the value is that of the cross formula over den1 * den2
+    assert got == Scalar(_vadd(_vmul(x.pe, y.den), _vmul(y.pe, x.den)),
+                         _vadd(_vmul(x.pr, y.den), _vmul(y.pr, x.den)),
+                         _vmul(x.den, y.den))
+    assert _views(x, y) == before
+
+
+def test_equal_denominators_add_numerators():
+    # pairs over one denominator, as the leg walk makes them: Laurent
+    # polynomials in s and r times one inverse
+    rng = random.Random(11)
+    checked = 0
+    while checked < 120:
+        inv = rng.choice(_DENS).inverse()
+        x, y = ([(rng.randint(-3, 3), rng.randint(-6, 6), rng.randint(0, 1))
+                 for _ in range(4)] for _ in range(2))
+        x, y = _laurent(x) * inv, _laurent(y) * inv
+        if x and y and x._n == y._n and x._den == y._den:
+            _check_same_den_sum(x, y)
+            checked += 1
+
+
+_TERMS = st.lists(st.tuples(st.integers(-3, 3), st.integers(-6, 6),
+                            st.integers(0, 1)), min_size=1, max_size=4)
+
+
+@given(_TERMS, _TERMS, st.sampled_from(_DENS), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_equal_denominator_sums_keep_the_stored_form(a, b, den, reduce_first):
+    inv = den.inverse()
+    x, y = _laurent(a) * inv, _laurent(b) * inv
+    if reduce_first:
+        x._reduce(), y._reduce()
+    assume(x and y and x._n == y._n and x._den == y._den)
+    _check_same_den_sum(x, y)
+
+
+def _long_rem(a, b):
+    """a mod b by long division, one step per degree, for a divisor with
+    leading coefficient +-1; content-stripped like _int_prem."""
+    r, m = list(a), len(b) - 1
+    while len(r) > m:
+        f = r.pop() * b[-1]
+        for j in range(m):
+            r[len(r) - m + j] -= f * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    g = 0
+    for v in r:
+        g = gcd(g, v)
+    return [v // g for v in r] if g > 1 else r
+
+
+@given(b0=st.integers(1, 5), neg0=st.booleans(), bm=st.sampled_from([1, -1]),
+       m=st.integers(1, 8),
+       a=st.lists(st.integers(-6, 6), min_size=1, max_size=30),
+       sparse=st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_binomial_divisor_folds_to_the_long_division(b0, neg0, bm, m, a,
+                                                     sparse):
+    # every sparse-th coefficient only, so some residue classes mod m are
+    # empty; a may be shorter than b
+    a = [c if i % sparse == 0 else 0 for i, c in enumerate(a)]
+    while a and a[-1] == 0:
+        a.pop()
+    assume(a)
+    b = [-b0 if neg0 else b0] + [0] * (m - 1) + [bm]
+    want = _long_rem(a, b)
+    for got in (_fold_rem(a, b), _int_prem(a, b)):
+        assert got in (want, [-c for c in want])
+
+
+def test_binomial_divisor_edge_cases():
+    b = [1, 0, 0, 1]  # 1 + t^3
+    assert _fold_rem([2], b) == [1]
+    assert _fold_rem([1, 0, 0, 1], b) == []
+    # 3t + 6t^4 = 3t - 6t = -3t modulo 1 + t^3
+    assert _fold_rem([0, 3, 0, 0, 6], b) == [0, -1]
+    # 5 + 2t^2 + t^6 = 14 + 2t^2 modulo 3 + t^3: the class of t is empty
+    assert _fold_rem([5, 0, 2, 0, 0, 0, 1], [3, 0, 0, 1]) == [7, 0, 1]
