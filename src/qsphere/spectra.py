@@ -23,7 +23,8 @@ found by Gaussian elimination on the component's exact Gram matrix
 (``_reduced``; a zero pivot means a singular Gram matrix and raises).
 An operator maps t'_j to a combination of the t'_i; its coefficients are
 the top-monomial coefficients of op(t'_j), and the closure
-op(t'_j) = sum_i M_ij t'_i is checked exactly (``_block_matrix``).  Both
+op(t'_j) = sum_i M_ij t'_i is checked exactly (``_block_matrix``).  D^2
+is not applied: D maps the block into itself, so its matrix is M_D^2.  Both
 are cached per process, once per spin and once per (spin, operator), so
 only the evaluation of M at q0 is paid per block.
 
@@ -52,8 +53,6 @@ _OPERATORS = ("D", "D2", "lap")
 def _op_apply(name: str, psi: Spinor) -> Spinor:
     if name == "D":
         return dirac(psi)
-    if name == "D2":
-        return dirac(dirac(psi))
     if name == "lap":
         return laplacian(psi)
     raise ValueError("unknown operator %r; pick one of %r" % (name, _OPERATORS))
@@ -127,7 +126,19 @@ def _reduced(n: int):
 def _block_matrix(n: int, operator: str):
     """The matrix M of an operator on the spin-n/2 block basis, exactly:
     op(t'_j) = sum_i M_ij t'_i, checked term by term.  Rows of scalars,
-    in the order of ``_reduced(n)``."""
+    in the order of ``_reduced(n)``.
+
+    The D^2 matrix is the square of the D matrix: the closure check of D
+    gives D(t'_i) = sum_k (M_D)_ki t'_k, so D^2(t'_j) = sum_k (M_D^2)_kj
+    t'_k.  M_D has one entry per row, so the square costs a small part of
+    applying D twice to the basis."""
+    if operator == "D2":
+        m = _block_matrix(n, "D")
+        rows = [[(k, c) for k, c in enumerate(row) if not c.is_zero()]
+                for row in m]
+        return tuple(tuple(sum((c * m[k][j] for k, c in row), ZERO)
+                           for j in range(len(m)))
+                     for row in rows)
     block = _reduced(n)
     images = {}
     columns = []

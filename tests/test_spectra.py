@@ -14,7 +14,7 @@ from qsphere.spectra import (
     SpinBlock, _block_matrix, _reduced, _row_weight, qnum_float,
     spectra_table, spectrum,
 )
-from qsphere.spinor import Spinor, ip_spin_left
+from qsphere.spinor import Spinor, dirac, ip_spin_left
 
 
 def test_smallest_block_dirac_eigenvalues():
@@ -118,6 +118,19 @@ def test_exact_block_identities(n):
         for j in range(size):
             want = defect[i] if i == j else 0
             assert m_d2[i][j] - m_lap[i][j] == want, (i, j)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_d2_block_is_dirac_applied_twice(n):
+    # the D^2 matrix is squared from the D matrix, not applied; applying
+    # D twice to each basis vector must give the same columns
+    block = _reduced(n)
+    m_d2 = _block_matrix(n, "D2")
+    for j, (_, t_j, _) in enumerate(block):
+        span = Spinor()
+        for i, (_, t_i, _) in enumerate(block):
+            span = span + t_i.scale(m_d2[i][j])
+        assert dirac(dirac(t_j)) == span, j
 
 
 @pytest.mark.parametrize("q0", [0.01, 0.3, 0.58, 0.97, 1.0])
