@@ -36,8 +36,8 @@ run on f(t), t = s^k.  That is exact, because gcd(f(s^k), h(s^k)) =
 gcd(f, h)(s^k) (Euclid's algorithm commutes with t -> s^k), and the
 polynomials of the curvature pipeline come out 4 to 8 times shorter.
 
-Four kernels take the shapes the program makes most, each giving the
-stored form of the general arithmetic exactly:
+Five kernels take the shapes the program makes most, each giving the
+value of the general arithmetic exactly:
 
 1. A unit factor shifts.  A scalar stored as +-s^k or +-r s^k over den
    {0: 1} (every frame entry and its star) multiplies by moving the other
@@ -57,6 +57,12 @@ stored form of the general arithmetic exactly:
    division step per degree; the gcd comes out the same up to sign.  The
    reduced denominators of the curvature pipeline, such as 1 + s^8, are
    of this shape.
+5. A dot product reduces once.  ``dot`` sums x_i y_i over one common
+   denominator, built from the primitive parts of the product
+   denominators with their s-powers and integer contents taken out, and
+   runs one reduction, where the sum taken term by term reduces after
+   each product and each partial sum.  Every Haar value is one
+   (``HaarState.__call__``).
 
 ``pe``, ``pr`` and ``den`` are read-only views: a fresh {exponent:
 Fraction} dict per call, the keys in stored order.  ``tests/test_coeff.py``
@@ -64,8 +70,11 @@ pins them for fixed and random scalars, reduced or not.  ``repr``,
 equality and hashing read only the reduced value.  Only ``eval_float``
 depends on dict order: it sums the reduced form in stored order, so the
 float values of the spectra's block matrices depend on that order to the
-last bit, and the kernels keep the key insertions and deletions of plain
-dict arithmetic.
+last bit.  Kernels 1 to 4 keep the stored form of plain dict arithmetic,
+key insertions and deletions included.  ``dot`` stores its sum reduced
+with ascending exponents, the order a reduction with a nontrivial gcd
+gives; for every Haar value of the spin blocks the reduced form of the
+sum taken term by term has that order too.
 """
 
 from __future__ import annotations
@@ -333,10 +342,11 @@ class Scalar:
     their denominators (``clear_denominators``) runs gcd-free and divides
     once at the end; the leg walk of ``Tensor.coeffs`` works that way.
 
-    The module docstring's four kernels sit in ``mul_s`` (a unit factor
-    shifts, and the s-power of a monomial product moves onto a unit or
-    the shorter factor), ``__add__`` (equal denominators add) and the gcd
-    (a binomial divisor folds).  ``*`` is ``mul_s`` with no s-power.
+    The module docstring's first four kernels sit in ``mul_s`` (a unit
+    factor shifts, and the s-power of a monomial product moves onto a
+    unit or the shorter factor), ``__add__`` (equal denominators add) and
+    the gcd (a binomial divisor folds); the fifth is the function
+    ``dot``.  ``*`` is ``mul_s`` with no s-power.
     """
 
     __slots__ = ("_pe", "_pr", "_den", "_n", "_key", "_reduced")
@@ -689,6 +699,71 @@ def clear_denominators(xs):
         out.append(_make(*_content(_pmul(x._pe, quot), _pmul(x._pr, quot),
                                    {0: c * lead}, c * lead), True))
     return _make(*_content(common, {}, {0: lead}, lead), True), out
+
+
+def _split(den):
+    """(lo, c, p) with den = s^lo * c * p, for p primitive, of lowest
+    exponent 0 and with a positive leading coefficient."""
+    lo = min(den)
+    c = gcd(*den.values())
+    if den[max(den)] < 0:
+        c = -c
+    return lo, c, {e - lo: v // c for e, v in den.items()}
+
+
+def _ascending(p):
+    return dict(sorted(p.items()))
+
+
+def dot(xs, ys) -> Scalar:
+    """sum(x * y for x, y in zip(xs, ys)), stored reduced, with ascending
+    exponents.
+
+    Each product's numerator and denominator are formed without a
+    reduction.  The denominators d1 d2 = s^lo c p (``_split``) go over
+    one common denominator C L: L the lcm of the primitive parts p, C
+    the lcm of the contents c, and the s-powers move into the
+    numerators.  So the sum runs ``_normalise`` once, where summing
+    product by product reduces each product and each partial sum.  The
+    operands are not touched."""
+    parts = []
+    dens = {}
+    for x, y in zip(xs, ys):
+        if not x or not y:
+            continue
+        key = (tuple(x._den.items()), tuple(y._den.items()))
+        if key not in dens:
+            lo1, c1, p1 = _split(x._den)
+            lo2, c2, p2 = _split(y._den)
+            dens[key] = lo1 + lo2, c1 * c2, _pmul(p1, p2)
+        parts.append((
+            _padd(_pmul(x._pe, y._pe), _pmul(_RSQ, _pmul(x._pr, y._pr))),
+            _padd(_pmul(x._pe, y._pr), _pmul(x._pr, y._pe)), key))
+    if not parts:
+        return ZERO
+    # the gcds and divisions run in t = s^step, as in _normalise
+    step = _step(*(p for _, _, p in dens.values()))
+    common = {0: 1}
+    for _, _, p in dens.values():
+        if len(p) > 1:
+            g = _poly_gcd(_int_dense(common, step), _int_dense(p, step))
+            common = _pmul(common,
+                           p if len(g) == 1 else _pdiv_exact(p, g, step))
+    scale = lcm(*(c for _, c, _ in dens.values()))
+    factors = {}
+    for key, (lo, c, p) in dens.items():
+        quot = _pdiv_exact(common, _int_dense(p, step), step) \
+            if len(p) > 1 else common
+        factors[key] = _pshift(_pscale(quot, scale // c), -lo)
+    pe, pr = {}, {}
+    for pe_i, pr_i, key in parts:
+        f = factors[key]
+        pe = _padd(pe, _pmul(pe_i, f))
+        pr = _padd(pr, _pmul(pr_i, f))
+    if not pe and not pr:
+        return ZERO
+    return _make(*_normalise(_ascending(pe), _ascending(pr),
+                             _ascending(_pscale(common, scale))), True)
 
 
 ZERO = _make({}, {}, {0: 1}, 1, True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 
-from .coeff import ONE, ZERO, Scalar
+from .coeff import ONE, ZERO, Scalar, dot
 from .algebra import (Element, MONO_ID, del_f, mono_degree, mono_length,
                       pbw_monomials)
 
@@ -53,15 +53,19 @@ class HaarState:
         self._length = max_length
 
     def __call__(self, x: Element) -> Scalar:
-        acc = ZERO
+        """h(x), the sum of c h(m) over the degree-zero terms c m of x,
+        as one exact dot product (``coeff.dot``): one reduction per value,
+        not one per product and per partial sum."""
+        coeffs, values = [], []
         for m, c in x.terms.items():
             if mono_degree(m) != 0:
                 continue
             n = mono_length(m)
             if n > self._length:
                 self.ensure(n + (n & 1))
-            acc = acc + c * self._table[m]
-        return acc
+            coeffs.append(c)
+            values.append(self._table[m])
+        return dot(coeffs, values)
 
 
 def _solve(max_length: int) -> dict:

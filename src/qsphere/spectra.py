@@ -37,6 +37,7 @@ positivity.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -66,10 +67,14 @@ def _half_integer(l) -> Fraction:
 
 
 def qnum_float(two_x: int, q0: float) -> float:
-    """[x]_{q0} for doubled argument, matching the symbolic convention."""
+    """[x]_{q0} for doubled argument, matching the symbolic convention.
+
+    (q^x - q^-x)/(q - q^-1) is sinh(x ln q)/sinh(ln q): the quotient of
+    differences cancels as q0 -> 1, the quotient of sinh does not."""
     if q0 == 1.0:
         return two_x / 2.0
-    return (q0 ** (two_x / 2.0) - q0 ** (-two_x / 2.0)) / (q0 - 1.0 / q0)
+    log_q = math.log(q0)
+    return math.sinh(two_x / 2.0 * log_q) / math.sinh(log_q)
 
 
 def _row_weight(m) -> int:
@@ -173,7 +178,8 @@ class SpinBlock:
     (spin, operator) met before costs only this evaluation; q0 enters
     nowhere else.  The t' are mutually orthogonal, so the matrix is the
     orthonormal-basis one up to a positive diagonal similarity, and has
-    the same eigenvalues.
+    the same eigenvalues.  Only the nonzero exact entries are evaluated;
+    the matrices have one per row, and a zero entry is +0.0 either way.
     """
 
     def __init__(self, l, q0: float, operator: str = "D"):
@@ -189,8 +195,11 @@ class SpinBlock:
 
     def _build(self):
         matrix = _block_matrix(int(2 * self.l), self.operator)
-        self.op_matrix = np.array([[c.eval_float(self.q0) for c in row]
-                                   for row in matrix])
+        self.op_matrix = np.zeros((len(matrix), len(matrix)))
+        for i, row in enumerate(matrix):
+            for j, c in enumerate(row):
+                if c:
+                    self.op_matrix[i, j] = c.eval_float(self.q0)
 
     def eigenvalues(self):
         vals = np.linalg.eigvals(self.op_matrix)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qsphere.coeff import (
     ONE, ROOT_TWO_Q, ZERO, Scalar, _fold_rem, _fracs, _int_dense, _int_prem,
     _normalise, _pdiv_exact, _pmul, _poly_gcd, _pshift, _unit,
-    clear_denominators, q_pow, qnum, rational, s_pow,
+    clear_denominators, dot, q_pow, qnum, rational, s_pow,
 )
 
 
@@ -832,3 +832,74 @@ def test_binomial_divisor_edge_cases():
     assert _fold_rem([0, 3, 0, 0, 6], b) == [0, -1]
     # 5 + 2t^2 + t^6 = 14 + 2t^2 modulo 3 + t^3: the class of t is empty
     assert _fold_rem([5, 0, 2, 0, 0, 0, 1], [3, 0, 0, 1]) == [7, 0, 1]
+
+
+# ---------------------------------------------------------------------------
+# the exact dot product
+# ---------------------------------------------------------------------------
+
+
+def _held(*xs):
+    """The stored form as held, read without reducing it."""
+    return [([list(p.items()) for p in (x._pe, x._pr, x._den)], x._n,
+             x._reduced) for x in xs]
+
+
+def _check_dot(xs, ys):
+    before = _held(*xs, *ys)
+    got = dot(xs, ys)
+    want = sum((x * y for x, y in zip(xs, ys)), ZERO)
+    assert got._reduced
+    want._reduce()
+    assert repr(got) == repr(want)
+    assert (got.pe, got.pr, got.den) == (want.pe, want.pr, want.den)
+    assert got == want
+    for view in (got.pe, got.pr, got.den):
+        assert list(view) == sorted(view)
+    assert _held(*xs, *ys) == before
+    return got
+
+
+# dens with an s-shift, a negative leading coefficient, integer content
+# n > 1, or several of these, held unreduced
+_ODD_DENS = [
+    qnum(3),  # over s^-2 - s^2
+    Scalar({1: 3}, {0: 1}, {-2: -2, 2: 2}),
+    Scalar({0: 1}, {}, {0: 2, 4: 2}),
+    Scalar({3: -5}, {-1: 2}, {-4: -3, 4: -6}),
+    rational(Fraction(-7, 4)) * qnum(5),
+]
+
+
+def test_odd_denominators_are_held_as_such():
+    assert [(min(x._den), x._den[max(x._den)] < 0) for x in _ODD_DENS[:4]] \
+        == [(-2, True), (-2, False), (0, False), (-4, True)]
+    assert _ODD_DENS[2]._den == {0: 2, 4: 2}
+    assert _ODD_DENS[3]._den == {-4: -3, 4: -6}
+    assert _ODD_DENS[4]._n > 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dot_is_the_sequential_sum(seed):
+    rng = random.Random(seed)
+    pool = _random_scalars(seed, 80) + _ODD_DENS + [ROOT_TWO_Q, ZERO]
+    for _ in range(40):
+        k = rng.randint(1, 7)
+        _check_dot(rng.sample(pool, k), rng.sample(pool, k))
+
+
+@given(st.lists(st.tuples(scalars(), scalars()), max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_dot_keeps_the_stored_form_of_the_sum(pairs):
+    _check_dot([x for x, _ in pairs], [y for _, y in pairs])
+
+
+def test_dot_edge_cases():
+    x, y = _ODD_DENS[3], qnum(6).inverse()
+    assert dot([], []) is ZERO
+    assert dot([x, ZERO], [ZERO, y]) is ZERO
+    # a sum that cancels
+    assert _check_dot([x, -x], [y, y]) is ZERO
+    assert _check_dot([x, x.scale_s(2)], [y, -y.scale_s(-2)]) is ZERO
+    # one pair is the reduced product
+    assert repr(_check_dot([x], [y])) == repr(x * y)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qsphere.algebra import (
     Element, GEN_B, GEN_C, MONO_ID, ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR,
-    del_e, del_f, pbw_monomials, spin_one,
+    del_e, del_f, mono_degree, mono_length, pbw_monomials, spin_one,
 )
 from qsphere.coeff import ONE, ZERO, q_pow, qnum, rational
 from qsphere.haar import HaarState, haar, haar_state
@@ -85,3 +85,38 @@ def test_linearity(m1, m2, e):
 
 def test_shared_state_accessor():
     assert haar_state()(ONE_EL) == ONE
+
+
+def test_values_are_the_sequential_sums_of_the_spin_reduction(monkeypatch):
+    # every Haar value the spin blocks up to l = 7/2 ask for equals the
+    # sum of c h(m) taken term by term, acc + c * h(m), in repr and in
+    # the views of the reduced form
+    import qsphere.spectra as spectra_mod
+
+    inputs = []
+
+    def recording(x):
+        inputs.append(x)
+        return haar(x)
+
+    spectra_mod._reduced.cache_clear()
+    try:
+        monkeypatch.setattr(spectra_mod, "haar", recording)
+        spectra_mod._reduced(7)
+    finally:
+        spectra_mod._reduced.cache_clear()
+    assert len(inputs) > 50
+    state = haar_state()
+    for x in inputs:
+        got = haar(x)
+        want = ZERO
+        for m, c in x.terms.items():
+            if mono_degree(m) == 0:
+                assert mono_length(m) <= state._length
+                want = want + c * state._table[m]
+        assert got._reduced
+        want._reduce()
+        assert repr(got) == repr(want)
+        # key order included, which eval_float reads
+        assert [list(v.items()) for v in (got.pe, got.pr, got.den)] == \
+            [list(v.items()) for v in (want.pe, want.pr, want.den)]

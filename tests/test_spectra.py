@@ -2,6 +2,8 @@
 values at numeric q0."""
 
 import json
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -144,6 +146,37 @@ def test_large_blocks_at_every_q0(q0):
         assert d == pytest.approx([-v] * size + [v] * size, rel=1e-8)
         d2 = SpinBlock(l, q0, "D2").eigenvalues()
         assert d2 == pytest.approx([v * v] * (2 * size), rel=1e-8)
+
+
+@pytest.mark.parametrize("q0", [0.37, 0.6, 1.0])
+def test_op_matrix_is_the_dense_evaluation(q0):
+    # only the nonzero exact entries are evaluated; every entry, the
+    # zeros included, is the float the dense evaluation gives
+    for n in range(1, 12, 2):
+        for op in ("D", "D2", "lap"):
+            got = SpinBlock(Fraction(n, 2), q0, op).op_matrix
+            dense = np.array([[c.eval_float(q0) for c in row]
+                              for row in _block_matrix(n, op)])
+            assert np.array_equal(got, dense)
+            assert got.tobytes() == dense.tobytes()
+
+
+def _qnum_reference(two_x, q0):
+    """[x]_q0 in 50 digits: with s = q0^(1/2), (s^n - s^-n)/(s - s^-1) is
+    a sum of positive powers of s, and s^2 - s^-2 = (s - s^-1)(s + s^-1)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s = Decimal(q0).sqrt()
+        powers = sum(s ** (two_x - 1 - 2 * k) for k in range(two_x))
+        return powers / (s + 1 / s)
+
+
+@pytest.mark.parametrize("q0", [0.05, 0.5, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+def test_qnum_float_keeps_its_digits_near_one(q0):
+    for two_x in range(1, 15):
+        want = _qnum_reference(two_x, q0)
+        got = qnum_float(two_x, q0)
+        assert abs((Decimal(got) - want) / want) <= Decimal("1e-12"), two_x
 
 
 def test_block_construction_errors():
