@@ -83,10 +83,11 @@ class JunkData:
         ch = chern2()
         pairing = ip_T(g, ch)
         # C = ch - e^{-beta} G <G, ch>, walked from explicit legs.  The corner
-        # route, (ch - (g * pairing).scale(eb.inverse())).canonical(), is
-        # faster, but set-up may then end before bench/speed.py takes its
-        # first 25 ms sample and the pass exits 1, as up to 6 of 40 connection
-        # and 26 of 40 curvature set-up-only passes did (2 vCPUs, Python 3.11)
+        # route, (ch - (g * pairing).scale(eb.inverse())).canonical(), builds
+        # C in 3-5 ms instead of 15-24 ms, but set-up may then end before
+        # bench/speed.py takes its first 25 ms sample and the pass exits 1,
+        # as 10 of 40 curvature and 6 of 40 connection set-up-only passes
+        # did, with a raw set-up minimum of 25.6 ms (2 vCPUs, Python 3.11)
         c = Tensor(2, ch.terms + [(w.scale(-eb.inverse()), w.dag() * pairing)
                                   for w in frame()]).canonical()
         alpha = as_scalar(ip_T(c, c))

@@ -321,7 +321,11 @@ _RSQ = {2: 1, -2: 1}
 # piles up it is cancelled right away, otherwise denominators grow
 # multiplicatively through long chains of arithmetic and the final
 # reduction becomes hopeless.  The stored form of an unreduced scalar
-# depends on this threshold.
+# depends on this threshold.  One in-process cycle of the benchmark's
+# workloads (seed 1, Python 3.11, 2 shared vCPUs; two rounds) took, for a
+# threshold of 1 / 2 / 3 / none: curvature 1.12-1.22 / 0.78-0.82 /
+# 1.18-1.26 / 1.17 s, spectra 0.38-0.55 / 0.37-0.48 / 0.35-0.43 / 16.8 s.
+# 3 is a little faster on spectra but half again slower on curvature.
 _LAZY_DEN_TERMS = 2
 
 
@@ -337,10 +341,7 @@ class Scalar:
     more than ``_LAZY_DEN_TERMS`` terms.  The intermediate scalars of a
     big tensor computation vastly outnumber the surviving ones, so
     reducing lazily is worth an order of magnitude on the curvature
-    pipeline.  Products and sums of scalars with monomial denominators
-    never reach a gcd, so a computation whose inputs are first cleared of
-    their denominators (``clear_denominators``) runs gcd-free and divides
-    once at the end; the leg walk of ``Tensor.coeffs`` works that way.
+    pipeline.
 
     The module docstring's first four kernels sit in ``mul_s`` (a unit
     factor shifts, and the s-power of a monomial product moves onto a
@@ -358,7 +359,9 @@ class Scalar:
         x = _scalar(pe, pr, den, n)
         _init(self, x._pe, x._pr, x._den, x._n, x._reduced)
 
-    def _reduce(self) -> "Scalar":
+    def reduced(self) -> "Scalar":
+        """This scalar, its storage reduced in place (``forms.frame``
+        stores its entries so); the value is unchanged."""
         if not self._reduced:
             self._pe, self._pr, self._den, self._n = _normalise(
                 self._pe, self._pr, self._den)
@@ -384,7 +387,7 @@ class Scalar:
     def _freeze(self):
         key = self._key
         if key is None:
-            self._reduce()
+            self.reduced()
             key = (
                 tuple(sorted(self._pe.items())),
                 tuple(sorted(self._pr.items())),
@@ -528,7 +531,7 @@ class Scalar:
 
         Each coefficient is the correctly rounded c / n, which is
         float(Fraction(c, n)), summed in stored order."""
-        self._reduce()
+        self.reduced()
         n = self._n
         s = q ** 0.5
         r = (q + 1.0 / q) ** 0.5
@@ -544,7 +547,7 @@ class Scalar:
         substitution is legal because scalars are kept gcd-reduced; a pole
         at q = 1 surfaces as a vanishing denominator and raises.
         """
-        self._reduce()
+        self.reduced()
         den = sum(self._den.values())
         if not den:
             raise ZeroDivisionError("pole at q = 1")
@@ -571,7 +574,7 @@ class Scalar:
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):
-        self._reduce()
+        self.reduced()
         if not self:
             return "0"
         num = self._poly_str(self._pe)
@@ -668,37 +671,6 @@ def _normalise(pe, pr, den):
             pr = _pdiv_exact(pr, g, step)
             den = _pdiv_exact(den, g, step)
     return _content(pe, pr, den, den[max(den)])
-
-
-def clear_denominators(xs):
-    """(d, [x * d for x in xs]) for d the lcm of the reduced denominators
-    of the scalars xs: a polynomial in s of lowest exponent 0 and leading
-    coefficient 1, returned as a Scalar.
-
-    Each x * d is a Laurent polynomial in s and r, stored reduced.  It is
-    x's numerator times d over x's denominator, divided exactly, so the
-    clearing costs the reduction of the xs that are not yet reduced (in
-    place, as any reading of a reduced form does) and the gcds of the lcm,
-    and no gcd per product.
-    """
-    xs = [x._reduce() for x in xs]
-    common = {0: 1}
-    for den in dict.fromkeys(tuple(sorted(x._den.items())) for x in xs
-                             if len(x._den) > 1):
-        g = _poly_gcd(_int_dense(common, 1), _int_dense(dict(den), 1))
-        common = _pmul(common, _pdiv_exact(dict(den), g, 1))
-    lead = common[max(common)]
-    if lead < 0:
-        common, lead = _pneg(common), -lead
-    out = []
-    for x in xs:
-        # x = (pe + pr r) / den = (pe + pr r) / (c p), p primitive, and
-        # x * common / lead = (pe + pr r) (common / p) / (c lead)
-        c = gcd(*x._den.values())
-        quot = _pdiv_exact(common, _int_dense(x._den, 1), 1)
-        out.append(_make(*_content(_pmul(x._pe, quot), _pmul(x._pr, quot),
-                                   {0: c * lead}, c * lead), True))
-    return _make(*_content(common, {}, {0: lead}, lead), True), out
 
 
 def _split(den):

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 
 from .algebra import Element, ONE_EL, Pair, del_e, del_f, spin_one
-from .coeff import ROOT_TWO_Q, clear_denominators, q_pow
+from .coeff import ROOT_TWO_Q, q_pow
 
 
 class OneForm(Pair):
@@ -94,17 +94,6 @@ def ip_left(x: OneForm, y: OneForm) -> Element:
         x.minus * y.minus.star().scale_s(-2)
 
 
-def cleared(rho: OneForm):
-    """(d, rho * d) for d the lcm of the reduced denominators of rho's
-    coefficients (``coeff.clear_denominators``): rho * d has Laurent
-    polynomial coefficients in s and r, stored reduced."""
-    plus, minus = rho.plus.terms, rho.minus.terms
-    d, cs = clear_denominators([*plus.values(), *minus.values()])
-    n = len(plus)
-    return d, OneForm(Element(dict(zip(plus, cs[:n]))),
-                      Element(dict(zip(minus, cs[n:]))))
-
-
 @functools.cache
 def frame():
     """The three-element right-module frame built from the vector
@@ -112,14 +101,18 @@ def frame():
     [2]_q^{-1/2} and u_j = dee(t(j-2, 0)).
 
     u_1 and u_3 carry a factor r = [2]_q^{1/2} and u_2 a factor [2]_q, so
-    the r^{-1} in kappa_j cancels: w_j is integral, and ``cleared`` gives
-    d = 1.  The frame is stored as that cleared form, its coefficients
-    reduced Laurent polynomials in s and r, so that products with them
-    need no gcd.
+    the r^{-1} in kappa_j cancels: w_j is integral.  Its coefficients are
+    stored reduced, each a unit +-s^k or +-r s^k over den 1, so that a
+    product with one is a shift (``coeff.Scalar.mul_s``).
     """
     rinv = ROOT_TWO_Q.inverse()
-    return tuple(cleared(dee(spin_one(j - 2, 0)).scale(q_pow(j - 2) * rinv))[1]
-                 for j in (1, 2, 3))
+    ws = tuple(dee(spin_one(j - 2, 0)).scale(q_pow(j - 2) * rinv)
+               for j in (1, 2, 3))
+    for w in ws:
+        for x in (w.plus, w.minus):
+            for c in x.terms.values():
+                c.reduced()
+    return ws
 
 
 def frame_expand_right(rho: OneForm) -> OneForm:

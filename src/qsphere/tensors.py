@@ -48,19 +48,10 @@ coefficients, read by ``coeff_json`` and the command line, are paired from
 the corners or walked from the legs; the terms of a corner-built tensor
 are its frame terms (``canonical()``).
 
-The walk from the legs is fraction-free, as in Bareiss elimination.  Each
-leg L of a term is cleared first: d_L L, with d_L the lcm of the reduced
-denominators of its coefficients, has Laurent polynomial coefficients
-(``forms.cleared``).  The frame is integral and stored reduced
-(``forms.frame``), and d_L is a real central scalar, so
-
-    coeff[I] = <w_I, d_1 L_1 (x) ... (x) d_k L_k> / (d_1 ... d_k),
-
-and every scalar of the walk has a monomial denominator: no product or
-sum in it reaches a gcd.  The division by d_1 ... d_k is made once per
-entry of a term, as each state of the last leg is produced: one gcd per
-output monomial.  The walk shares the partial pairing across the frame
-indices with a common prefix.
+The walk from the legs pairs each leg with the frame in turn, sharing the
+partial pairing across the frame indices with a common prefix.  The frame
+is stored reduced, each coefficient a unit (``forms.frame``), so every
+scalar product in a pairing with it is a shift.
 
 The module also provides the multiplication map m onto diagonal 2x2
 matrices (the two mixed corners of a two-tensor) and the metric two-tensor
@@ -77,11 +68,10 @@ crosses the entries, (w diag(x, y)) = (w_plus y, w_minus x).
 from __future__ import annotations
 
 import functools
-from math import prod
 
 from .algebra import MONO_ID, Element, ONE_EL, Pair, ZERO_EL
-from .coeff import ONE, Scalar, rational
-from .forms import OneForm, cleared, frame, ip_right
+from .coeff import Scalar, rational
+from .forms import OneForm, frame, ip_right
 
 
 class Tensor:
@@ -134,9 +124,8 @@ class Tensor:
         holding only the nonzero entries.
 
         From corners, coeff[I] = <w_{i_1} (x) ... (x) w_{i_k}, T>, paired
-        one first leg at a time; from legs, the fraction-free walk over the
-        terms (module docstring): the legs cleared of their denominators,
-        the integral frame, and one division per entry.
+        one first leg at a time; from legs, the walk over the terms
+        (module docstring).
         """
         if self._coeffs is None and self._terms is None:
             ws = frame()
@@ -156,9 +145,12 @@ class Tensor:
     def canonical(self) -> "Tensor":
         """Re-express through the frame: the tensor with the same corners,
         its coefficients and its frame terms w_{i_1} (x) ... (x) w_{i_k}
-        coeff[I], in sorted multi-index order, set now."""
+        coeff[I], in sorted multi-index order, set now.  Coefficients
+        already computed are read as stored, so that a wrapper of
+        ``coeffs()`` that reads ``terms`` does not re-enter itself."""
         out = from_corners(self.k, self.corners())
-        out._coeffs = self.coeffs()
+        out._coeffs = self._coeffs if self._coeffs is not None \
+            else self.coeffs()
         ws = frame()
         out._terms = [tuple(ws[i] for i in idx[:-1]) + (ws[idx[-1]] * c,)
                       for idx, c in sorted(out._coeffs.items())]
@@ -235,15 +227,10 @@ class Tensor:
 
 
 def _walk_term(term, out):
-    """Add <w_{i_1} (x) ... (x) w_{i_k}, term> to out[I] for every I, with
-    the legs cleared (module docstring).  Each state of the last leg is
-    divided by prod d_L as it is produced, so the 3^k undivided states are
-    never held at once."""
+    """Add <w_{i_1} (x) ... (x) w_{i_k}, term> to out[I] for every I."""
     ws = frame()
-    dens, legs = zip(*map(cleared, term))
-    inv = prod(dens, start=ONE).inverse()
     states = {(): None}
-    for pos, leg in enumerate(legs, 1):
+    for pos, leg in enumerate(term, 1):
         nxt = {}
         for prefix, x in states.items():
             moved = leg if x is None else x * leg
@@ -252,10 +239,9 @@ def _walk_term(term, out):
                 if y.is_zero():
                     continue
                 idx = prefix + (i,)
-                if pos < len(legs):
+                if pos < len(term):
                     nxt[idx] = y
                     continue
-                y = y.scale(inv)
                 acc = out.get(idx)
                 out[idx] = y if acc is None else acc + y
         states = nxt

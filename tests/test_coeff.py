@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from qsphere.coeff import (
     ONE, ROOT_TWO_Q, ZERO, Scalar, _fold_rem, _fracs, _int_dense, _int_prem,
-    _normalise, _pdiv_exact, _pmul, _poly_gcd, _pshift, _unit,
-    clear_denominators, dot, q_pow, qnum, rational, s_pow,
+    _normalise, _pdiv_exact, _pmul, _poly_gcd, _pshift, _unit, dot, q_pow,
+    qnum, rational, s_pow,
 )
 
 
@@ -453,7 +453,7 @@ def test_stored_form_digest_is_pinned():
 
 def _view_float(x, q):
     """x at q from the Fraction views of its reduced form."""
-    x._reduce()
+    x.reduced()
     s = q ** 0.5
     r = (q + 1.0 / q) ** 0.5
     pe = sum(float(c) * s ** e for e, c in x.pe.items())
@@ -606,30 +606,6 @@ def test_canonical_form_matches_sympy_cancel(tree):
 
 
 # ---------------------------------------------------------------------------
-# clearing denominators
-# ---------------------------------------------------------------------------
-
-@given(st.lists(scalars(), min_size=1, max_size=4))
-@settings(max_examples=40, deadline=None)
-def test_cleared_scalars_are_laurent_polynomials(xs):
-    d, cleared = clear_denominators(xs)
-    assert not d.pr and d.den == {0: 1}
-    assert min(d.pe) == 0 and d.pe[max(d.pe)] == 1
-    for x, c in zip(xs, cleared):
-        assert c == x * d
-        assert clear_denominators([c])[0] == ONE
-
-
-def test_clear_denominators_takes_the_lcm():
-    # 1/[3]_q and 1/(q^2 + q^-2) are over 1 + s^4 + s^8 and 1 + s^8
-    a, b = qnum(6).inverse(), (q_pow(2) + q_pow(-2)).inverse()
-    three, q2 = Scalar({0: 1, 4: 1, 8: 1}), Scalar({0: 1, 8: 1})
-    assert clear_denominators([a, b, a * b, ROOT_TWO_Q])[0] == three * q2
-    assert clear_denominators([a, a.scale_s(3), -a])[0] == three
-    assert clear_denominators([])[0] == ONE
-
-
-# ---------------------------------------------------------------------------
 # the kernels for units, equal denominators and binomial divisors
 # ---------------------------------------------------------------------------
 #
@@ -712,7 +688,7 @@ def test_unit_products_match_the_general_formula(seed):
 def test_unit_products_keep_the_stored_form(x, u, e, reduce_first):
     assume(x)
     if reduce_first:
-        x._reduce()
+        x.reduced()
     _check_unit_product(x, u, e)
 
 
@@ -784,7 +760,7 @@ def test_equal_denominator_sums_keep_the_stored_form(a, b, den, reduce_first):
     inv = den.inverse()
     x, y = _laurent(a) * inv, _laurent(b) * inv
     if reduce_first:
-        x._reduce(), y._reduce()
+        x.reduced(), y.reduced()
     assume(x and y and x._n == y._n and x._den == y._den)
     _check_same_den_sum(x, y)
 
@@ -850,7 +826,7 @@ def _check_dot(xs, ys):
     got = dot(xs, ys)
     want = sum((x * y for x, y in zip(xs, ys)), ZERO)
     assert got._reduced
-    want._reduce()
+    want.reduced()
     assert repr(got) == repr(want)
     assert (got.pe, got.pr, got.den) == (want.pe, want.pr, want.den)
     assert got == want

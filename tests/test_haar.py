@@ -115,7 +115,7 @@ def test_values_are_the_sequential_sums_of_the_spin_reduction(monkeypatch):
                 assert mono_length(m) <= state._length
                 want = want + c * state._table[m]
         assert got._reduced
-        want._reduce()
+        want.reduced()
         assert repr(got) == repr(want)
         # key order included, which eval_float reads
         assert [list(v.items()) for v in (got.pe, got.pr, got.den)] == \

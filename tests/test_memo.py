@@ -8,9 +8,9 @@ import inspect
 import pkgutil
 
 import qsphere
-from qsphere import (algebra, calculus, forms, haar, levicivita, spectra, spinor,
-                     tensors)
-from qsphere.coeff import ONE, ROOT_TWO_Q, q_pow
+from qsphere import (algebra, calculus, coeff, forms, haar, levicivita, spectra,
+                     spinor, tensors)
+from qsphere.coeff import ROOT_TWO_Q, q_pow
 
 MEMOISED = [
     algebra._cross_pow, algebra.mono_mul, algebra._mono_del, algebra.spin_one,
@@ -42,8 +42,19 @@ def test_every_memoised_entry_point_can_be_cleared():
         assert callable(getattr(fn, "cache_info", None)), fn
 
 
+def _assert_frame_is_stored_as_units(ws):
+    # every coefficient reduced to +-s^k or +-r s^k over den 1, the shape
+    # that coeff._unit turns into a shift
+    for w in ws:
+        for x in (w.plus, w.minus):
+            for c in x.terms.values():
+                assert c._reduced and c._n == 1 and c._den == {0: 1}
+                assert coeff._unit(c) is not None
+
+
 def test_clearing_every_memo_rebuilds_the_same_objects():
     ws = forms.frame()
+    _assert_frame_is_stored_as_units(ws)
     c_terms = repr(calculus.volume_form().C.terms)
     assert len(calculus.volume_form().C.terms) == 9
     for fn in MEMOISED:
@@ -54,11 +65,11 @@ def test_clearing_every_memo_rebuilds_the_same_objects():
     fresh = forms.frame()
     assert fresh is not ws and fresh == ws
     # w_j = kappa_j u_j, kappa_j = q^{j-2} [2]_q^{-1/2}, u_j = dee(t(j-2, 0));
-    # the fresh frame is integral, with Laurent polynomial coefficients
+    # the fresh frame is integral, stored as units again
     kappa = [q_pow(j - 2) * ROOT_TWO_Q.inverse() for j in (1, 2, 3)]
     for j, w in enumerate(fresh):
         assert w == forms.dee(algebra.spin_one(j - 1, 0)).scale(kappa[j])
-        assert forms.cleared(w)[0] == ONE
+    _assert_frame_is_stored_as_units(fresh)
     assert repr(vf.C.terms) == c_terms
     # the rebuilt objects refer to each other, not to the cleared ones
     assert vf.G is tensors.metric()
