@@ -35,7 +35,8 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .coeff import ONE, ROOT_TWO_Q, Scalar, q_pow, qnum, rational, s_pow
+from .coeff import (ONE, ROOT_TWO_Q, Scalar, accumulate, q_pow, qnum,
+                    rational, s_pow)
 
 # monomial: (branch, i, j, k); branch 0 = a^i b^j c^k, branch 1 = d^i b^j c^k
 MONO_ID = (0, 0, 0, 0)
@@ -136,18 +137,7 @@ class Element:
         return self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m)
-            if v is None:
-                out[m] = c
-            else:
-                v = v + c
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return Element(out)
+        return Element(accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return Element({m: -c for m, c in self.terms.items()})
@@ -158,28 +148,18 @@ class Element:
     def __mul__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        out = {}
+        terms = []
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 prods = mono_mul(m1, m2)
                 if len(prods) == 1:
                     # one monomial: its s-power goes into the product
                     (m, e), = prods
-                    terms = ((m, c1.mul_s(c2, e)),)
+                    terms.append((m, c1.mul_s(c2, e)))
                 else:
                     c12 = c1 * c2
-                    terms = [(m, c12.scale_s(e)) for m, e in prods]
-                for m, c in terms:
-                    v = out.get(m)
-                    if v is None:
-                        out[m] = c
-                    else:
-                        v = v + c
-                        if v:
-                            out[m] = v
-                        else:
-                            del out[m]
-        return Element(out)
+                    terms += [(m, c12.scale_s(e)) for m, e in prods]
+        return Element(accumulate({}, terms))
 
     def scale(self, c: Scalar) -> "Element":
         if c.is_zero():
@@ -192,15 +172,14 @@ class Element:
         return Element({m: v.scale_s(e) for m, v in self.terms.items()})
 
     def star(self) -> "Element":
+        """Term by term: ``mono_star`` is one-to-one, so no two terms
+        merge."""
         out = {}
         for m, c in self.terms.items():
             sm, sign, e = mono_star(m)
             v = c.scale_s(e)
-            if sign < 0:
-                v = -v
-            prev = out.get(sm)
-            out[sm] = v if prev is None else prev + v
-        return Element({m: c for m, c in out.items() if c})
+            out[sm] = v if sign > 0 else -v
+        return Element(out)
 
     # -- grading ------------------------------------------------------------
 
@@ -350,40 +329,17 @@ def _mono_del(m, which):
     hit = _DEL_LETTER[which].get(letter)
     if hit is not None:
         rdeg = mono_degree(rest)
-        for mm, e in mono_mul(hit, rest):
-            c = s_pow(e + rdeg)
-            prev = out.get(mm)
-            out[mm] = c if prev is None else prev + c
-    for mm, c in _mono_del(rest, which).items():
-        for mmm, e in mono_mul(letter, mm):
-            v = c.scale_s(e - ldeg)
-            prev = out.get(mmm)
-            if prev is None:
-                out[mmm] = v
-            else:
-                prev = prev + v
-                if prev:
-                    out[mmm] = prev
-                else:
-                    del out[mmm]
-    return {mm: c for mm, c in out.items() if c}
+        accumulate(out, ((mm, s_pow(e + rdeg))
+                         for mm, e in mono_mul(hit, rest)))
+    return accumulate(out, ((mmm, c.scale_s(e - ldeg))
+                            for mm, c in _mono_del(rest, which).items()
+                            for mmm, e in mono_mul(letter, mm)))
 
 
 def _apply_del(x: Element, which) -> Element:
-    out = {}
-    for m, c in x.terms.items():
-        for mm, d in _mono_del(m, which).items():
-            v = c * d
-            prev = out.get(mm)
-            if prev is None:
-                out[mm] = v
-            else:
-                prev = prev + v
-                if prev:
-                    out[mm] = prev
-                else:
-                    del out[mm]
-    return Element(out)
+    return Element(accumulate({}, ((mm, c * d)
+                                   for m, c in x.terms.items()
+                                   for mm, d in _mono_del(m, which).items())))
 
 
 def del_e(x: Element) -> Element:

@@ -1,4 +1,4 @@
-"""The Haar state on the sphere subalgebra, by linear solve.
+"""The Haar state on the sphere subalgebra, by forward substitution.
 
 The invariant state h kills every component of nonzero circle degree, so it
 is determined by its values on degree-zero normal-form monomials.  Rather
@@ -6,11 +6,14 @@ than hardcoding known values, we solve the finite linear system
 
     h(1) = 1,      h(del_f(y)) = 0   for every degree +2 monomial y
 
-over monomials of bounded length, by exact Gaussian elimination in the
-coefficient field.  Invariance under del_f (together with the degree grading)
-pins the state completely: the system has a unique solution at every length
-we use, and the solver raises if a requested length ever turns out
-inconsistent or underdetermined instead of silently guessing.
+over monomials of bounded length, exactly in the coefficient field.  Taken
+in order, the system is triangular: each constraint has at most one unknown
+left once the values already found are substituted, at every length through
+40, so each constraint decides one value by forward substitution.
+Invariance under del_f (together with the degree grading) pins the state
+completely, and the solver raises if a requested length ever leaves a
+constraint with two unknowns, or turns out inconsistent or underdetermined,
+instead of silently guessing.
 
 Invariance under del_e is not imposed; it comes out as a theorem and is
 checked in the tests.  So is h(t^1_{m j}) = 0 and the ladder
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import functools
 
-from .coeff import ONE, ZERO, Scalar, dot
+from .coeff import ONE, ZERO, Scalar, accumulate, dot
 from .algebra import (Element, MONO_ID, del_f, mono_degree, mono_length,
                       pbw_monomials)
 
@@ -33,8 +36,9 @@ class HaarState:
     """Values of h on degree-zero monomials, solved on demand.
 
     The table is extended two length steps at a time; each extension re-runs
-    the elimination at the larger bound and must restrict to the table
-    already stored (asserted), so earlier answers never change.
+    the forward substitution (``_solve``) at the larger bound and must
+    restrict to the table already stored (asserted), so earlier answers
+    never change.
     """
 
     def __init__(self):
@@ -69,69 +73,49 @@ class HaarState:
 
 
 def _solve(max_length: int) -> dict:
-    """Exact elimination for the constraint system at one length bound."""
+    """The state table at one length bound, by forward substitution.
+
+    The rows are taken in order, h(1) = 1 first, then h(del_f(y)) = 0 in
+    the order of ``pbw_monomials``.  Each row has at most one unknown left
+    once the values already decided are substituted, and decides it: at
+    every length through 40, so the system is triangular in this order.
+    A row that leaves two or more unknowns, an inconsistent row, or an
+    unknown that no row decides raises ``ArithmeticError``."""
     unknowns = pbw_monomials(max_length, 0)
     index = {m: i for i, m in enumerate(unknowns)}
 
     rows = [({index[MONO_ID]: ONE}, ONE)]
     for y in pbw_monomials(max_length, 2):
+        # del_f preserves length and lowers degree by two, so the support
+        # stays inside the unknown set
         img = del_f(Element.from_mono(y))
-        row = {}
-        for m, c in img.terms.items():
-            # del_f preserves length and lowers degree by two, so the
-            # support stays inside the unknown set
-            row[index[m]] = row.get(index[m], ZERO) + c
-        row = {i: c for i, c in row.items() if not c.is_zero()}
+        row = accumulate({}, ((index[m], c) for m, c in img.terms.items()))
         if row:
             rows.append((row, ZERO))
 
-    # forward elimination with pivot bookkeeping
-    pivots = {}
-    for row, val in rows:
-        row = dict(row)
-        for col in sorted(row):
-            hit = pivots.get(col)
-            if hit is None:
-                continue
-            prow, pval = hit
-            c = row.pop(col)
-            for c2, v2 in prow.items():
-                if c2 == col:
-                    continue
-                row[c2] = row.get(c2, ZERO) - v2 * c
-            val = val - pval * c
-        row = {c: v for c, v in row.items() if not v.is_zero()}
-        if not row:
-            if not val.is_zero():
-                raise ArithmeticError(
-                    "inconsistent invariance constraints at length %d"
-                    % max_length)
-            continue
-        col = min(row)
-        inv = row[col].inverse()
-        row = {c: v * inv for c, v in row.items()}
-        val = val * inv
-        pivots[col] = (row, val)
-
-    # back substitution, highest pivot column first
     values = {}
-    for col in sorted(pivots, reverse=True):
-        prow, pval = pivots[col]
-        acc = pval
-        for c2, v2 in prow.items():
-            if c2 == col:
-                continue
-            if c2 not in values:
-                raise ArithmeticError(
-                    "underdetermined invariance system at length %d"
-                    % max_length)
-            acc = acc - v2 * values[c2]
-        values[col] = acc
+    for row, val in rows:
+        left = []
+        for col in sorted(row):
+            if col in values:
+                val = val - values[col] * row[col]
+            else:
+                left.append(col)
+        if len(left) > 1:
+            raise ArithmeticError(
+                "%d unknowns left in one invariance constraint at length %d"
+                % (len(left), max_length))
+        if left:
+            values[left[0]] = val * row[left[0]].inverse()
+        elif not val.is_zero():
+            raise ArithmeticError(
+                "inconsistent invariance constraints at length %d"
+                % max_length)
 
     if len(values) != len(unknowns):
         raise ArithmeticError(
             "underdetermined invariance system at length %d" % max_length)
-    return {unknowns[i]: values[i] for i in range(len(unknowns))}
+    return {m: values[i] for i, m in enumerate(unknowns)}
 
 
 @functools.cache

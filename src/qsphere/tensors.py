@@ -68,9 +68,10 @@ crosses the entries, (w diag(x, y)) = (w_plus y, w_minus x).
 from __future__ import annotations
 
 import functools
+from itertools import chain
 
 from .algebra import MONO_ID, Element, ONE_EL, Pair, ZERO_EL
-from .coeff import Scalar, rational
+from .coeff import Scalar, accumulate, rational
 from .forms import OneForm, frame, ip_right
 
 
@@ -139,7 +140,7 @@ class Tensor:
             out = {}
             for term in self._terms:
                 _walk_term(term, out)
-            self._coeffs = {i: x for i, x in out.items() if not x.is_zero()}
+            self._coeffs = out
         return self._coeffs
 
     def canonical(self) -> "Tensor":
@@ -227,24 +228,20 @@ class Tensor:
 
 
 def _walk_term(term, out):
-    """Add <w_{i_1} (x) ... (x) w_{i_k}, term> to out[I] for every I."""
+    """Add <w_{i_1} (x) ... (x) w_{i_k}, term> to out[I] for every I
+    (``accumulate``)."""
     ws = frame()
     states = {(): None}
-    for pos, leg in enumerate(term, 1):
+    for leg in term:
         nxt = {}
         for prefix, x in states.items():
             moved = leg if x is None else x * leg
             for i, w in enumerate(ws):
                 y = ip_right(w, moved)
-                if y.is_zero():
-                    continue
-                idx = prefix + (i,)
-                if pos < len(term):
-                    nxt[idx] = y
-                    continue
-                acc = out.get(idx)
-                out[idx] = y if acc is None else acc + y
+                if not y.is_zero():
+                    nxt[prefix + (i,)] = y
         states = nxt
+    accumulate(out, states.items())
 
 
 def tensor(*legs) -> Tensor:
@@ -272,13 +269,9 @@ def product_corners(*factors):
 
 def sum_corners(parts):
     """The entrywise sum of corner dicts, holding only the nonzero
-    entries."""
-    out = {}
-    for part in parts:
-        for eps, x in part.items():
-            acc = out.get(eps)
-            out[eps] = x if acc is None else acc + x
-    return {eps: x for eps, x in out.items() if not x.is_zero()}
+    entries (``accumulate``)."""
+    return accumulate({}, chain.from_iterable(part.items()
+                                              for part in parts))
 
 
 # ---------------------------------------------------------------------------

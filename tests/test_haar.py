@@ -1,4 +1,7 @@
-"""The Haar state: linear-solve construction, invariance, known ladder."""
+"""The Haar state: forward-substitution construction, invariance, known
+ladder."""
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +11,7 @@ from qsphere.algebra import (
     del_e, del_f, mono_degree, mono_length, pbw_monomials, spin_one,
 )
 from qsphere.coeff import ONE, ZERO, q_pow, qnum, rational
-from qsphere.haar import HaarState, haar, haar_state
+from qsphere.haar import HaarState, _solve, haar, haar_state
 
 
 def test_normalisation_and_degree_kill():
@@ -34,6 +37,42 @@ def test_solve_extension_is_stable():
     state.ensure(8)
     assert state(GEN_B * GEN_C) == v4
     assert state._length == 8
+
+
+def test_solve_restricts_to_the_shorter_table():
+    # one more length step keeps every value, key order and storage too
+    short, long = _solve(28), _solve(30)
+    assert list(long)[:len(short)] == list(short)
+    for m, v in short.items():
+        assert long[m] == v
+        assert [list(p.items()) for p in (long[m].pe, long[m].pr,
+                                          long[m].den)] == \
+            [list(p.items()) for p in (v.pe, v.pr, v.den)]
+
+
+def test_solve_stored_form_is_pinned():
+    # a SHA-256 prefix over the table at length 26, key order included
+    h = hashlib.sha256()
+    for m, v in _solve(26).items():
+        h.update(repr((m, [list(p.items()) for p in (v.pe, v.pr, v.den)]))
+                 .encode())
+    assert h.hexdigest()[:16] == "e2486af1e3df3c5b"
+
+
+@pytest.mark.parametrize("image, message", [
+    # a constraint with two unknowns left: the solve is not triangular
+    (lambda x: Element({(0, 0, 1, 1): ONE, (0, 0, 2, 2): ONE}),
+     "2 unknowns left in one invariance constraint at length 4"),
+    # h(1) = 0 against h(1) = 1
+    (lambda x: ONE_EL, "inconsistent invariance constraints at length 4"),
+    # no constraint but h(1) = 1
+    (lambda x: Element(), "underdetermined invariance system at length 4"),
+])
+def test_solve_raises_naming_the_length(monkeypatch, image, message):
+    import qsphere.haar as haar_mod
+    monkeypatch.setattr(haar_mod, "del_f", image)
+    with pytest.raises(ArithmeticError, match=message):
+        _solve(4)
 
 
 def test_spin_one_matrix_elements_vanish():

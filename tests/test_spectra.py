@@ -1,6 +1,7 @@
 """Spectra on total-spin blocks: the exact block matrices in K and their
 values at numeric q0."""
 
+import hashlib
 import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -320,3 +321,18 @@ def test_cli_curvature_formats(capsys):
         assert capsys.readouterr().out == want + "\n"
     with pytest.raises(SystemExit):
         cli.main(["curvature", "--json", "--latex"])
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--l-max", "7/2", "--operator", "lap"],
+     "ffe44dfbf42738cda56f6a8c3a2aab9aa8e5cec2d707795be5df6199aa037c15"),
+    (["--l-max", "11/2", "--operator", "D"],
+     "d6b1917d98c4c37dbba7ce97e0602e3296818dba649e52abc1de448b8705e28d"),
+])
+def test_cli_spectra_json_bytes_are_pinned(argv, digest, capsys):
+    # the float eigenvalues read the key order of the stored scalars
+    # (coeff.accumulate), so this pins that order to the last bit
+    from qsphere.cli import main
+    assert main(["spectra", *argv, "--q", "0.6", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
