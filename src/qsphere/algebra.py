@@ -365,11 +365,13 @@ def del_k(x: Element, power: int = 1) -> Element:
 # ---------------------------------------------------------------------------
 
 
+_SPIN_HALF = {(-1, -1): GEN_A, (-1, 1): GEN_B, (1, -1): GEN_C, (1, 1): GEN_D}
+
+
 def spin_half(i2: int, j2: int) -> Element:
     """Matrix element of the defining corepresentation; indices are doubled,
     so (i2, j2) ranges over {-1, +1}^2 and spin_half(-1, -1) = a."""
-    table = {(-1, -1): GEN_A, (-1, 1): GEN_B, (1, -1): GEN_C, (1, 1): GEN_D}
-    return table[(i2, j2)]
+    return _SPIN_HALF[(i2, j2)]
 
 
 @functools.cache
@@ -461,9 +463,8 @@ def pbw_monomials(max_length: int, degree: int | None = None):
 # ---------------------------------------------------------------------------
 
 _NAMED = {
-    "a": lambda: GEN_A, "b": lambda: GEN_B, "c": lambda: GEN_C,
-    "d": lambda: GEN_D, "A": lambda: SPHERE_A, "B": lambda: SPHERE_B,
-    "Bstar": lambda: SPHERE_BSTAR, "Bs": lambda: SPHERE_BSTAR,
+    "a": GEN_A, "b": GEN_B, "c": GEN_C, "d": GEN_D, "A": SPHERE_A,
+    "B": SPHERE_B, "Bstar": SPHERE_BSTAR, "Bs": SPHERE_BSTAR,
 }
 
 
@@ -562,7 +563,7 @@ def parse(text: str) -> Element:
         elif tok == "r":
             return Element.scalar(ROOT_TWO_Q ** parse_exponent())
         elif tok in _NAMED:
-            base = _NAMED[tok]()
+            base = _NAMED[tok]
         elif tok is not None and tok[0].isdigit():
             return Element.scalar(rational(tok) ** parse_exponent())
         else:

@@ -41,7 +41,7 @@ from .levicivita import (
     check_scalar_curvature, check_torsion_free, curvature_json,
     curvature_latex,
 )
-from .spectra import spectra_table, spectrum
+from .spectra import _OPERATORS, spectra_table, spectrum
 from .spinor import check_compatibility, check_divergence, check_weitzenbock
 from .tensors import Tensor
 
@@ -109,7 +109,7 @@ def _parser() -> argparse.ArgumentParser:
                         "5/2 (default 3/2)")
     p.add_argument("--q", type=float, default=0.5,
                    help="the parameter q0 in (0, 1] (default 0.5)")
-    p.add_argument("--operator", choices=("D", "D2", "lap"), default="D",
+    p.add_argument("--operator", choices=_OPERATORS, default="D",
                    help="Dirac operator, its square or the spinor laplacian")
     p.add_argument("--json", action="store_true", help="print JSON")
     p.set_defaults(run=_spectra)

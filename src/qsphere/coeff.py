@@ -36,29 +36,27 @@ run on f(t), t = s^k.  That is exact, because gcd(f(s^k), h(s^k)) =
 gcd(f, h)(s^k) (Euclid's algorithm commutes with t -> s^k), and the
 polynomials of the curvature pipeline come out 4 to 8 times shorter.
 
-Five kernels take the shapes the program makes most, each giving the
-value of the general arithmetic exactly:
+Four kernels take the shapes the program makes most, each giving the
+value of the general arithmetic exactly, and each kept because the
+benchmark workload named with it is slower without it:
 
-1. A unit factor shifts.  A scalar stored as +-s^k or +-r s^k over den
-   {0: 1} (every frame entry and its star) multiplies by moving the other
-   factor's exponents, negated for -1, with r (pe + pr r) = pr (s^2 +
-   s^-2) + pe r for r.  An s-power shift of a reduced scalar is reduced,
-   so over a den of more than ``_LAZY_DEN_TERMS`` terms it skips the
-   reduction the product would run.
-2. A monomial's power moves first.  ``mul_s`` folds the s-power of a PBW
-   product into the scalar product: onto the shift of a unit, else onto
-   the factor with fewer terms before the product, not after it.  The
-   inner products shift their starred factor, a frame entry on the hot
-   paths, the same way.
-3. Equal denominators add.  Two scalars with the same den dict and n add
-   their numerator dicts.
-4. A binomial divisor folds.  The remainder by b0 + bm t^m, bm = +-1, is
-   one Horner pass per residue class mod m at t^m = -b0 bm, not one long
-   division step per degree; the gcd comes out the same up to sign.  The
-   reduced denominators of the curvature pipeline, such as 1 + s^8, are
-   of this shape.
-5. A dot product reduces once.  ``dot`` sums x_i y_i over one common
-   denominator, built from the primitive parts of the product
+1. A unit factor shifts (curvature, connection, spectra).  A scalar
+   stored as +-s^k or +-r s^k over den {0: 1} (every frame entry and its
+   star) multiplies by moving the other factor's exponents, negated for
+   -1, with r (pe + pr r) = pr (s^2 + s^-2) + pe r for r.  The s-power
+   of a PBW product (``mul_s``) joins the shift.  An s-power shift of a
+   reduced scalar is reduced, so over a den of more than
+   ``_LAZY_DEN_TERMS`` terms it skips the reduction the product would
+   run.
+2. Equal denominators add (curvature, connection).  Two scalars with the
+   same den dict and n add their numerator dicts.
+3. A binomial divisor folds (curvature).  The remainder by b0 + bm t^m,
+   bm = +-1, is one Horner pass per residue class mod m at t^m = -b0 bm,
+   not one long division step per degree; the gcd comes out the same up
+   to sign.  The reduced denominators of the curvature pipeline, such as
+   1 + s^8, are of this shape.
+4. A dot product reduces once (spectra).  ``dot`` sums x_i y_i over one
+   common denominator, built from the primitive parts of the product
    denominators with their s-powers and integer contents taken out, and
    runs one reduction, where the sum taken term by term reduces after
    each product and each partial sum.  Every Haar value is one
@@ -71,7 +69,7 @@ equality and hashing read only the reduced value.  Only ``eval_float``
 depends on dict order: it sums the reduced form in stored order, so the
 float values of the spectra's block matrices depend on that order to the
 last bit.  Every sparse sum of the package, of polynomials, elements,
-corners or frame coefficients, follows ``accumulate``, and kernels 1 to 4
+corners or frame coefficients, follows ``accumulate``, and kernels 1 to 3
 keep its stored form, key insertions and deletions included.  ``dot``
 stores its sum reduced with ascending exponents, the order a reduction
 with a nontrivial gcd gives; for every Haar value of the spin blocks the
@@ -201,16 +199,20 @@ def _step(*ps):
     return k
 
 
-def _int_dense(p, step):
-    """Int Laurent dict s^lo * f(s^step) -> primitive dense list of the
-    coefficients of f from the constant term up.  s is a unit in the
-    Laurent ring and the content is a unit over Q, so neither changes a
-    gcd."""
+def _dense(p, step):
+    """Int Laurent dict s^lo * f(s^step) -> dense list of the coefficients
+    of f from the constant term up; its last entry is nonzero."""
     lo = min(p)
     out = [0] * ((max(p) - lo) // step + 1)
     for e, c in p.items():
         out[(e - lo) // step] = c
-    return _primitive(out)
+    return out
+
+
+def _int_dense(p, step):
+    """``_dense``, content-stripped.  s is a unit in the Laurent ring and
+    the content is a unit over Q, so neither changes a gcd."""
+    return _primitive(_dense(p, step))
 
 
 def _primitive(a):
@@ -224,7 +226,10 @@ def _primitive(a):
 
 def _int_prem(a, b):
     """Pseudo-remainder of dense integer polys, content-stripped; a
-    binomial divisor b0 + bm t^m with bm = +-1 folds (``_fold_rem``)."""
+    binomial divisor b0 + bm t^m with bm = +-1 folds (``_fold_rem``).
+
+    a's last entry is nonzero, as every dense list of this module has it,
+    so each step cancels the leading term."""
     db = len(b) - 1
     if db == 0:
         return []
@@ -233,9 +238,6 @@ def _int_prem(a, b):
     r = list(a)
     lb = b[-1]
     while len(r) - 1 >= db:
-        if r[-1] == 0:
-            r.pop()
-            continue
         f = r[-1]
         if lb != 1:
             r = [lb * c for c in r]
@@ -295,9 +297,7 @@ def _pdiv_exact(p, g, step):
     if not p:
         return {}
     shift = min(p)
-    num = [0] * ((max(p) - shift) // step + 1)
-    for e, c in p.items():
-        num[(e - shift) // step] = c
+    num = _dense(p, step)
     dn = len(g) - 1
     lead = g[dn]
     if len(num) <= dn:
@@ -354,11 +354,11 @@ class Scalar:
     reducing lazily is worth an order of magnitude on the curvature
     pipeline.
 
-    The module docstring's first four kernels sit in ``mul_s`` (a unit
-    factor shifts, and the s-power of a monomial product moves onto a
-    unit or the shorter factor), ``__add__`` (equal denominators add) and
-    the gcd (a binomial divisor folds); the fifth is the function
-    ``dot``.  ``*`` is ``mul_s`` with no s-power.
+    The module docstring's first three kernels sit in ``mul_s`` (a unit
+    factor shifts, taking the s-power of a monomial product into its
+    shift), ``__add__`` (equal denominators add) and the gcd (a binomial
+    divisor folds); the fourth is the function ``dot``.  ``*`` is
+    ``mul_s`` with no s-power.
     """
 
     __slots__ = ("_pe", "_pr", "_den", "_n", "_key", "_reduced")
@@ -477,8 +477,8 @@ class Scalar:
         A unit factor (``_unit``) takes no product: the other factor
         shifts by k + e, negated for -1, and r (pe + pr r) = pr (s^2 +
         s^-2) + pe r.  An s-power shift of a factor reduced over more than
-        ``_LAZY_DEN_TERMS`` den terms needs no new reduction.  Otherwise
-        s^e moves onto the factor with fewer terms before the product."""
+        ``_LAZY_DEN_TERMS`` den terms needs no new reduction.  Any other
+        pair forms the product and then shifts it by e."""
         if not self or not other:
             return ZERO
         unit, x = _unit(self), other
@@ -493,14 +493,10 @@ class Scalar:
                              len(x._den) > _LAZY_DEN_TERMS)
             return _scalar(_pmul(_RSQ, pr), pe, x._den, x._n)
         a, b = self, other
-        if e:
-            if len(a._pe) + len(a._pr) <= len(b._pe) + len(b._pr):
-                a = a.scale_s(e)
-            else:
-                b = b.scale_s(e)
         pe = _padd(_pmul(a._pe, b._pe), _pmul(_RSQ, _pmul(a._pr, b._pr)))
         pr = _padd(_pmul(a._pe, b._pr), _pmul(a._pr, b._pe))
-        return _scalar(pe, pr, _pmul(a._den, b._den), a._n * b._n)
+        out = _scalar(pe, pr, _pmul(a._den, b._den), a._n * b._n)
+        return out.scale_s(e) if e else out
 
     def scale_s(self, k: int) -> "Scalar":
         """Fast multiplication by s^k."""

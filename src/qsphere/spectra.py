@@ -48,20 +48,14 @@ from .coeff import ZERO
 from .haar import haar
 from .spinor import Spinor, dirac, ip_spin_left, laplacian
 
+# the operators a block can take; D2 is the square of the D block matrix
 _OPERATORS = ("D", "D2", "lap")
-
-
-def _op_apply(name: str, psi: Spinor) -> Spinor:
-    if name == "D":
-        return dirac(psi)
-    if name == "lap":
-        return laplacian(psi)
-    raise ValueError("unknown operator %r; pick one of %r" % (name, _OPERATORS))
+_APPLY = {"D": dirac, "lap": laplacian}
 
 
 def _half_integer(l) -> Fraction:
-    fl = Fraction(l).limit_denominator(4)
-    if fl != Fraction(l) or fl.denominator != 2 or fl < 0:
+    fl = Fraction(l)
+    if fl.denominator != 2 or fl < 0:
         raise ValueError("total spin must be a positive half odd integer: %r" % (l,))
     return fl
 
@@ -153,8 +147,8 @@ def _block_matrix(n: int, operator: str):
             for m, c in part.terms.items():
                 key = (sign, m)
                 if key not in images:
-                    images[key] = _op_apply(
-                        operator, Spinor.slot(sign, Element.from_mono(m)))
+                    images[key] = _APPLY[operator](
+                        Spinor.slot(sign, Element.from_mono(m)))
                 image = image + images[key].scale(c)
         col = [(image.plus if sign > 0 else image.minus).terms.get(t, ZERO)
                for (sign, t), _, _ in block]

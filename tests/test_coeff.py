@@ -810,6 +810,34 @@ def test_binomial_divisor_edge_cases():
     assert _fold_rem([5, 0, 2, 0, 0, 0, 1], [3, 0, 0, 1]) == [7, 0, 1]
 
 
+def _laurent_dicts():
+    """Int Laurent dicts in s^step with no zero coefficient, and the step."""
+    p = st.dictionaries(st.integers(-6, 6), st.integers(-6, 6).filter(bool),
+                        min_size=1, max_size=7)
+    return st.tuples(p, st.integers(1, 3)).map(
+        lambda pk: ({e * pk[1]: c for e, c in pk[0].items()}, pk[1]))
+
+
+def _ends_nonzero(a):
+    return not a or a[-1] != 0
+
+
+@given(_laurent_dicts(), _laurent_dicts(), st.integers(1, 5),
+       st.sampled_from([1, -1]), st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_dense_lists_never_end_in_zero(pa, pb, b0, bm, m):
+    # _int_prem takes no step for a zero leading entry: every list it is
+    # given comes from _int_dense, _fold_rem, _int_prem or _poly_gcd, and
+    # none of them returns a list that ends in 0
+    a, b = _int_dense(*pa), _int_dense(*pb)
+    binomial = [b0] + [0] * (m - 1) + [bm]
+    assert _ends_nonzero(a) and _ends_nonzero(b)
+    for r in (_fold_rem(a, binomial), _int_prem(a, binomial),
+              _int_prem(a, b), _int_prem(b, a), _poly_gcd(a, b),
+              _poly_gcd(a, binomial)):
+        assert _ends_nonzero(r)
+
+
 # ---------------------------------------------------------------------------
 # the exact dot product
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from qsphere.algebra import Element, mono_length, pbw_monomials
 from qsphere.coeff import ZERO, q_pow, qnum
 from qsphere.haar import haar
 from qsphere.spectra import (
-    SpinBlock, _block_matrix, _reduced, _row_weight, qnum_float,
-    spectra_table, spectrum,
+    SpinBlock, _block_matrix, _half_integer, _reduced, _row_weight,
+    qnum_float, spectra_table, spectrum,
 )
 from qsphere.spinor import Spinor, dirac, ip_spin_left
 
@@ -193,6 +193,22 @@ def test_block_construction_errors():
         SpinBlock(-0.5, 0.5, "D")
     with pytest.raises(ValueError):
         SpinBlock(6.25, 0.5, "D")
+
+
+def test_unknown_operator_names_the_three():
+    for build in (SpinBlock, spectrum):
+        with pytest.raises(ValueError) as err:
+            build(Fraction(3, 2), 0.5, "X")
+        assert all(repr(name) in str(err.value)
+                   for name in ("D", "D2", "lap"))
+
+
+def test_half_integer_spins():
+    for l in ("5/2", 2.5, Fraction(5, 2)):
+        assert _half_integer(l) == Fraction(5, 2)
+    for l in ("1/3", 2, "-1/2", 0.3):
+        with pytest.raises(ValueError):
+            _half_integer(l)
 
 
 def test_dirac_beyond_eleven_halves():
