@@ -374,7 +374,6 @@ def spin_half(i2: int, j2: int) -> Element:
     return _SPIN_HALF[(i2, j2)]
 
 
-@functools.cache
 def spin_one(m: int, j: int) -> Element:
     """Matrix element t(m, j) of the vector corepresentation, m, j in
     {-1, 0, 1}.
@@ -482,15 +481,6 @@ def _tokenise(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            # a rational literal such as 1/2, except right after a '/',
-            # so that a/2/3 divides by 2 and then by 3, and in an
-            # exponent, so that s^2/3 and s^-2/3 divide by 3
-            if (j + 1 < n and text[j] == "/" and text[j + 1].isdigit()
-                    and tokens[-1:] not in (["/"], ["^"])
-                    and tokens[-2:] != ["^", "-"]):
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
             tokens.append(text[i:j])
             i = j
         elif ch.isalpha():
@@ -517,13 +507,14 @@ def parse(text: str) -> Element:
 
     Understood atoms: the letters a, b, c, d (juxtaposed letters such as
     ``ab^2c`` are a product), the sphere generators A, B and Bstar (alias
-    Bs), rationals, the scalars q, s, r, and parenthesised expressions,
+    Bs), integers, the scalars q, s, r, and parenthesised expressions,
     each with an optional integer exponent (negative only on q, s, r and
-    rationals).  Any other name raises ValueError; matrix elements of the
+    integers).  Any other name raises ValueError; matrix elements of the
     corepresentations are ``spin_half`` and ``spin_one``, not atoms.  A
     factor may be divided by a scalar factor, as in the repr
     ``'((-1)/(1 + s^4))*b*c'`` of an element whose coefficients
-    have denominators, so ``parse(repr(x)) == x``.
+    have denominators, so ``parse(repr(x)) == x``.  A fraction is such a
+    division, and the exponent binds first: ``2/3^2`` is 2/9.
     """
     tokens = _tokenise(text)
     pos = [0]

@@ -53,7 +53,6 @@ def projector_entry(k: int, h: int) -> Element:
     return col[k] * col[h].star()
 
 
-@functools.cache
 def chern2() -> Tensor:
     """The represented twisted Chern character of the charge-one projector,
     as a two-tensor."""

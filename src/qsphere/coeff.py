@@ -361,7 +361,7 @@ class Scalar:
     ``mul_s`` with no s-power.
     """
 
-    __slots__ = ("_pe", "_pr", "_den", "_n", "_key", "_reduced")
+    __slots__ = ("_pe", "_pr", "_den", "_n", "_reduced")
 
     def __init__(self, pe, pr=None, den=None):
         """(pe + pr*r)/den from {exponent: Fraction or int} dicts."""
@@ -396,17 +396,11 @@ class Scalar:
     # -- canonical key, equality, hashing -----------------------------------
 
     def _freeze(self):
-        key = self._key
-        if key is None:
-            self.reduced()
-            key = (
-                tuple(sorted(self._pe.items())),
+        self.reduced()
+        return (tuple(sorted(self._pe.items())),
                 tuple(sorted(self._pr.items())),
                 tuple(sorted(self._den.items())),
-                self._n,
-            )
-            self._key = key
-        return key
+                self._n)
 
     def __eq__(self, other):
         if self is other:
@@ -595,7 +589,6 @@ class Scalar:
 
 def _init(x, pe, pr, den, n, reduced):
     x._pe, x._pr, x._den, x._n = pe, pr, den, n
-    x._key = None
     x._reduced = reduced
 
 
@@ -706,37 +699,31 @@ def dot(xs, ys) -> Scalar:
     product by product reduces each product and each partial sum.  The
     operands are not touched."""
     parts = []
-    dens = {}
     for x, y in zip(xs, ys):
         if not x or not y:
             continue
-        key = (tuple(x._den.items()), tuple(y._den.items()))
-        if key not in dens:
-            lo1, c1, p1 = _split(x._den)
-            lo2, c2, p2 = _split(y._den)
-            dens[key] = lo1 + lo2, c1 * c2, _pmul(p1, p2)
+        lo1, c1, p1 = _split(x._den)
+        lo2, c2, p2 = _split(y._den)
         parts.append((
             _padd(_pmul(x._pe, y._pe), _pmul(_RSQ, _pmul(x._pr, y._pr))),
-            _padd(_pmul(x._pe, y._pr), _pmul(x._pr, y._pe)), key))
+            _padd(_pmul(x._pe, y._pr), _pmul(x._pr, y._pe)),
+            lo1 + lo2, c1 * c2, _pmul(p1, p2)))
     if not parts:
         return ZERO
     # the gcds and divisions run in t = s^step, as in _normalise
-    step = _step(*(p for _, _, p in dens.values()))
+    step = _step(*(p for *_, p in parts))
     common = {0: 1}
-    for _, _, p in dens.values():
+    for *_, p in parts:
         if len(p) > 1:
             g = _poly_gcd(_int_dense(common, step), _int_dense(p, step))
             common = _pmul(common,
                            p if len(g) == 1 else _pdiv_exact(p, g, step))
-    scale = lcm(*(c for _, c, _ in dens.values()))
-    factors = {}
-    for key, (lo, c, p) in dens.items():
+    scale = lcm(*(c for *_, c, _ in parts))
+    pe, pr = {}, {}
+    for pe_i, pr_i, lo, c, p in parts:
         quot = _pdiv_exact(common, _int_dense(p, step), step) \
             if len(p) > 1 else common
-        factors[key] = _pshift(_pscale(quot, scale // c), -lo)
-    pe, pr = {}, {}
-    for pe_i, pr_i, key in parts:
-        f = factors[key]
+        f = _pshift(_pscale(quot, scale // c), -lo)
         pe = _padd(pe, _pmul(pe_i, f))
         pr = _padd(pr, _pmul(pr_i, f))
     if not pe and not pr:

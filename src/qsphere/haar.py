@@ -35,10 +35,11 @@ from .algebra import (Element, MONO_ID, del_f, mono_degree, mono_length,
 class HaarState:
     """Values of h on degree-zero monomials, solved on demand.
 
-    The table is extended two length steps at a time; each extension re-runs
-    the forward substitution (``_solve``) at the larger bound and must
-    restrict to the table already stored (asserted), so earlier answers
-    never change.
+    The table is extended to the length of the longest monomial asked
+    for, which is even: every degree-zero monomial has even length.  Each
+    extension re-runs the forward substitution (``_solve``) at the larger
+    bound and must restrict to the table already stored (asserted), so
+    earlier answers never change.
     """
 
     def __init__(self):
@@ -66,7 +67,7 @@ class HaarState:
                 continue
             n = mono_length(m)
             if n > self._length:
-                self.ensure(n + (n & 1))
+                self.ensure(n)
             coeffs.append(c)
             values.append(self._table[m])
         return dot(coeffs, values)

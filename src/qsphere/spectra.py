@@ -139,17 +139,14 @@ def _block_matrix(n: int, operator: str):
                            for j in range(len(m)))
                      for row in rows)
     block = _reduced(n)
-    images = {}
     columns = []
     for _, t_prime, _ in block:
+        # one monomial at a time: each lies in exactly one t'
         image = Spinor()
         for sign, part in ((1, t_prime.plus), (-1, t_prime.minus)):
             for m, c in part.terms.items():
-                key = (sign, m)
-                if key not in images:
-                    images[key] = _APPLY[operator](
-                        Spinor.slot(sign, Element.from_mono(m)))
-                image = image + images[key].scale(c)
+                image = image + _APPLY[operator](
+                    Spinor.slot(sign, Element.from_mono(m))).scale(c)
         col = [(image.plus if sign > 0 else image.minus).terms.get(t, ZERO)
                for (sign, t), _, _ in block]
         span = Spinor()

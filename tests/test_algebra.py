@@ -388,6 +388,9 @@ def test_parse_divides_by_scalar_factors():
     assert parse("a/2") == GEN_A.scale(rational(Fraction(1, 2)))
     assert parse("a/2/3") == GEN_A.scale(rational(Fraction(1, 6)))
     assert parse("2/3*a") == GEN_A.scale(rational(Fraction(2, 3)))
+    # a fraction is a division, and the exponent binds first
+    assert parse("2/3^2") == Element.scalar(rational(Fraction(2, 9)))
+    assert parse("2/3^-1") == Element.scalar(rational(6))
     third = rational(Fraction(1, 3))
     for text, k in (("a*s^2/3", 2), ("a*s^2 /3", 2), ("a*s^-2/3", -2)):
         assert parse(text) == GEN_A.scale(s_pow(k) * third)

@@ -39,6 +39,18 @@ def test_solve_extension_is_stable():
     assert state._length == 8
 
 
+def test_degree_zero_and_two_monomials_have_even_length():
+    # a^i b^j c^k has degree j - i - k and d^i b^j c^k has i + j - k, so
+    # degree 0 or 2 fixes j = i + k (+2) or k = i + j (-2): the length is
+    # even, and the state table extends to exactly the length asked for
+    for degree in (0, 2):
+        assert all(mono_length(m) % 2 == 0
+                   for m in pbw_monomials(40, degree))
+    state = HaarState()
+    state(Element.from_mono((0, 1, 3, 2)))  # a b^3 c^2, length 6
+    assert state._length == 6
+
+
 def test_solve_restricts_to_the_shorter_table():
     # one more length step keeps every value, key order and storage too
     short, long = _solve(28), _solve(30)

@@ -13,8 +13,8 @@ from qsphere import (algebra, calculus, coeff, forms, haar, levicivita, spectra,
 from qsphere.coeff import ROOT_TWO_Q, q_pow
 
 MEMOISED = [
-    algebra._cross_pow, algebra.mono_mul, algebra._mono_del, algebra.spin_one,
-    forms.frame, tensors.metric, calculus.chern2, calculus.volume_form,
+    algebra._cross_pow, algebra.mono_mul, algebra._mono_del,
+    forms.frame, tensors.metric, calculus.volume_form,
     levicivita.riemann, levicivita.ricci,
     spinor._metric_diag, spectra._reduced, spectra._block_matrix,
     haar.haar_state,
@@ -34,6 +34,20 @@ def test_no_hand_rolled_module_caches():
         globals_ = [node.lineno for node in ast.walk(tree)
                     if isinstance(node, ast.Global)]
         assert not globals_, (module.__name__, globals_)
+
+
+def test_memoised_is_every_functools_cache():
+    # a new memo joins this list, and with it the hit-rate audit
+    found = set()
+    for module in _modules():
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    if getattr(dec, "attr", getattr(dec, "id", None)) in (
+                            "cache", "lru_cache", "cached_property"):
+                        found.add((module.__name__, node.name))
+    assert found == {(fn.__module__, fn.__name__) for fn in MEMOISED}
 
 
 def test_every_memoised_entry_point_can_be_cleared():

@@ -98,6 +98,16 @@ def test_reduced_basis_is_orthogonal_to_shorter_monomials():
                 assert haar(ip_spin_left(x, t_prime)) == 0
 
 
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
+def test_each_monomial_lies_in_exactly_one_t_prime(n):
+    # so _block_matrix applies the operator to each monomial once
+    seen = []
+    for _, t_prime, _ in _reduced(n):
+        seen += [(1, m) for m in t_prime.plus.terms]
+        seen += [(-1, m) for m in t_prime.minus.terms]
+    assert len(seen) == len(set(seen))
+
+
 def _matmul(a, b):
     return [[reduce(lambda acc, k: acc + a[i][k] * b[k][j], range(len(b)), ZERO)
              for j in range(len(b[0]))] for i in range(len(a))]
