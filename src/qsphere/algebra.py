@@ -33,6 +33,7 @@ degree-n element by q^{n/2}.
 from __future__ import annotations
 
 import functools
+import re
 from typing import NamedTuple
 
 from .coeff import (ONE, ROOT_TWO_Q, Scalar, accumulate, q_pow, qnum,
@@ -467,56 +468,27 @@ _NAMED = {
 }
 
 
-def _tokenise(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^(),":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            word = text[i:j]
-            if word in ("q", "s", "r") or word in _NAMED:
-                tokens.append(word)
-            else:
-                # juxtaposed single letters, e.g. "ab^2c"
-                for letter in word:
-                    if letter not in _NAMED:
-                        raise ValueError("unknown name %r in %r" % (word, text))
-                    tokens.append(letter)
-            i = j
-        else:
-            raise ValueError("bad character %r in %r" % (ch, text))
-    return tokens
+# an integer, a name, or any other non-space character on its own
+_TOKEN = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\S")
 
 
 def parse(text: str) -> Element:
     """Parse expressions like ``'a*b^2 - q^-1*c*d'`` or ``'r*A*Bstar'``.
 
-    Understood atoms: the letters a, b, c, d (juxtaposed letters such as
-    ``ab^2c`` are a product), the sphere generators A, B and Bstar (alias
-    Bs), integers, the scalars q, s, r, and parenthesised expressions,
-    each with an optional integer exponent (negative only on q, s, r and
-    integers).  Any other name raises ValueError; matrix elements of the
-    corepresentations are ``spin_half`` and ``spin_one``, not atoms.  A
+    Understood atoms: the letters a, b, c, d, the sphere generators A, B
+    and Bstar (alias Bs), integers, the scalars q, s, r, and
+    parenthesised expressions, each with an optional integer exponent
+    (negative only on q, s, r and integers).  Factors are joined by an
+    explicit ``*`` or ``/``: juxtaposition, as in ``ab``, ``2a`` or
+    ``a(b)``, is not a product.  Any other name or character raises
+    ValueError; matrix elements of the corepresentations are
+    ``spin_half`` and ``spin_one``, not atoms.  A
     factor may be divided by a scalar factor, as in the repr
     ``'((-1)/(1 + s^4))*b*c'`` of an element whose coefficients
     have denominators, so ``parse(repr(x)) == x``.  A fraction is such a
     division, and the exponent binds first: ``2/3^2`` is 2/9.
     """
-    tokens = _tokenise(text)
+    tokens = _TOKEN.findall(text)
     pos = [0]
 
     def peek():
@@ -536,7 +508,7 @@ def parse(text: str) -> Element:
             take()
             sign = -1
         tok = take()
-        if tok is None or not tok.isdigit():
+        if tok is None or not tok.isdecimal():
             raise ValueError("expected integer exponent in %r" % text)
         return sign * int(tok)
 
@@ -555,7 +527,7 @@ def parse(text: str) -> Element:
             return Element.scalar(ROOT_TWO_Q ** parse_exponent())
         elif tok in _NAMED:
             base = _NAMED[tok]
-        elif tok is not None and tok[0].isdigit():
+        elif tok is not None and tok.isdecimal():
             return Element.scalar(rational(tok) ** parse_exponent())
         else:
             raise ValueError("unexpected token %r in %r" % (tok, text))
@@ -578,14 +550,11 @@ def parse(text: str) -> Element:
 
     def parse_product():
         out = parse_atom()
-        while peek() is not None and peek() not in ("+", "-", ")"):
-            if peek() == "/":
-                take()
+        while peek() in ("*", "/"):
+            if take() == "/":
                 out = out.scale(parse_divisor())
-                continue
-            if peek() == "*":
-                take()
-            out = out * parse_atom()
+            else:
+                out = out * parse_atom()
         return out
 
     def parse_sum():

@@ -194,8 +194,6 @@ def _step(*ps):
         if p:
             lo = min(p)
             k = gcd(k, *(e - lo for e in p))
-            if k == 1:
-                break
     return k
 
 

@@ -9,7 +9,9 @@ than hardcoding known values, we solve the finite linear system
 over monomials of bounded length, exactly in the coefficient field.  Taken
 in order, the system is triangular: each constraint has at most one unknown
 left once the values already found are substituted, at every length through
-40, so each constraint decides one value by forward substitution.
+40, so each constraint decides one value by forward substitution.  A
+constraint involves no monomial longer than its y, so a longer bound only
+adds constraints: each is solved once, and the values found stay.
 Invariance under del_f (together with the degree grading) pins the state
 completely, and the solver raises if a requested length ever leaves a
 constraint with two unknowns, or turns out inconsistent or underdetermined,
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import functools
 
-from .coeff import ONE, ZERO, Scalar, accumulate, dot
+from .coeff import ONE, ZERO, Scalar, dot
 from .algebra import (Element, MONO_ID, del_f, mono_degree, mono_length,
                       pbw_monomials)
 
@@ -36,10 +38,10 @@ class HaarState:
     """Values of h on degree-zero monomials, solved on demand.
 
     The table is extended to the length of the longest monomial asked
-    for, which is even: every degree-zero monomial has even length.  Each
-    extension re-runs the forward substitution (``_solve``) at the larger
-    bound and must restrict to the table already stored (asserted), so
-    earlier answers never change.
+    for, which is even: every degree-zero monomial has even length.  An
+    extension solves the constraints of the new lengths only (``_solve``)
+    and merges their values once all are solved: a stored value never
+    changes, and a failed extension leaves the table as it was.
     """
 
     def __init__(self):
@@ -49,12 +51,7 @@ class HaarState:
     def ensure(self, max_length: int) -> None:
         if max_length <= self._length:
             return
-        table = _solve(max_length)
-        for m, v in self._table.items():
-            if table[m] != v:
-                raise ArithmeticError(
-                    "state table changed under extension at %r" % (m,))
-        self._table = table
+        self._table.update(_solve(self._table, self._length, max_length))
         self._length = max_length
 
     def __call__(self, x: Element) -> Scalar:
@@ -73,29 +70,27 @@ class HaarState:
         return dot(coeffs, values)
 
 
-def _solve(max_length: int) -> dict:
-    """The state table at one length bound, by forward substitution.
+def _solve(table: dict, length: int, max_length: int) -> dict:
+    """h on the degree-zero monomials of length in (length, max_length],
+    in the order of ``pbw_monomials``, given ``table``: h on those no
+    longer than length.
 
-    The rows are taken in order, h(1) = 1 first, then h(del_f(y)) = 0 in
-    the order of ``pbw_monomials``.  Each row has at most one unknown left
-    once the values already decided are substituted, and decides it: at
-    every length through 40, so the system is triangular in this order.
+    The rows h(del_f(y)) = 0 of the new y are taken in the order of
+    ``pbw_monomials``; each has at most one unknown left once the values
+    already decided are substituted, and decides it (module docstring).
     A row that leaves two or more unknowns, an inconsistent row, or an
     unknown that no row decides raises ``ArithmeticError``."""
     unknowns = pbw_monomials(max_length, 0)
     index = {m: i for i, m in enumerate(unknowns)}
+    values = {index[m]: v for m, v in table.items()}
 
-    rows = [({index[MONO_ID]: ONE}, ONE)]
     for y in pbw_monomials(max_length, 2):
-        # del_f preserves length and lowers degree by two, so the support
-        # stays inside the unknown set
+        if mono_length(y) <= length:
+            continue
+        # the monomials of del_f(y) are distinct, so re-keying merges none
         img = del_f(Element.from_mono(y))
-        row = accumulate({}, ((index[m], c) for m, c in img.terms.items()))
-        if row:
-            rows.append((row, ZERO))
-
-    values = {}
-    for row, val in rows:
+        row = {index[m]: c for m, c in img.terms.items()}
+        val = ZERO
         left = []
         for col in sorted(row):
             if col in values:
@@ -116,7 +111,7 @@ def _solve(max_length: int) -> dict:
     if len(values) != len(unknowns):
         raise ArithmeticError(
             "underdetermined invariance system at length %d" % max_length)
-    return {m: values[i] for i, m in enumerate(unknowns)}
+    return {unknowns[i]: values[i] for i in range(len(table), len(unknowns))}
 
 
 @functools.cache

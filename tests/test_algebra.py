@@ -372,7 +372,7 @@ def test_pbw_degree_filter_partitions():
 
 def test_parse_words():
     assert parse("a*b - b*a") == GEN_A * GEN_B - GEN_B * GEN_A
-    assert parse("ab^2c") == GEN_A * GEN_B * GEN_B * GEN_C
+    assert parse("a*b^2*c") == GEN_A * GEN_B * GEN_B * GEN_C
     assert parse("q^-1*d") == GEN_D.scale(q(-1))
     assert parse("r^2") == Element.scalar(qnum(4))
     assert parse("(A + Bstar)^2") == (SPHERE_A + SPHERE_BSTAR) * \
@@ -403,7 +403,9 @@ def test_parse_divides_by_scalar_factors():
 def test_parse_rejects_junk():
     for bad in ("a +", "x", "a^b", "(a", "a)", "a/b", "a/(b + 1)", "a/0",
                 "a/", "2/", "2/0", "t(1/0,0,0)", "0^-1",
-                "(" * 1200 + "a" + ")" * 1200):
+                "(" * 1200 + "a" + ")" * 1200,
+                # juxtaposition is not a product
+                "ab", "2a", "AB", "a(b)", "a b"):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             parse(bad)
 

@@ -51,21 +51,31 @@ def test_degree_zero_and_two_monomials_have_even_length():
     assert state._length == 6
 
 
+def _stored(table):
+    # values with their stored form, key order included
+    return [(m, [list(p.items()) for p in (v.pe, v.pr, v.den)])
+            for m, v in table.items()]
+
+
 def test_solve_restricts_to_the_shorter_table():
-    # one more length step keeps every value, key order and storage too
-    short, long = _solve(28), _solve(30)
-    assert list(long)[:len(short)] == list(short)
-    for m, v in short.items():
-        assert long[m] == v
-        assert [list(p.items()) for p in (long[m].pe, long[m].pr,
-                                          long[m].den)] == \
-            [list(p.items()) for p in (v.pe, v.pr, v.den)]
+    # extending 28 -> 30 equals one solve to 30 in value, stored form and
+    # key order, and the shorter table is its restriction
+    step, once = HaarState(), HaarState()
+    step.ensure(28)
+    short = _stored(step._table)
+    step.ensure(30)
+    once.ensure(30)
+    assert step._table == once._table
+    assert _stored(step._table) == _stored(once._table)
+    assert _stored(once._table)[:len(short)] == short
 
 
 def test_solve_stored_form_is_pinned():
     # a SHA-256 prefix over the table at length 26, key order included
+    table = {MONO_ID: ONE}
+    table.update(_solve(table, 0, 26))
     h = hashlib.sha256()
-    for m, v in _solve(26).items():
+    for m, v in table.items():
         h.update(repr((m, [list(p.items()) for p in (v.pe, v.pr, v.den)]))
                  .encode())
     assert h.hexdigest()[:16] == "e2486af1e3df3c5b"
@@ -84,7 +94,46 @@ def test_solve_raises_naming_the_length(monkeypatch, image, message):
     import qsphere.haar as haar_mod
     monkeypatch.setattr(haar_mod, "del_f", image)
     with pytest.raises(ArithmeticError, match=message):
-        _solve(4)
+        _solve({MONO_ID: ONE}, 0, 4)
+
+
+def test_failed_extension_leaves_the_table(monkeypatch):
+    import qsphere.haar as haar_mod
+    state = HaarState()
+    state.ensure(4)
+    before = _stored(state._table)
+
+    def inconsistent_at_eight(x):
+        (y,) = x.terms
+        return ONE_EL if mono_length(y) == 8 else del_f(x)
+
+    monkeypatch.setattr(haar_mod, "del_f", inconsistent_at_eight)
+    with pytest.raises(ArithmeticError,
+                       match="inconsistent invariance constraints at length 8"):
+        state.ensure(8)
+    assert state._length == 4
+    assert _stored(state._table) == before
+    monkeypatch.undo()
+    state.ensure(8)
+    once = HaarState()
+    once.ensure(8)
+    assert _stored(state._table) == _stored(once._table)
+
+
+def test_each_constraint_is_solved_once(monkeypatch):
+    import qsphere.haar as haar_mod
+    rows = []
+
+    def counting(x):
+        rows.extend(x.terms)
+        return del_f(x)
+
+    monkeypatch.setattr(haar_mod, "del_f", counting)
+    state = HaarState()
+    state.ensure(4)
+    state.ensure(8)
+    state.ensure(6)
+    assert rows == pbw_monomials(8, 2)
 
 
 def test_spin_one_matrix_elements_vanish():

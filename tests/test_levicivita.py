@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsphere.algebra import (
-    ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR, ZERO_EL, del_e, del_f,
+    ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR, ZERO_EL, del_e, del_f, parse,
     spin_one,
 )
 from qsphere.calculus import JunkData, ext_d, sigma, volume_form
@@ -21,7 +21,7 @@ from qsphere.levicivita import (
     riemann_pre_projection, scalar_curvature,
 )
 from qsphere.tensors import (
-    Tensor, as_scalar, diag_scalars, ip_T, metric, select, tensor,
+    Tensor, as_scalar, coeff_json, diag_scalars, ip_T, metric, select, tensor,
 )
 
 from test_calculus import proper_two_tensors
@@ -464,3 +464,12 @@ def test_curvature_data_serialisation():
         "b4fe93ccb90c6628d0f180f23615d28f4f292620b65e62587f786dce6bece136"
     assert hashlib.sha256(tex.encode()).hexdigest() == \
         "26b7010b5acbf928bddc7da8285c3b0d529c76141681e33177fc5b1f341656af"
+
+
+def test_curvature_coefficients_round_trip_through_parse():
+    # the largest strings the program exports
+    for t in (riemann(), ricci()):
+        blob = coeff_json(t)
+        rebuilt = {tuple(int(p) for p in key.split(",")): parse(text)
+                   for key, text in blob["coeffs"].items()}
+        assert rebuilt == t.coeffs()
