@@ -63,17 +63,9 @@ benchmark workload named with it is slower without it:
    (``HaarState.__call__``).
 
 ``pe``, ``pr`` and ``den`` are read-only views: a fresh {exponent:
-Fraction} dict per call, the keys in stored order.  ``tests/test_coeff.py``
-pins them for fixed and random scalars, reduced or not.  ``repr``,
-equality and hashing read only the reduced value.  Only ``eval_float``
-depends on dict order: it sums the reduced form in stored order, so the
-float values of the spectra's block matrices depend on that order to the
-last bit.  Every sparse sum of the package, of polynomials, elements,
-corners or frame coefficients, follows ``accumulate``, and kernels 1 to 3
-keep its stored form, key insertions and deletions included.  ``dot``
-stores its sum reduced with ascending exponents, the order a reduction
-with a nontrivial gcd gives; for every Haar value of the spin blocks the
-reduced form of the sum taken term by term has that order too.
+Fraction} dict per call, exponents ascending.  ``repr``, equality,
+hashing and ``eval_float`` read only the reduced value, each in ascending
+exponent order, so no output depends on how a scalar was built.
 """
 
 from __future__ import annotations
@@ -92,9 +84,7 @@ def accumulate(out, items):
 
     The one sparse-sum rule of the package, for ints, scalars and
     elements alike: a key whose sum is zero is deleted, so out never holds
-    a zero, and a cancelled key that comes back goes in at the end.  Key
-    order is insertion order otherwise, which is what ``eval_float`` reads
-    (module docstring)."""
+    a zero."""
     for key, value in items:
         prev = out.get(key)
         if prev is not None:
@@ -179,9 +169,9 @@ def _ints(*ps):
 
 
 def _fracs(p, d):
-    """Int dict over the common denominator d -> Fraction dict, keys and
-    their order kept."""
-    return {e: Fraction(c, d) for e, c in p.items()}
+    """Int dict over the common denominator d -> Fraction dict, exponents
+    ascending."""
+    return {e: Fraction(p[e], d) for e in sorted(p)}
 
 
 # -- integer polynomial kernels ----------------------------------------------
@@ -529,14 +519,14 @@ class Scalar:
         a removable pole (such as 0/0 at q = 1) never shows.
 
         Each coefficient is the correctly rounded c / n, which is
-        float(Fraction(c, n)), summed in stored order."""
+        float(Fraction(c, n)), summed with exponents ascending."""
         self.reduced()
         n = self._n
         s = q ** 0.5
         r = (q + 1.0 / q) ** 0.5
-        pe = sum(c / n * s ** e for e, c in self._pe.items())
-        pr = sum(c / n * s ** e for e, c in self._pr.items())
-        den = sum(c / n * s ** e for e, c in self._den.items())
+        pe = sum(c / n * s ** e for e, c in sorted(self._pe.items()))
+        pr = sum(c / n * s ** e for e, c in sorted(self._pr.items()))
+        den = sum(c / n * s ** e for e, c in sorted(self._den.items()))
         return (pe + pr * r) / den
 
     def limit_q_one(self):

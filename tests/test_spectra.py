@@ -351,13 +351,14 @@ def test_cli_curvature_formats(capsys):
 
 @pytest.mark.parametrize("argv, digest", [
     (["--l-max", "7/2", "--operator", "lap"],
-     "ffe44dfbf42738cda56f6a8c3a2aab9aa8e5cec2d707795be5df6199aa037c15"),
+     "c92114686cd468e0d159c64d609cadda1d26277728aadd05e903b96ad4bd3716"),
     (["--l-max", "11/2", "--operator", "D"],
-     "d6b1917d98c4c37dbba7ce97e0602e3296818dba649e52abc1de448b8705e28d"),
-])
+     "a14cbd5a260d453b0dbd5da7dc547697344a3c18b032b7a4f6a6d1691659c738"),
+], ids=["lap-7/2", "D-11/2"])
 def test_cli_spectra_json_bytes_are_pinned(argv, digest, capsys):
-    # the float eigenvalues read the key order of the stored scalars
-    # (coeff.accumulate), so this pins that order to the last bit
+    # the float eigenvalues are sums over the canonical form of each
+    # scalar, exponents ascending (Scalar.eval_float), so this pins the
+    # arithmetic to the last bit whatever route built the scalars
     from qsphere.cli import main
     assert main(["spectra", *argv, "--q", "0.6", "--json"]) == 0
     out = capsys.readouterr().out
