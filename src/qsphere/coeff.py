@@ -11,68 +11,62 @@ K keeps half-integer powers of q and the frame normalisation ``[2]_q^{1/2}``
 exact, so every identity in the package is decided by arithmetic rather
 than by numerics.
 
-A scalar is ``(pe + pr * r) / den`` with ``pe``, ``pr`` Laurent
-polynomials in ``s`` and ``den`` a polynomial in ``s``.  Its reduced form
-has den of lowest exponent 0 and leading coefficient 1, with no common
-factor with the numerators; that form is unique, so equality is a tuple
-comparison and scalars can be dictionary keys.
+The package computes in the subring K_cyc of K whose denominators are
+products of cyclotomic polynomials Phi_N(s): q-numbers, r^-1 = r s^2/(1 +
+s^4), the Haar values (-q)^n/[n+1]_{q^2} and the Gram norms built from
+them all lie in it.  A scalar is
 
-The q -> 1 limit is taken by substituting s = 1 into the reduced form,
-never by differentiating: q-integers are Laurent polynomials once reduced,
-so ``[n]_q`` at q = 1 is literally the integer n.  Values with a nonzero
-r-part pick up an exact multiple of sqrt(2) at q = 1 and are returned as a
-pair of rationals.
+    (pe + pr * r) / (n * prod_N Phi_N(s)^e_N),
 
-Storage is integer: three {exponent: int} dicts and one positive int n,
-every coefficient being divided by n, with the integer content of the
-dicts and n divided out.  Sums, products, inverses and the reduction read
-and write ints only.  The gcd is a primitive remainder sequence, and the
-division by it needs no fractions: by Gauss's lemma the quotient by a
-primitive divisor is integral, so every step of the long division divides
-exactly by the divisor's leading coefficient.  Before the gcd each
-polynomial p is written s^lo * f(s^k), with k the gcd of the exponent
-differences within all three polynomials, and the gcd and the divisions
-run on f(t), t = s^k.  That is exact, because gcd(f(s^k), h(s^k)) =
-gcd(f, h)(s^k) (Euclid's algorithm commutes with t -> s^k), and the
-polynomials of the curvature pipeline come out 4 to 8 times shorter.
+``pe``, ``pr`` Laurent polynomials in ``s`` with integer coefficients,
+``n`` a positive integer and the denominator held as its exponents e_N.
+Every scalar is stored reduced: no Phi_N of the denominator divides both
+numerators, and n shares no factor with all their coefficients.  That
+form is unique, so equality is a tuple comparison and scalars can be
+dictionary keys.  A product adds the exponents and a sum takes the larger
+of each, the lcm, with no gcd; the reduction then divides out a Phi_N
+only where a test mod p (``_vanishes``) finds it in both numerators.
 
-Four kernels take the shapes the program makes most, each giving the
-value of the general arithmetic exactly, and each kept because the
-benchmark workload named with it is slower without it:
+A denominator is born factored, in ``inverse()`` (the norm pe^2 - pr^2
+(s^2 + s^-2)), in ``Scalar(pe, pr, den)``, in ``rational`` and in
+``qnum``, by trial division over the Phi_N of degree at most its own, in
+t = s^k (``_factor``).  A factor that is not cyclotomic raises
+``ValueError`` naming the value: there is no fallback.
 
-1. A unit factor shifts (curvature, connection, spectra).  A scalar
-   stored as +-s^k or +-r s^k over den {0: 1} (every frame entry and its
-   star) multiplies by moving the other factor's exponents, negated for
-   -1, with r (pe + pr r) = pr (s^2 + s^-2) + pe r for r.  The s-power
-   of a PBW product (``mul_s``) joins the shift.  An s-power shift of a
-   reduced scalar is reduced, so over a den of more than
-   ``_LAZY_DEN_TERMS`` terms it skips the reduction the product would
-   run.
-2. Equal denominators add (curvature, connection).  Two scalars with the
-   same den dict and n add their numerator dicts.
-3. A binomial divisor folds (curvature).  The remainder by b0 + bm t^m,
-   bm = +-1, is one Horner pass per residue class mod m at t^m = -b0 bm,
-   not one long division step per degree; the gcd comes out the same up
-   to sign.  The reduced denominators of the curvature pipeline, such as
-   1 + s^8, are of this shape.
-4. A dot product reduces once (spectra).  ``dot`` sums x_i y_i over one
-   common denominator, built from the primitive parts of the product
-   denominators with their s-powers and integer contents taken out, and
-   runs one reduction, where the sum taken term by term reduces after
-   each product and each partial sum.  Every Haar value is one
-   (``HaarState.__call__``).
+The q -> 1 limit substitutes s = 1 into the reduced form, never
+differentiating: only Phi_1 vanishes at s = 1, so a reduced scalar has a
+pole there exactly when its denominator holds Phi_1.  Values with a
+nonzero r-part pick up an exact multiple of sqrt(2) at q = 1 and are
+returned as a pair of rationals.
+
+Three kernels take the shapes the program makes most, each giving the
+value of the general arithmetic exactly and each kept because the
+benchmark workload named with it is slower without it (ROADMAP item 8):
+
+1. A unit factor shifts (curvature, connection, spectra).  A product
+   with +-s^k or +-r s^k over denominator 1 (every frame entry and its
+   star) moves the other factor's exponents, negated for -1, with r (pe +
+   pr r) = pr (s^2 + s^-2) + pe r for r; the s-power of a PBW product
+   (``mul_s``) joins the shift.  An s-shift needs no reduction, an
+   r-shift only a test of Phi_8 = s^4 + 1.
+2. Equal denominators add (curvature, connection): same factors and n.
+3. A dot product reduces once (spectra): ``dot`` sums x_i y_i over one
+   common denominator, where the sum taken term by term reduces after
+   each product and each partial sum.  Every Haar value is one.
 
 ``pe``, ``pr`` and ``den`` are read-only views: a fresh {exponent:
-Fraction} dict per call, exponents ascending.  ``repr``, equality,
-hashing and ``eval_float`` read only the reduced value, each in ascending
-exponent order, so no output depends on how a scalar was built.
+Fraction} dict per call, exponents ascending.  Outputs read only the
+canonical form: ``repr``, equality, hashing and ``eval_float`` each read
+the reduced value in ascending exponent order, so no output depends on
+how a scalar was built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from functools import cache
 from math import gcd, lcm
+from types import MappingProxyType
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials in s as {exponent: int} dicts (zero coeffs absent)
@@ -114,7 +108,7 @@ def _pmul(p1, p2):
         (e2, c2), = p2.items()
         return {e + e2: c * c2 for e, c in p1.items()}
     # accumulate's rule, inlined: routed through it, a curvature cycle
-    # took 3% and a spectra cycle 8% longer (ROADMAP item 8)
+    # took 7% and a spectra cycle 17% longer (ROADMAP item 8)
     out = {}
     for e1, c1 in p1.items():
         for e2, c2 in p2.items():
@@ -150,22 +144,15 @@ def _pscale(p, f):
     return {e: c * f for e, c in p.items()}
 
 
-def _same(p1, n1, p2, n2):
-    """Whether p1/n1 and p2/n2 are the same polynomial."""
-    return p1.keys() == p2.keys() and all(
-        c * n2 == p2[e] * n1 for e, c in p1.items())
-
-
 # -- Fraction dicts in and out ------------------------------------------------
 
 
 def _ints(*ps):
-    """Fraction (or int) dicts -> (int dicts, d) with p == ints / d for
-    each p, d the lcm of every coefficient denominator.  Keys and their
-    order are kept."""
+    """Fraction (or int) dicts -> int dicts, each p times the lcm d of every
+    coefficient denominator."""
     d = lcm(*{c.denominator for p in ps for c in p.values()})
     return [{e: c.numerator * (d // c.denominator) for e, c in p.items()}
-            for p in ps], d
+            for p in ps]
 
 
 def _fracs(p, d):
@@ -174,17 +161,13 @@ def _fracs(p, d):
     return {e: Fraction(p[e], d) for e in sorted(p)}
 
 
-# -- integer polynomial kernels ----------------------------------------------
+# -- dense polynomials --------------------------------------------------------
 
 
-def _step(*ps):
-    """The largest k such that each nonempty p is s^lo * f(s^k)."""
-    k = 0
-    for p in ps:
-        if p:
-            lo = min(p)
-            k = gcd(k, *(e - lo for e in p))
-    return k
+def _step(p):
+    """The largest k with p = s^lo * f(s^k); 0 for a monomial."""
+    lo = min(p)
+    return gcd(*(e - lo for e in p))
 
 
 def _dense(p, step):
@@ -197,114 +180,174 @@ def _dense(p, step):
     return out
 
 
-def _int_dense(p, step):
-    """``_dense``, content-stripped.  s is a unit in the Laurent ring and
-    the content is a unit over Q, so neither changes a gcd."""
-    return _primitive(_dense(p, step))
-
-
-def _primitive(a):
-    g = 0
-    for v in a:
-        g = gcd(g, v)
-        if g == 1:
-            return a
-    return [v // g for v in a] if g > 1 else a
-
-
-def _int_prem(a, b):
-    """Pseudo-remainder of dense integer polys, content-stripped; a
-    binomial divisor b0 + bm t^m with bm = +-1 folds (``_fold_rem``).
-
-    a's last entry is nonzero, as every dense list of this module has it,
-    so each step cancels the leading term."""
+def _divide(a, b):
+    """a / b for dense int lists, a nonzero and b monic of degree >= 1: the
+    quotient, its last entry nonzero, or None when b does not divide a."""
     db = len(b) - 1
-    if db == 0:
-        return []
-    if b[-1] in (1, -1) and not any(b[1:-1]):
-        return _fold_rem(a, b)
+    if len(a) <= db:
+        return None
     r = list(a)
-    lb = b[-1]
-    while len(r) - 1 >= db:
-        f = r[-1]
-        if lb != 1:
-            r = [lb * c for c in r]
-        off = len(r) - 1 - db
-        for j in range(db):
-            r[off + j] -= f * b[j]
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return _primitive(r)
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = r[i]
+        if c:
+            off = i - db
+            quot[off] = c
+            for j in range(db):
+                r[off + j] -= c * b[j]
+    return None if any(r[:db]) else quot
 
 
-def _fold_rem(a, b):
-    """The remainder of a by b = b0 + bm t^m, bm = +-1, content-stripped.
-
-    Modulo b, t^m = -b0 bm, so coefficient j < m of the remainder is
-    sum_i a[j + m i] (-b0 bm)^i: one Horner pass per residue class mod m,
-    where long division takes one step per degree.  It equals the
-    pseudo-remainder of ``_int_prem`` up to sign."""
-    m = len(b) - 1
-    z = -b[0] * b[-1]
-    r = []
-    for j in range(m):
-        v = 0
-        for c in reversed(a[j::m]):
-            v = v * z + c
-        r.append(v)
-    while r and r[-1] == 0:
-        r.pop()
-    return _primitive(r)
+# -- cyclotomic polynomials and factored denominators -------------------------
 
 
-def _poly_gcd(a, b):
-    """gcd of two primitive dense integer polys, by a primitive remainder
-    sequence; primitive again, and [1] when they are coprime."""
-    if len(a) == 1 or len(b) == 1:
-        return [1]
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _int_prem(a, b)
-    if len(a) == 1:
-        return [1]
-    return a
+@cache
+def _cyclotomic(N):
+    """Phi_N(t) as a dense int tuple: t^N - 1 divided by the Phi_d of every
+    proper divisor d of N."""
+    p = [-1] + [0] * (N - 1) + [1]
+    for d in range(1, N):
+        if N % d == 0:
+            p = _divide(p, _cyclotomic(d))
+    return tuple(p)
 
 
-def _pdiv_exact(p, g, step):
-    """Divide the int Laurent dict p = s^lo * f(s^step) by G(s^step), for
-    the primitive dense integer poly G.
+def _totient(N):
+    out, m, p = N, N, 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out - out // m if m > 1 else out
 
-    By Gauss's lemma the quotient of an integer polynomial by a primitive
-    divisor has integer coefficients, so every step of the long division
-    divides exactly by G's leading coefficient; a step that leaves a
-    remainder, or a nonzero remainder at the end, means G does not divide
-    f.  The quotient comes back with its exponents ascending.
-    """
-    if not p:
-        return {}
-    shift = min(p)
-    num = _dense(p, step)
-    dn = len(g) - 1
-    lead = g[dn]
-    if len(num) <= dn:
-        raise ArithmeticError("inexact polynomial division")
-    quot = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if not c:
+
+@cache
+def _orders(degree):
+    """Every N with Phi_N of degree phi(N) <= degree, ascending.  phi(N) >=
+    sqrt(N) but for N = 2 and 6, so N <= max(degree^2, 6)."""
+    return tuple(N for N in range(1, max(degree * degree, 6) + 1)
+                 if _totient(N) <= degree)
+
+
+def _family(M, k):
+    """The N with Phi_N(s) dividing Phi_M(s^k), those with N / gcd(N, k) =
+    M; Phi_M(s^k) is their product."""
+    return [M * d for d in range(1, k + 1)
+            if k % d == 0 and gcd(M * d, k) == d]
+
+
+def _factors_mul(f1, f2):
+    """The factor tuple of a product: exponents add."""
+    out = dict(f1)
+    for N, e in f2:
+        out[N] = out.get(N, 0) + e
+    return tuple(sorted(out.items()))
+
+
+@cache
+def _expansion(factors):
+    """prod_N Phi_N(s)^e_N as a read-only {exponent: int} mapping,
+    exponents ascending, for a factor tuple ((N, e_N), ...)."""
+    p = {0: 1}
+    for N, e in factors:
+        phi = {i: c for i, c in enumerate(_cyclotomic(N)) if c}
+        for _ in range(e):
+            p = _pmul(p, phi)
+    return MappingProxyType(dict(sorted(p.items())))
+
+
+def _factor(p):
+    """(lo, c, factors) with the int Laurent dict p = c s^lo prod_N
+    Phi_N(s)^e_N, c a nonzero int and factors the tuple ((N, e_N), ...);
+    None when p is not of that form.
+
+    A product of cyclotomic polynomials is monic with constant term +-1 and
+    a palindrome up to sign, so most other polynomials fail at once.  The
+    trial division runs in t = s^k, k = ``_step(p)``, by each Phi_M(t) of
+    degree at most f's that passes ``_vanishes``; each that divides takes
+    out the family Phi_M(s^k) at once (``_family``)."""
+    k = _step(p)
+    lo = min(p)
+    f = _dense(p, k) if k else [p[lo]]
+    c = gcd(*f)
+    if f[-1] < 0:
+        c = -c
+    f = [v // c for v in f]
+    if f[-1] != 1 or f[0] not in (1, -1) \
+            or (f != f[::-1] and f != [-v for v in reversed(f)]):
+        return None
+    found = {}
+    for M in _orders(len(f) - 1):
+        b = _cyclotomic(M)
+        e = 0
+        while len(b) <= len(f) and _vanishes(dict(enumerate(f)), M):
+            g = _divide(f, b)
+            if g is None:
+                break
+            f, e = g, e + 1
+        if e:
+            for N in _family(M, k):
+                found[N] = e
+        if len(f) == 1:
+            break
+    return (lo, c, tuple(sorted(found.items()))) if f == [1] else None
+
+
+@cache
+def _root(N):
+    """(p, w^0, ..., w^(N-1) mod p) with w^N = 1 and Phi_N(w) = 0 mod p,
+    both checked, so ``_vanishes`` is sound for any p; p = 1 mod N is
+    chosen near 2^31, where such a w exists if p is prime and a false
+    pass of ``_vanishes`` is rare."""
+    phi = _cyclotomic(N)
+    p = (2 ** 31 // N + 1) * N + 1
+    while True:
+        for a in range(2, 40 if pow(2, p - 1, p) == 1 else 2):
+            w = pow(a, (p - 1) // N, p)
+            if pow(w, N, p) == 1 and \
+                    sum(c * pow(w, j, p) for j, c in enumerate(phi)) % p == 0:
+                return (p, *(pow(w, j, p) for j in range(N)))
+        p += N
+
+
+def _vanishes(f, N):
+    """Whether f(w) = 0 mod p for ``_root(N)``: true when Phi_N(s) divides
+    the int Laurent dict f, and tested in one pass over f's terms before
+    any division."""
+    p, *powers = _root(N)
+    return not f or sum(c * powers[e % N] for e, c in f.items()) % p == 0
+
+
+def _reduce(pe, pr, n, factors, trial):
+    """Reduced storage (pe, pr, n, factors) of the nonzero scalar (pe + pr
+    r) / (n prod Phi_N^e_N): each Phi_N of the denominator with N in trial
+    (every N when trial is None) that passes ``_vanishes`` for both
+    numerators divides out of both as often as it divides both; then the
+    integer content of n and the numerators divides out."""
+    exps = dict(factors)
+    for N in (exps if trial is None else trial):
+        if N not in exps or not (_vanishes(pe, N) and _vanishes(pr, N)):
             continue
-        f, m = divmod(c, lead)
-        if m:
-            raise ArithmeticError("inexact polynomial division")
-        off = i - dn
-        quot[off] = f
-        for j in range(dn):
-            num[off + j] -= f * g[j]
-    if any(num[:dn]):
-        raise ArithmeticError("inexact polynomial division")
-    return {shift + step * i: c for i, c in enumerate(quot) if c}
+        b = _cyclotomic(N)
+        lo_e, lo_r = (min(p) if p else 0 for p in (pe, pr))
+        fe, fr = (_dense(p, 1) if p else [] for p in (pe, pr))
+        while exps[N]:
+            ge = _divide(fe, b) if fe else fe
+            gr = _divide(fr, b) if fr else fr
+            if ge is None or gr is None:
+                break
+            fe, fr = ge, gr
+            exps[N] -= 1
+        pe = {lo_e + i: c for i, c in enumerate(fe) if c}
+        pr = {lo_r + i: c for i, c in enumerate(fr) if c}
+        factors = tuple(sorted((N, e) for N, e in exps.items() if e))
+    g = gcd(n, *pe.values(), *pr.values()) if n != 1 else 1
+    if g == 1:
+        return pe, pr, n, factors
+    return ({e: c // g for e, c in pe.items()},
+            {e: c // g for e, c in pr.items()}, n // g, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -314,58 +357,34 @@ def _pdiv_exact(p, g, step):
 # r^2 = s^2 + s^{-2}
 _RSQ = {2: 1, -2: 1}
 
-# Reduction is deferred while the denominator has at most this many terms
-# (a monomial, or a binomial like q - q^-1 or q^2 + q^-2, which is where
-# nearly all the gcd time used to go).  Once a product of such denominators
-# piles up it is cancelled right away, otherwise denominators grow
-# multiplicatively through long chains of arithmetic and the final
-# reduction becomes hopeless.  The stored form of an unreduced scalar
-# depends on this threshold.  One in-process cycle of the benchmark's
-# workloads (seed 1, Python 3.11, 2 shared vCPUs; two rounds) took, for a
-# threshold of 1 / 2 / 3 / none: curvature 1.12-1.22 / 0.78-0.82 /
-# 1.18-1.26 / 1.17 s, spectra 0.38-0.55 / 0.37-0.48 / 0.35-0.43 / 16.8 s.
-# 3 is a little faster on spectra but half again slower on curvature.
-_LAZY_DEN_TERMS = 2
-
 
 class Scalar:
-    """An element (pe + pr*r)/den of K = Q(s)[r]/(r^2 - s^2 - s^{-2}).
+    """An element (pe + pr*r)/(n prod Phi_N^e_N) of K_cyc, inside K =
+    Q(s)[r]/(r^2 - s^2 - s^{-2}) (module docstring).
 
-    Stored as int dicts ``_pe``, ``_pr``, ``_den`` and one int ``_n`` > 0
-    that divides every coefficient (see the module docstring);
-    ``pe``, ``pr`` and ``den`` give the same dicts with Fraction
-    coefficients.  Arithmetic keeps the raw numerator/denominator dicts
-    and defers the gcd reduction until a canonical form is actually needed
-    (equality, hashing, limits, display), or until the denominator has
-    more than ``_LAZY_DEN_TERMS`` terms.  The intermediate scalars of a
-    big tensor computation vastly outnumber the surviving ones, so
-    reducing lazily is worth an order of magnitude on the curvature
-    pipeline.
-
-    The module docstring's first three kernels sit in ``mul_s`` (a unit
-    factor shifts, taking the s-power of a monomial product into its
-    shift), ``__add__`` (equal denominators add) and the gcd (a binomial
-    divisor folds); the fourth is the function ``dot``.  ``*`` is
-    ``mul_s`` with no s-power.
+    Stored reduced as int dicts ``_pe``, ``_pr``, one int ``_n`` > 0 and
+    the factor tuple ``_factors`` = ((N, e_N), ...), N ascending; ``pe``,
+    ``pr`` and ``den`` are Fraction views of the numerators over n and of
+    the expanded monic denominator.  The module docstring's kernels sit in
+    ``mul_s`` (a unit factor shifts; ``*`` is ``mul_s`` with no s-power),
+    ``__add__`` (equal denominators add) and the function ``dot``.
     """
 
-    __slots__ = ("_pe", "_pr", "_den", "_n", "_reduced")
+    __slots__ = ("_pe", "_pr", "_n", "_factors")
 
     def __init__(self, pe, pr=None, den=None):
-        """(pe + pr*r)/den from {exponent: Fraction or int} dicts."""
-        (pe, pr, den), n = _ints(pe, {} if pr is None else pr,
-                                 {0: 1} if den is None else den)
-        x = _scalar(pe, pr, den, n)
-        _init(self, x._pe, x._pr, x._den, x._n, x._reduced)
-
-    def reduced(self) -> "Scalar":
-        """This scalar, its storage reduced in place (``forms.frame``
-        stores its entries so); the value is unchanged."""
-        if not self._reduced:
-            self._pe, self._pr, self._den, self._n = _normalise(
-                self._pe, self._pr, self._den)
-            self._reduced = True
-        return self
+        """(pe + pr*r)/den from {exponent: Fraction or int} dicts; den must
+        be a product of cyclotomic polynomials up to c s^k."""
+        pe, pr, den = _ints(pe, {} if pr is None else pr,
+                            {0: 1} if den is None else den)
+        if not den:
+            raise ZeroDivisionError("zero denominator in scalar")
+        x = _over_factored(pe, pr, den)
+        if x is None:
+            raise ValueError("denominator %r is outside the cyclotomic ring: "
+                             "it has a non-cyclotomic factor" % (den,))
+        self._pe, self._pr, self._n, self._factors = \
+            x._pe, x._pr, x._n, x._factors
 
     # -- the Fraction views -------------------------------------------------
 
@@ -379,16 +398,14 @@ class Scalar:
 
     @property
     def den(self):
-        return _fracs(self._den, self._n)
+        return _fracs(_expansion(self._factors), 1)
 
     # -- canonical key, equality, hashing -----------------------------------
 
     def _freeze(self):
-        self.reduced()
         return (tuple(sorted(self._pe.items())),
                 tuple(sorted(self._pr.items())),
-                tuple(sorted(self._den.items())),
-                self._n)
+                self._factors, self._n)
 
     def __eq__(self, other):
         if self is other:
@@ -401,8 +418,8 @@ class Scalar:
 
     def __hash__(self):
         # a rational constant hashes like the number, since it equals it
-        pe, pr, den, n = key = self._freeze()
-        if not pr and den == ((0, n),):
+        pe, pr, factors, n = key = self._freeze()
+        if not pr and not factors:
             if not pe:
                 return hash(0)
             if len(pe) == 1 and pe[0][0] == 0:
@@ -424,24 +441,23 @@ class Scalar:
             return self
         if not self:
             return other
-        pe1, pr1, d1, n1 = self._pe, self._pr, self._den, self._n
-        pe2, pr2, d2, n2 = other._pe, other._pr, other._den, other._n
-        if n1 == n2 and d1 == d2:  # equal denominators add
-            return _scalar(_padd(pe1, pe2), _padd(pr1, pr2), d1, n1)
-        if _same(d1, n1, d2, n2):
-            # one common denominator n for both numerators and the den
+        pe1, pr1, n1, f1 = self._pe, self._pr, self._n, self._factors
+        pe2, pr2, n2, f2 = other._pe, other._pr, other._n, other._factors
+        if f1 == f2:  # equal denominators add
             n = lcm(n1, n2)
             k1, k2 = n // n1, n // n2
             return _scalar(_padd(_pscale(pe1, k1), _pscale(pe2, k2)),
-                           _padd(_pscale(pr1, k1), _pscale(pr2, k2)),
-                           _pscale(d1, k1), n)
-        pe = _padd(_pmul(pe1, d2), _pmul(pe2, d1))
-        pr = _padd(_pmul(pr1, d2), _pmul(pr2, d1))
-        return _scalar(pe, pr, _pmul(d1, d2), n1 * n2)
+                           _padd(_pscale(pr1, k1), _pscale(pr2, k2)), n, f1)
+        # a Phi_N can only divide out where both exponents are equal:
+        # elsewhere the sum is one reduced numerator times a unit modulo
+        # Phi_N
+        e2 = dict(f2)
+        return _over_lcm([(pe1, pr1, n1, f1), (pe2, pr2, n2, f2)],
+                         [N for N, e in f1 if e2.get(N) == e])
 
     def __neg__(self):
-        return _make(_pneg(self._pe), _pneg(self._pr), self._den, self._n,
-                     self._reduced)
+        return _make(_pneg(self._pe), _pneg(self._pr), self._n,
+                     self._factors)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -454,13 +470,12 @@ class Scalar:
         return self.mul_s(other, 0)
 
     def mul_s(self, other: "Scalar", e: int) -> "Scalar":
-        """self * other * s^e, stored as (self * other).scale_s(e) is.
+        """self * other * s^e.
 
         A unit factor (``_unit``) takes no product: the other factor
         shifts by k + e, negated for -1, and r (pe + pr r) = pr (s^2 +
-        s^-2) + pe r.  An s-power shift of a factor reduced over more than
-        ``_LAZY_DEN_TERMS`` den terms needs no new reduction.  Any other
-        pair forms the product and then shifts it by e."""
+        s^-2) + pe r, where only Phi_8 = s^4 + 1 can divide out.  Any other
+        pair forms the product, shifted by e, and reduces it."""
         if not self or not other:
             return ZERO
         unit, x = _unit(self), other
@@ -470,30 +485,36 @@ class Scalar:
             k, sign, with_r = unit
             pe, pr = _pmove(x._pe, k + e, sign), _pmove(x._pr, k + e, sign)
             if not with_r:
-                # reduced exactly when _scalar would reduce it
-                return _make(pe, pr, x._den, x._n,
-                             len(x._den) > _LAZY_DEN_TERMS)
-            return _scalar(_pmul(_RSQ, pr), pe, x._den, x._n)
+                return _make(pe, pr, x._n, x._factors)
+            return _scalar(_pmul(_RSQ, pr), pe, x._n, x._factors, (8,))
         a, b = self, other
         pe = _padd(_pmul(a._pe, b._pe), _pmul(_RSQ, _pmul(a._pr, b._pr)))
         pr = _padd(_pmul(a._pe, b._pr), _pmul(a._pr, b._pe))
-        out = _scalar(pe, pr, _pmul(a._den, b._den), a._n * b._n)
-        return out.scale_s(e) if e else out
+        return _scalar(_pshift(pe, e), _pshift(pr, e), a._n * b._n,
+                       _factors_mul(a._factors, b._factors))
 
     def scale_s(self, k: int) -> "Scalar":
         """Fast multiplication by s^k."""
         if not self:
             return self
-        return _make(_pshift(self._pe, k), _pshift(self._pr, k), self._den,
-                     self._n, self._reduced)
+        return _make(_pshift(self._pe, k), _pshift(self._pr, k), self._n,
+                     self._factors)
 
     def inverse(self) -> "Scalar":
         if not self:
             raise ZeroDivisionError("inverse of zero scalar")
-        # 1/((pe + pr r)/den) = den (pe - pr r) / (pe^2 - pr^2 (s^2+s^-2))
-        pe, pr, den, n = self._pe, self._pr, self._den, self._n
-        norm = _padd(_pmul(pe, pe), _pneg(_pmul(_RSQ, _pmul(pr, pr))))
-        return _scalar(_pmul(den, pe), _pneg(_pmul(den, pr)), norm, n * n)
+        # 1/((pe + pr r)/(n D)) = n D (pe - pr r) / (pe^2 - pr^2 (s^2+s^-2));
+        # with no r-part, n D / pe, reduced as it stands: no Phi_N of D
+        # divides pe, and n shares no factor with pe's content
+        pe, pr = self._pe, self._pr
+        num = _pscale(_expansion(self._factors), self._n)
+        x = _over_factored(num, {}, pe, ()) if not pr else _over_factored(
+            _pmul(num, pe), _pneg(_pmul(num, pr)),
+            _padd(_pmul(pe, pe), _pneg(_pmul(_RSQ, _pmul(pr, pr)))))
+        if x is None:
+            raise ValueError("%r is outside the cyclotomic ring: its norm "
+                             "has a non-cyclotomic factor" % self)
+        return x
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
@@ -503,8 +524,7 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = ONE
-        base = self
+        out, base = ONE, self
         while n:
             if n & 1:
                 out = out * base
@@ -518,26 +538,28 @@ class Scalar:
         """Numerical value at a given q > 0, from the reduced form, so that
         a removable pole (such as 0/0 at q = 1) never shows.
 
-        Each coefficient is the correctly rounded c / n, which is
-        float(Fraction(c, n)), summed with exponents ascending."""
-        self.reduced()
+        Each numerator coefficient is the correctly rounded c / n, which is
+        float(Fraction(c, n)), summed with exponents ascending; so is the
+        expanded monic denominator."""
         n = self._n
         s = q ** 0.5
         r = (q + 1.0 / q) ** 0.5
-        pe = sum(c / n * s ** e for e, c in sorted(self._pe.items()))
-        pr = sum(c / n * s ** e for e, c in sorted(self._pr.items()))
-        den = sum(c / n * s ** e for e, c in sorted(self._den.items()))
+        pe = sum([c / n * s ** e for e, c in sorted(self._pe.items())])
+        pr = sum([c / n * s ** e for e, c in sorted(self._pr.items())])
+        if not self._factors:  # den = 1.0, and x / 1.0 == x exactly
+            return pe + pr * r
+        den = sum([c * s ** e for e, c in _expansion(self._factors).items()])
         return (pe + pr * r) / den
 
     def limit_q_one(self):
         """Exact q -> 1 limit by substituting s = 1 into the reduced form.
 
-        Returns (u, v) with value u + v*sqrt(2) as exact rationals.  The
-        substitution is legal because scalars are kept gcd-reduced; a pole
-        at q = 1 surfaces as a vanishing denominator and raises.
-        """
-        self.reduced()
-        den = sum(self._den.values())
+        Returns (u, v) with value u + v*sqrt(2) as exact rationals.  Only
+        Phi_1 = s - 1 vanishes at s = 1, so a pole at q = 1, which raises,
+        is a denominator holding Phi_1."""
+        den = self._n
+        for N, e in self._factors:
+            den *= sum(_cyclotomic(N)) ** e
         if not den:
             raise ZeroDivisionError("pole at q = 1")
         return (Fraction(sum(self._pe.values()), den),
@@ -545,10 +567,10 @@ class Scalar:
 
     # -- display ------------------------------------------------------------
 
-    def _poly_str(self, p):
+    @staticmethod
+    def _poly_str(p, n):
         if not p:
             return "0"
-        n = self._n
         parts = []
         for e in sorted(p):
             c = p[e] if n == 1 else Fraction(p[e], n)
@@ -563,36 +585,31 @@ class Scalar:
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):
-        self.reduced()
         if not self:
             return "0"
-        num = self._poly_str(self._pe)
+        n = self._n
+        num = self._poly_str(self._pe, n)
         if self._pr:
-            rpart = "(%s)*r" % self._poly_str(self._pr)
+            rpart = "(%s)*r" % self._poly_str(self._pr, n)
             num = rpart if not self._pe else "%s + %s" % (num, rpart)
-        if self._den == {0: self._n}:
+        if not self._factors:
             return num
-        return "(%s)/(%s)" % (num, self._poly_str(self._den))
+        return "(%s)/(%s)" % (num, self._poly_str(
+            _expansion(self._factors), 1))
 
 
-def _init(x, pe, pr, den, n, reduced):
-    x._pe, x._pr, x._den, x._n = pe, pr, den, n
-    x._reduced = reduced
-
-
-def _make(pe, pr, den, n, reduced):
+def _make(pe, pr, n, factors):
     x = object.__new__(Scalar)
-    _init(x, pe, pr, den, n, reduced)
+    x._pe, x._pr, x._n, x._factors = pe, pr, n, factors
     return x
 
 
 def _unit(x):
     """(k, sign, r) for a nonzero x stored as sign * s^k (r False) or
-    sign * r s^k (r True) over den {0: 1} with n = 1, sign = +-1; None for
-    every other x.  A product with such a unit is a shift (``mul_s``)."""
-    pe, pr, den = x._pe, x._pr, x._den
-    if len(pe) + len(pr) != 1 or x._n != 1 or len(den) != 1 \
-            or den.get(0) != 1:
+    sign * r s^k (r True) over denominator 1, sign = +-1; None for every
+    other x.  A product with such a unit is a shift (``mul_s``)."""
+    pe, pr = x._pe, x._pr
+    if len(pe) + len(pr) != 1 or x._n != 1 or x._factors:
         return None
     (k, c), = (pe or pr).items()
     if c != 1 and c != -1:
@@ -600,146 +617,79 @@ def _unit(x):
     return k, c, not pe
 
 
-def _content(pe, pr, den, n):
-    """The same value with n > 0 and the integer content gcd(n,
-    coefficients) divided out."""
-    g = abs(n)
-    if g != 1:
-        for c in chain(den.values(), pe.values(), pr.values()):
-            g = gcd(g, c)
-            if g == 1:
-                break
-    if n < 0:
-        g = -g
-    if g == 1:
-        return pe, pr, den, n
-    return ({e: c // g for e, c in pe.items()},
-            {e: c // g for e, c in pr.items()},
-            {e: c // g for e, c in den.items()}, n // g)
-
-
-def _scalar(pe, pr, den, n):
-    """The Scalar (pe + pr*r)/den for int dicts that hold n times its
-    coefficients: unreduced while den has at most _LAZY_DEN_TERMS terms,
-    reduced past that."""
-    if not den:
-        raise ZeroDivisionError("zero denominator in scalar")
+def _scalar(pe, pr, n, factors, trial=None):
+    """The reduced Scalar (pe + pr*r)/(n prod Phi_N^e_N) for int dicts and
+    a factor tuple; only the Phi_N of trial (all when None) are tried."""
     if not pe and not pr:
         return ZERO
-    if len(den) <= _LAZY_DEN_TERMS:
-        return _make(*_content(pe, pr, den, n), False)
-    return _make(*_normalise(pe, pr, den), True)
+    return _make(*_reduce(pe, pr, n, factors, trial))
 
 
-def _normalise(pe, pr, den):
-    """Reduced int storage (pe, pr, den, n) of (pe + pr*r)/den, a nonzero
-    scalar given by int dicts (over any common divisor, which cancels).
-
-    den is shifted to lowest exponent 0, the numerators and den are
-    divided by their common gcd, computed on f(t), t = s^k (see the module
-    docstring), and den's leading coefficient becomes n.  Where the gcd is
-    nontrivial the dicts come out with ascending exponents; otherwise they
-    keep their keys' order.
-    """
-    # pull the denominator's s-power into the numerators
-    dshift = min(den)
-    if dshift:
-        den = _pshift(den, -dshift)
-        pe = _pshift(pe, -dshift)
-        pr = _pshift(pr, -dshift)
-    if len(den) > 1:
-        step = _step(den, pe, pr)
-        g = _poly_gcd(_int_dense(pe if pe else pr, step),
-                      _int_dense(den, step))
-        if pr and pe and len(g) > 1:
-            g = _poly_gcd(g, _int_dense(pr, step))  # gcd of all three
-        if len(g) > 1:
-            # den has a nonzero constant term, so g and den/g have one too
-            pe = _pdiv_exact(pe, g, step)
-            pr = _pdiv_exact(pr, g, step)
-            den = _pdiv_exact(den, g, step)
-    return _content(pe, pr, den, den[max(den)])
+def _over_factored(pe, pr, den, trial=None):
+    """The reduced Scalar (pe + pr*r)/den for int dicts, den factored here
+    (``_factor``); None when den is outside the cyclotomic ring."""
+    born = _factor(den)
+    if born is None:
+        return None
+    lo, c, factors = born
+    sign = 1 if c > 0 else -1
+    return _scalar(_pmove(pe, -lo, sign), _pmove(pr, -lo, sign), abs(c),
+                   factors, trial)
 
 
-def _split(den):
-    """(lo, c, p) with den = s^lo * c * p, for p primitive, of lowest
-    exponent 0 and with a positive leading coefficient."""
-    lo = min(den)
-    c = gcd(*den.values())
-    if den[max(den)] < 0:
-        c = -c
-    return lo, c, {e - lo: v // c for e, v in den.items()}
-
-
-def _ascending(p):
-    return dict(sorted(p.items()))
+def _over_lcm(parts, trial=None):
+    """The reduced sum of the (pe, pr, n, factors) quotients in parts, over
+    their lcm: the lcm of the n and the largest exponent of each Phi_N;
+    ``_scalar`` tries the Phi_N of trial."""
+    n = lcm(*(part[2] for part in parts))
+    top = {}
+    for *_, factors in parts:
+        for N, e in factors:
+            top[N] = max(e, top.get(N, 0))
+    pe, pr = {}, {}
+    for pe_i, pr_i, n_i, factors in parts:
+        exps = dict(factors)
+        cofactor = tuple((N, e - exps.get(N, 0)) for N, e in sorted(top.items())
+                         if e > exps.get(N, 0))
+        f = _pscale(_expansion(cofactor), n // n_i)
+        accumulate(pe, _pmul(pe_i, f).items())
+        accumulate(pr, _pmul(pr_i, f).items())
+    return _scalar(pe, pr, n, tuple(sorted(top.items())), trial)
 
 
 def dot(xs, ys) -> Scalar:
-    """sum(x * y for x, y in zip(xs, ys)), stored reduced, with ascending
-    exponents.
+    """sum(x * y for x, y in zip(xs, ys)), reduced once.
 
-    Each product's numerator and denominator are formed without a
-    reduction.  The denominators d1 d2 = s^lo c p (``_split``) go over
-    one common denominator C L: L the lcm of the primitive parts p, C
-    the lcm of the contents c, and the s-powers move into the
-    numerators.  So the sum runs ``_normalise`` once, where summing
+    Each product's numerators and factors are formed without a reduction
+    and the sum reduces once over their lcm (``_over_lcm``), where summing
     product by product reduces each product and each partial sum.  The
     operands are not touched."""
-    parts = []
-    for x, y in zip(xs, ys):
-        if not x or not y:
-            continue
-        lo1, c1, p1 = _split(x._den)
-        lo2, c2, p2 = _split(y._den)
-        parts.append((
-            _padd(_pmul(x._pe, y._pe), _pmul(_RSQ, _pmul(x._pr, y._pr))),
-            _padd(_pmul(x._pe, y._pr), _pmul(x._pr, y._pe)),
-            lo1 + lo2, c1 * c2, _pmul(p1, p2)))
-    if not parts:
-        return ZERO
-    # the gcds and divisions run in t = s^step, as in _normalise
-    step = _step(*(p for *_, p in parts))
-    common = {0: 1}
-    for *_, p in parts:
-        if len(p) > 1:
-            g = _poly_gcd(_int_dense(common, step), _int_dense(p, step))
-            common = _pmul(common,
-                           p if len(g) == 1 else _pdiv_exact(p, g, step))
-    scale = lcm(*(c for *_, c, _ in parts))
-    pe, pr = {}, {}
-    for pe_i, pr_i, lo, c, p in parts:
-        quot = _pdiv_exact(common, _int_dense(p, step), step) \
-            if len(p) > 1 else common
-        f = _pshift(_pscale(quot, scale // c), -lo)
-        pe = _padd(pe, _pmul(pe_i, f))
-        pr = _padd(pr, _pmul(pr_i, f))
-    if not pe and not pr:
-        return ZERO
-    return _make(*_normalise(_ascending(pe), _ascending(pr),
-                             _ascending(_pscale(common, scale))), True)
+    parts = [(_padd(_pmul(x._pe, y._pe), _pmul(_RSQ, _pmul(x._pr, y._pr))),
+              _padd(_pmul(x._pe, y._pr), _pmul(x._pr, y._pe)),
+              x._n * y._n, _factors_mul(x._factors, y._factors))
+             for x, y in zip(xs, ys) if x and y]
+    return _over_lcm(parts) if parts else ZERO
 
 
-ZERO = _make({}, {}, {0: 1}, 1, True)
-ONE = _make({0: 1}, {}, {0: 1}, 1, True)
-ROOT_TWO_Q = _make({}, {0: 1}, {0: 1}, 1, True)  # r = [2]_q^{1/2}
+ZERO = _make({}, {}, 1, ())
+ONE = _make({0: 1}, {}, 1, ())
+ROOT_TWO_Q = _make({}, {0: 1}, 1, ())  # r = [2]_q^{1/2}
 
 
 def rational(x) -> Scalar:
     c = Fraction(x)
     if not c:
         return ZERO
-    d = c.denominator
-    return _make({0: c.numerator}, {}, {0: d}, d, True)
+    return _make({0: c.numerator}, {}, c.denominator, ())
 
 
 def s_pow(k: int) -> Scalar:
     """s^k, i.e. q^(k/2)."""
-    return _make({k: 1}, {}, {0: 1}, 1, True)
+    return _make({k: 1}, {}, 1, ())
 
 
 def q_pow(k: int) -> Scalar:
-    return _make({2 * k: 1}, {}, {0: 1}, 1, True)
+    return _make({2 * k: 1}, {}, 1, ())
 
 
 def qnum(two_x: int) -> Scalar:
@@ -751,4 +701,4 @@ def qnum(two_x: int) -> Scalar:
     """
     if two_x == 0:
         return ZERO
-    return _scalar({-two_x: 1, two_x: -1}, {}, {-2: 1, 2: -1}, 1)
+    return Scalar({-two_x: 1, two_x: -1}, {}, {-2: 1, 2: -1})

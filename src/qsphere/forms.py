@@ -102,17 +102,12 @@ def frame():
 
     u_1 and u_3 carry a factor r = [2]_q^{1/2} and u_2 a factor [2]_q, so
     the r^{-1} in kappa_j cancels: w_j is integral.  Its coefficients are
-    stored reduced, each a unit +-s^k or +-r s^k over den 1, so that a
-    product with one is a shift (``coeff.Scalar.mul_s``).
+    units +-s^k or +-r s^k over denominator 1, so that a product with one
+    is a shift (``coeff.Scalar.mul_s``).
     """
     rinv = ROOT_TWO_Q.inverse()
-    ws = tuple(dee(spin_one(j - 2, 0)).scale(q_pow(j - 2) * rinv)
-               for j in (1, 2, 3))
-    for w in ws:
-        for x in (w.plus, w.minus):
-            for c in x.terms.values():
-                c.reduced()
-    return ws
+    return tuple(dee(spin_one(j - 2, 0)).scale(q_pow(j - 2) * rinv)
+                 for j in (1, 2, 3))
 
 
 def frame_expand_right(rho: OneForm) -> OneForm:

@@ -57,3 +57,15 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_module_imports_sympy():
+    # sympy is an oracle of the tests only: the package decides K without it
+    for path in SOURCES:
+        modules = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules.add(node.module)
+        assert not any(m.split(".")[0] == "sympy" for m in modules), path.name

@@ -17,7 +17,8 @@ MEMOISED = [
     forms.frame, tensors.metric, calculus.volume_form,
     levicivita.riemann, levicivita.ricci,
     spinor._metric_diag, spectra._reduced, spectra._block_matrix,
-    haar.haar_state,
+    haar.haar_state, coeff._cyclotomic, coeff._orders, coeff._expansion,
+    coeff._root,
 ]
 
 
@@ -62,7 +63,7 @@ def _assert_frame_is_stored_as_units(ws):
     for w in ws:
         for x in (w.plus, w.minus):
             for c in x.terms.values():
-                assert c._reduced and c._n == 1 and c._den == {0: 1}
+                assert c._n == 1 and not c._factors
                 assert coeff._unit(c) is not None
 
 
