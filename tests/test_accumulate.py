@@ -1,6 +1,6 @@
 """One sparse-sum rule: every dict sum in qsphere goes through
-coeff.accumulate, which deletes a key whose sum is zero, so that the key
-order of stored dicts (which eval_float reads) follows one policy."""
+coeff.accumulate, which deletes a key whose sum is zero, so that no stored
+dict of polynomials, elements or corners holds a zero."""
 
 import ast
 import importlib

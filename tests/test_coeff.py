@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qsphere.coeff import (
     ONE, ROOT_TWO_Q, ZERO, Scalar, _cyclotomic, _dense, _divide, _factor,
-    _fracs, _pmul, _reduce, _unit, dot, q_pow, qnum, rational, s_pow,
+    _reduce, _unit, dot, q_pow, qnum, rational, s_pow,
 )
 
 

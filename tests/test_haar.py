@@ -52,14 +52,14 @@ def test_degree_zero_and_two_monomials_have_even_length():
 
 
 def _stored(table):
-    # values with their stored form, key order included
+    # the table in its key order, each value in its canonical form
     return [(m, [list(p.items()) for p in (v.pe, v.pr, v.den)])
             for m, v in table.items()]
 
 
 def test_solve_restricts_to_the_shorter_table():
-    # extending 28 -> 30 equals one solve to 30 in value, stored form and
-    # key order, and the shorter table is its restriction
+    # extending 28 -> 30 equals one solve to 30 in value, canonical form
+    # and the table's key order, and the shorter table is its restriction
     step, once = HaarState(), HaarState()
     step.ensure(28)
     short = _stored(step._table)
@@ -71,7 +71,8 @@ def test_solve_restricts_to_the_shorter_table():
 
 
 def test_solve_stored_form_is_pinned():
-    # a SHA-256 prefix over the table at length 26, key order included
+    # a SHA-256 prefix over the table at length 26 in its key order, each
+    # value in its canonical form
     table = {MONO_ID: ONE}
     table.update(_solve(table, 0, 26))
     h = hashlib.sha256()
