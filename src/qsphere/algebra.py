@@ -546,7 +546,10 @@ def parse(text: str) -> Element:
         c = el.terms.get(MONO_ID)
         if c is None or len(el.terms) != 1:
             raise ValueError("division by a non-scalar in %r" % text)
-        return c.inverse()
+        try:
+            return c.inverse()
+        except ValueError as exc:  # outside the cyclotomic ring
+            raise ValueError("%s, in %r" % (exc, text)) from None
 
     def parse_product():
         out = parse_atom()

@@ -9,8 +9,10 @@
 ``spectra.spectrum`` rows {l, q, operator, eigenvalues} indented by 2; a
 spin or q0 out of range exits with status 2.  Status 1 means that an
 exact identity failed while a block was reduced in K (a singular Gram
-matrix, or an operator that leaves the block), or that the spectrum at
-q0 came out non-real.
+matrix, or an operator that leaves the block), that a block matrix is
+not monomial (a row without exactly one nonzero, or a column met
+twice), or that a block has a non-real spectrum (a 2-cycle whose entries
+have a negative product at q0, or a longer cycle).
 ``check`` runs the exact identity checks, one line each with its wall time,
 and exits with status 1 if any fails.  The entries, in order:
 podles-relations, then hermitian, torsion-free and bimodule (the

@@ -26,7 +26,22 @@ the top-monomial coefficients of op(t'_j), and the closure
 op(t'_j) = sum_i M_ij t'_i is checked exactly (``_block_matrix``).  D^2
 is not applied: D maps the block into itself, so its matrix is M_D^2.  Both
 are cached per process, once per spin and once per (spin, operator), so
-only the evaluation of M at q0 is paid per block.
+only the evaluation of M's nonzero entries at q0 is paid per block.
+
+Every block matrix is monomial: one nonzero entry per row and column.
+The block holds one t' per (sector, row weight), D and the laplacian
+commute with the left circle action (they are left U_q(su(2))-equivariant,
+Dabrowski-Sitarz, "Dirac operator on the standard Podles quantum sphere",
+2003), D exchanges the sectors and the laplacian keeps them; so M_D pairs
+the two t' of each row weight, a product of 2l+1 2-cycles, and M_D2 and
+M_lap are diagonal.  That argument is cited, not decided; the structure
+itself is checked exactly on every block built (``SpinBlock._build``
+raises otherwise), and the tests build every D, D2 and lap block up to
+l = 11/2 (``test_op_matrix_is_the_dense_evaluation``).  The eigenvalues
+are read off the cycles of the permutation: a fixed point gives its
+entry, a 2-cycle with entry product p >= 0 gives +-sqrt(p), and any
+other cycle has a non-real eigenvalue and raises.  For a monomial matrix
+this is exact, so no dense eigensolver is needed.
 
 Eigenvalues of D on the block of total spin l come out as +-[l+1/2]_{q0},
 each with multiplicity 2l+1; this value is derived from the action of the
@@ -40,8 +55,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-
-import numpy as np
 
 from .algebra import Element, mono_length, pbw_monomials
 from .coeff import ZERO
@@ -163,14 +176,16 @@ def _block_matrix(n: int, operator: str):
 class SpinBlock:
     """One total-spin block of the spinor space at a numeric parameter.
 
-    ``op_matrix`` is the chosen operator on the block, in the basis of the
-    t' (see the module docstring), evaluated at q0.  The exact reduction
-    and the exact matrix are cached per process, so a spin or a
-    (spin, operator) met before costs only this evaluation; q0 enters
-    nowhere else.  The t' are mutually orthogonal, so the matrix is the
-    orthonormal-basis one up to a positive diagonal similarity, and has
-    the same eigenvalues.  Only the nonzero exact entries are evaluated;
-    the matrices have one per row, and a zero entry is +0.0 either way.
+    The chosen operator's exact block matrix (in the basis of the t', see
+    the module docstring) is monomial, so it is held as a permutation and
+    its entries: row i has its one nonzero in column ``columns[i]``, and
+    that entry at q0 is ``entries[i]``.  A row with no nonzero or several,
+    or a column met twice, raises ArithmeticError naming the row.  The
+    exact reduction and the exact matrix are cached per process, so a
+    spin or a (spin, operator) met before costs only the evaluation of
+    its nonzero entries; q0 enters nowhere else.  The t' are mutually
+    orthogonal, so the matrix is the orthonormal-basis one up to a
+    positive diagonal similarity, and has the same eigenvalues.
     """
 
     def __init__(self, l, q0: float, operator: str = "D"):
@@ -186,17 +201,34 @@ class SpinBlock:
 
     def _build(self):
         matrix = _block_matrix(int(2 * self.l), self.operator)
-        self.op_matrix = np.zeros((len(matrix), len(matrix)))
+        columns, entries = [], []
         for i, row in enumerate(matrix):
-            for j, c in enumerate(row):
-                if c:
-                    self.op_matrix[i, j] = c.eval_float(self.q0)
+            nonzero = [j for j, c in enumerate(row) if c]
+            if len(nonzero) != 1 or nonzero[0] in columns:
+                raise ArithmeticError(
+                    "the %s block at l=%s is not monomial: row %d has "
+                    "nonzero entries in columns %r; the rows above use "
+                    "columns %r" % (self.operator, self.l, i, nonzero,
+                                    columns))
+            columns.append(nonzero[0])
+            entries.append(row[nonzero[0]].eval_float(self.q0))
+        self.columns, self.entries = columns, entries
 
     def eigenvalues(self):
-        vals = np.linalg.eigvals(self.op_matrix)
-        if np.abs(vals.imag).max() > 1e-8:
-            raise ArithmeticError("block spectrum is not real")
-        return sorted(float(v) for v in vals.real)
+        """The block spectrum, sorted, from the cycles of ``columns``: the
+        cycle of row i is a fixed point, a 2-cycle (i, j) with
+        ``columns[j] == i``, or longer."""
+        vals = []
+        for i, j in enumerate(self.columns):
+            if i == j:
+                vals.append(self.entries[i])
+                continue
+            p = self.entries[i] * self.entries[j]
+            if self.columns[j] != i or p < 0:
+                raise ArithmeticError("block spectrum is not real")
+            if i < j:
+                vals += [-math.sqrt(p), math.sqrt(p)]
+        return sorted(vals)
 
 
 def spectrum(l_max, q0: float, operator: str = "D"):

@@ -410,6 +410,14 @@ def test_parse_rejects_junk():
             parse(bad)
 
 
+def test_parse_names_the_text_of_an_out_of_ring_divisor():
+    for text in ("1/(2 + s)", "a*b/(s^2 + 1/3) - c"):
+        with pytest.raises(ValueError, match="outside the cyclotomic ring") \
+                as info:
+            parse(text)
+        assert repr(text) in str(info.value)
+
+
 def test_repr_round_trips_through_parser():
     x = GEN_A * GEN_B.scale(q(2)) - GEN_C + Element.scalar(qnum(4))
     assert parse(repr(x)) == x

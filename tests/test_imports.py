@@ -1,6 +1,9 @@
 """Every name that a module of qsphere imports is used in that module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,7 +63,9 @@ def test_no_unused_imports(path):
 
 
 def test_no_module_imports_sympy():
-    # sympy is an oracle of the tests only: the package decides K without it
+    # sympy and numpy are oracles of the tests only: the package decides K
+    # without sympy, and reads block spectra off monomial matrices
+    # without numpy
     for path in SOURCES:
         modules = set()
         for node in ast.walk(ast.parse(path.read_text())):
@@ -68,4 +73,14 @@ def test_no_module_imports_sympy():
                 modules.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.module:
                 modules.add(node.module)
-        assert not any(m.split(".")[0] == "sympy" for m in modules), path.name
+        roots = {m.split(".")[0] for m in modules}
+        assert not roots & {"sympy", "numpy"}, path.name
+
+
+def test_the_command_line_loads_without_numpy():
+    # nothing the command line imports pulls numpy in indirectly
+    code = "import sys, qsphere.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(qsphere.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"

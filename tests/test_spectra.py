@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from qsphere.algebra import Element, mono_length, pbw_monomials
-from qsphere.coeff import ZERO, q_pow, qnum
+from qsphere.coeff import ZERO, q_pow, qnum, rational
 from qsphere.haar import haar
 from qsphere.spectra import (
-    SpinBlock, _block_matrix, _half_integer, _reduced, _row_weight,
-    qnum_float, spectra_table, spectrum,
+    _OPERATORS, SpinBlock, _block_matrix, _half_integer, _reduced,
+    _row_weight, qnum_float, spectra_table, spectrum,
 )
 from qsphere.spinor import Spinor, dirac, ip_spin_left
 
@@ -23,7 +23,7 @@ from qsphere.spinor import Spinor, dirac, ip_spin_left
 def test_smallest_block_dirac_eigenvalues():
     for q0 in (0.5, 0.9, 1.0):
         b = SpinBlock(0.5, q0, "D")
-        assert b.op_matrix.shape == (4, 4)
+        assert len(b.columns) == len(b.entries) == 4
         vals = b.eigenvalues()
         assert vals == pytest.approx([-1, -1, 1, 1], abs=1e-8)
 
@@ -159,17 +159,88 @@ def test_large_blocks_at_every_q0(q0):
         assert d2 == pytest.approx([v * v] * (2 * size), rel=1e-8)
 
 
+def _dense(n, op, q0):
+    return np.array([[c.eval_float(q0) for c in row]
+                     for row in _block_matrix(n, op)])
+
+
 @pytest.mark.parametrize("q0", [0.37, 0.6, 1.0])
 def test_op_matrix_is_the_dense_evaluation(q0):
-    # only the nonzero exact entries are evaluated; every entry, the
-    # zeros included, is the float the dense evaluation gives
+    # only the nonzero exact entries are evaluated; they are the nonzeros
+    # of the dense evaluation, bit for bit, one per row and column
     for n in range(1, 12, 2):
         for op in ("D", "D2", "lap"):
-            got = SpinBlock(Fraction(n, 2), q0, op).op_matrix
-            dense = np.array([[c.eval_float(q0) for c in row]
-                              for row in _block_matrix(n, op)])
-            assert np.array_equal(got, dense)
-            assert got.tobytes() == dense.tobytes()
+            b = SpinBlock(Fraction(n, 2), q0, op)
+            dense = _dense(n, op, q0)
+            rows = np.arange(len(dense))
+            sparse = np.zeros_like(dense)
+            sparse[rows, b.columns] = b.entries
+            assert sorted(b.columns) == list(rows)
+            assert sparse.tobytes() == dense.tobytes()
+
+
+_EIGEN_Q0 = [0.05, 0.37, 0.6, 0.9, 1.0]
+
+
+@pytest.mark.parametrize("q0", _EIGEN_Q0)
+def test_cycle_eigenvalues_match_the_dense_eigensolver(q0):
+    # the cycle rule against numpy on the dense evaluation; the laplacian
+    # blocks above l = 7/2 cost seconds each and are left out
+    for n in range(1, 12, 2):
+        for op in ("D", "D2") if n > 7 else _OPERATORS:
+            got = SpinBlock(Fraction(n, 2), q0, op).eigenvalues()
+            want = np.linalg.eigvals(_dense(n, op, q0))
+            assert np.abs(want.imag).max() == 0
+            want = sorted(want.real)
+            assert len(got) == len(want) == 2 * (n + 1)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-15 * abs(w), (n, op, g, w)
+
+
+@pytest.mark.parametrize("q0", _EIGEN_Q0)
+def test_cycle_eigenvalues_of_d_are_q_integers(q0):
+    # against [l + 1/2]_q0 in 50 digits; the error is that of eval_float
+    # on the two entries of a 2-cycle, about five units in the last place
+    # at worst (1.05e-15 at l = 11/2, q0 = 0.37, where the dense
+    # eigensolver is off by 1.22e-15)
+    for n in range(1, 12, 2):
+        want = _qnum_reference(n + 1, q0)
+        vals = SpinBlock(Fraction(n, 2), q0, "D").eigenvalues()
+        assert [v > 0 for v in vals] == [False] * (n + 1) + [True] * (n + 1)
+        for v in vals:
+            err = abs(Decimal(abs(v)) - want) / want
+            assert err <= Decimal("2e-15"), (n, v)
+
+
+def _fake_block(monkeypatch, rows):
+    """SpinBlock(1/2, 0.5, "D") built on the given matrix of integers."""
+    import qsphere.spectra as spectra_mod
+    matrix = tuple(tuple(rational(c) for c in row) for row in rows)
+    monkeypatch.setattr(spectra_mod, "_block_matrix", lambda n, op: matrix)
+    return SpinBlock(0.5, 0.5, "D")
+
+
+def test_cycle_rule_on_small_monomial_matrices(monkeypatch):
+    # a fixed point gives its entry, a 2-cycle +-sqrt of its product
+    b = _fake_block(monkeypatch, [[0, 2, 0], [8, 0, 0], [0, 0, -3]])
+    assert b.columns == [1, 0, 2]
+    assert b.eigenvalues() == [-4.0, -3.0, 4.0]
+
+
+def test_a_block_that_is_not_monomial_names_the_row(monkeypatch):
+    for rows, row in (([[1, 0], [1, 1]], 1), ([[0, 1], [0, 0]], 1),
+                      ([[0, 1, 0], [0, 2, 0], [0, 0, 1]], 1)):
+        with pytest.raises(ArithmeticError, match="not monomial: row %d " % row):
+            _fake_block(monkeypatch, rows)
+
+
+def test_a_cycle_with_no_real_spectrum_raises(monkeypatch):
+    # a 2-cycle with a negative product, and a 3-cycle
+    for rows in ([[0, 1], [-1, 0]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                 [[5, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]]):
+        b = _fake_block(monkeypatch, rows)
+        with pytest.raises(ArithmeticError, match="block spectrum is not real"):
+            b.eigenvalues()
 
 
 def _qnum_reference(two_x, q0):
@@ -353,12 +424,14 @@ def test_cli_curvature_formats(capsys):
     (["--l-max", "7/2", "--operator", "lap"],
      "c92114686cd468e0d159c64d609cadda1d26277728aadd05e903b96ad4bd3716"),
     (["--l-max", "11/2", "--operator", "D"],
-     "a14cbd5a260d453b0dbd5da7dc547697344a3c18b032b7a4f6a6d1691659c738"),
+     "681d657031123d51101fdca67f94deb3dba6420962be59772aee6626e6d3d3d7"),
 ], ids=["lap-7/2", "D-11/2"])
 def test_cli_spectra_json_bytes_are_pinned(argv, digest, capsys):
-    # the float eigenvalues are sums over the canonical form of each
-    # scalar, exponents ascending (Scalar.eval_float), so this pins the
-    # arithmetic to the last bit whatever route built the scalars
+    # each eigenvalue is an evaluated entry (the laplacian) or +-sqrt of
+    # the product of a 2-cycle's two (D), and an entry is a sum over the
+    # canonical form of its scalar, exponents ascending (Scalar.eval_float);
+    # so this pins the arithmetic to the last bit whatever route built the
+    # scalars
     from qsphere.cli import main
     assert main(["spectra", *argv, "--q", "0.6", "--json"]) == 0
     out = capsys.readouterr().out
