@@ -36,7 +36,7 @@ import functools
 import re
 from typing import NamedTuple
 
-from .coeff import (ONE, ROOT_TWO_Q, Scalar, accumulate, q_pow, qnum,
+from .coeff import (ONE, ROOT_TWO_Q, Scalar, accumulate, dot, q_pow, qnum,
                     rational, s_pow)
 
 # monomial: (branch, i, j, k); branch 0 = a^i b^j c^k, branch 1 = d^i b^j c^k
@@ -138,29 +138,24 @@ class Element:
         return self.terms == other.terms
 
     def __add__(self, other):
+        if not isinstance(other, Element):
+            return NotImplemented
         return Element(accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return Element({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, Element):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
+        """The PBW product, one ``mul_sum``: each output coefficient is
+        reduced once."""
         if not isinstance(other, Element):
             return NotImplemented
-        terms = []
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                prods = mono_mul(m1, m2)
-                if len(prods) == 1:
-                    # one monomial: its s-power goes into the product
-                    (m, e), = prods
-                    terms.append((m, c1.mul_s(c2, e)))
-                else:
-                    c12 = c1 * c2
-                    terms += [(m, c12.scale_s(e)) for m, e in prods]
-        return Element(accumulate({}, terms))
+        return mul_sum(((self, other, 0),))
 
     def scale(self, c: Scalar) -> "Element":
         if c.is_zero():
@@ -206,6 +201,35 @@ class Element:
             else:
                 parts.append("(%s)*%s" % (cs, word))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def mul_sum(triples) -> Element:
+    """sum(x * y * s^e for x, y, e in triples) for elements x, y: the PBW
+    product and the sums of products that the inner products form.
+
+    The contributions c1 c2 s^(e + e') of every term pair to one output
+    monomial (``mono_mul`` gives e') are summed by one ``coeff.dot``,
+    reduced once; a monomial with one contribution is ``mul_s``."""
+    groups = {}
+    for x, y, e in triples:
+        for m1, c1 in x.terms.items():
+            for m2, c2 in y.terms.items():
+                for m, e12 in mono_mul(m1, m2):
+                    group = groups.get(m)
+                    if group is None:
+                        groups[m] = [(c1, c2, e + e12)]
+                    else:
+                        group.append((c1, c2, e + e12))
+    out = {}
+    for m, group in groups.items():
+        if len(group) == 1:
+            (c1, c2, e), = group
+            c = c1.mul_s(c2, e)
+        else:
+            c = dot(group)
+        if c:
+            out[m] = c
+    return Element(out)
 
 
 def mono_str(m) -> str:

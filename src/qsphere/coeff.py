@@ -50,9 +50,16 @@ benchmark workload named with it is slower without it (ROADMAP item 8):
    (``mul_s``) joins the shift.  An s-shift needs no reduction, an
    r-shift only a test of Phi_8 = s^4 + 1.
 2. Equal denominators add (curvature, connection): same factors and n.
-3. A dot product reduces once (spectra): ``dot`` sums x_i y_i over one
-   common denominator, where the sum taken term by term reduces after
-   each product and each partial sum.  Every Haar value is one.
+3. A sum of products reduces once (curvature, spectra): ``dot`` sums
+   x_i y_i s^e_i, where the sum taken term by term reduces after each
+   product and each partial sum.  When every product has a unit factor
+   and the other factors share one denominator, the shifted numerators
+   add into one pair, reduced once; otherwise the products are formed
+   unreduced and summed over their lcm.  Its callers: each coefficient
+   of an ``Element`` product that several term pairs reach
+   (``algebra.mul_sum``), so each coefficient of the inner products of
+   one-forms and spinors, summed over both corners; and every Haar
+   value.
 
 ``pe``, ``pr`` and ``den`` are read-only views: a fresh {exponent:
 Fraction} dict per call, exponents ascending.  Outputs read only the
@@ -367,7 +374,8 @@ class Scalar:
     ``pr`` and ``den`` are Fraction views of the numerators over n and of
     the expanded monic denominator.  The module docstring's kernels sit in
     ``mul_s`` (a unit factor shifts; ``*`` is ``mul_s`` with no s-power),
-    ``__add__`` (equal denominators add) and the function ``dot``.
+    ``__add__`` (equal denominators add) and the function ``dot`` (a sum
+    of products reduces once).
     """
 
     __slots__ = ("_pe", "_pr", "_n", "_factors")
@@ -487,11 +495,7 @@ class Scalar:
             if not with_r:
                 return _make(pe, pr, x._n, x._factors)
             return _scalar(_pmul(_RSQ, pr), pe, x._n, x._factors, (8,))
-        a, b = self, other
-        pe = _padd(_pmul(a._pe, b._pe), _pmul(_RSQ, _pmul(a._pr, b._pr)))
-        pr = _padd(_pmul(a._pe, b._pr), _pmul(a._pr, b._pe))
-        return _scalar(_pshift(pe, e), _pshift(pr, e), a._n * b._n,
-                       _factors_mul(a._factors, b._factors))
+        return _scalar(*_product(self, other, e))
 
     def scale_s(self, k: int) -> "Scalar":
         """Fast multiplication by s^k."""
@@ -569,20 +573,30 @@ class Scalar:
 
     @staticmethod
     def _poly_str(p, n):
+        """The terms of p / n, exponents ascending: c, s^e or c*s^e with c
+        an integer or a fraction a/b in lowest terms (the str of the
+        Fraction, made without one), joined by " + ", and " + -" read as
+        " - "."""
         if not p:
             return "0"
-        parts = []
+        terms = []
         for e in sorted(p):
-            c = p[e] if n == 1 else Fraction(p[e], n)
-            if e == 0:
-                parts.append(str(c))
+            c, d = p[e], 1
+            if n != 1:
+                g = gcd(c, n)
+                c, d = c // g, n // g
+            if d != 1:
+                terms.append("%d/%d*s^%d" % (c, d, e) if e
+                             else "%d/%d" % (c, d))
+            elif not e:
+                terms.append("%d" % c)
             elif c == 1:
-                parts.append("s^%d" % e)
+                terms.append("s^%d" % e)
             elif c == -1:
-                parts.append("-s^%d" % e)
+                terms.append("-s^%d" % e)
             else:
-                parts.append("%s*s^%d" % (c, e))
-        return " + ".join(parts).replace("+ -", "- ")
+                terms.append("%d*s^%d" % (c, e))
+        return " + ".join(terms).replace("+ -", "- ")
 
     def __repr__(self):
         if not self:
@@ -657,18 +671,57 @@ def _over_lcm(parts, trial=None):
     return _scalar(pe, pr, n, tuple(sorted(top.items())), trial)
 
 
-def dot(xs, ys) -> Scalar:
-    """sum(x * y for x, y in zip(xs, ys)), reduced once.
+def _product(x, y, e):
+    """The unreduced storage (pe, pr, n, factors) of x * y * s^e, by
+    (pe1 + pr1 r)(pe2 + pr2 r) with r^2 = s^2 + s^-2."""
+    pe = _padd(_pmul(x._pe, y._pe), _pmul(_RSQ, _pmul(x._pr, y._pr)))
+    pr = _padd(_pmul(x._pe, y._pr), _pmul(x._pr, y._pe))
+    return (_pshift(pe, e), _pshift(pr, e), x._n * y._n,
+            _factors_mul(x._factors, y._factors))
 
-    Each product's numerators and factors are formed without a reduction
-    and the sum reduces once over their lcm (``_over_lcm``), where summing
-    product by product reduces each product and each partial sum.  The
-    operands are not touched."""
-    parts = [(_padd(_pmul(x._pe, y._pe), _pmul(_RSQ, _pmul(x._pr, y._pr))),
-              _padd(_pmul(x._pe, y._pr), _pmul(x._pr, y._pe)),
-              x._n * y._n, _factors_mul(x._factors, y._factors))
-             for x, y in zip(xs, ys) if x and y]
-    return _over_lcm(parts) if parts else ZERO
+
+def dot(triples) -> Scalar:
+    """sum(x * y * s^e for x, y, e in triples), reduced once; triples is a
+    sequence.
+
+    When every product has a unit factor (``_unit``) and the other factors
+    share n and the factors of their denominator, each product is a shift
+    of its other factor (``mul_s``) and the shifted numerators add into
+    one pair, reduced once over every Phi_N of that denominator.  Else
+    each product is formed without a reduction and the sum reduces once
+    over their lcm (``_over_lcm``).  Summing product by product would
+    reduce each product and each partial sum.  The operands are not
+    touched."""
+    pe, pr, n, factors = {}, {}, None, None
+    for x, y, e in triples:
+        unit, other = _unit(x), y
+        if unit is None:
+            unit, other = _unit(y), x
+            if unit is None:
+                break
+        if n is None:
+            n, factors = other._n, other._factors
+        elif other._n != n or other._factors != factors:
+            break
+        k, sign, with_r = unit
+        k += e
+        if with_r:  # r (pe + pr r) = pr (s^2 + s^-2) + pe r
+            moves = ((pe, other._pr, k + 2), (pe, other._pr, k - 2),
+                     (pr, other._pe, k))
+        else:
+            moves = (pe, other._pe, k), (pr, other._pr, k)
+        # accumulate's sum, inlined and keeping a zero until the end:
+        # routed through accumulate, a curvature cycle took 10% longer
+        # (ROADMAP item 8)
+        for out, p, k in moves:
+            get = out.get
+            for j, c in p.items():
+                j += k
+                out[j] = get(j, 0) + sign * c
+    else:
+        return _scalar({e: c for e, c in pe.items() if c},
+                       {e: c for e, c in pr.items() if c}, n, factors)
+    return _over_lcm([_product(x, y, e) for x, y, e in triples if x and y])
 
 
 ZERO = _make({}, {}, 1, ())

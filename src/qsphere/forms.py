@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import functools
 
-from .algebra import Element, ONE_EL, Pair, del_e, del_f, spin_one
+from .algebra import (Element, ONE_EL, Pair, del_e, del_f, mul_sum,
+                      spin_one)
 from .coeff import ROOT_TWO_Q, q_pow
 
 
@@ -84,14 +85,14 @@ def dee(x: Element) -> OneForm:
 
 def ip_right(x: OneForm, y: OneForm) -> Element:
     """Right inner product <x, y>: conjugate-linear in x, B-linear in y."""
-    return x.minus.star().scale_s(2) * y.minus + \
-        x.plus.star().scale_s(-2) * y.plus
+    return mul_sum(((x.minus.star(), y.minus, 2),
+                    (x.plus.star(), y.plus, -2)))
 
 
 def ip_left(x: OneForm, y: OneForm) -> Element:
     """Left inner product <x, y>: B-linear in x, conjugate-linear in y."""
-    return x.plus * y.plus.star().scale_s(2) + \
-        x.minus * y.minus.star().scale_s(-2)
+    return mul_sum(((x.plus, y.plus.star(), 2),
+                    (x.minus, y.minus.star(), -2)))
 
 
 @functools.cache

@@ -58,16 +58,15 @@ class HaarState:
         """h(x), the sum of c h(m) over the degree-zero terms c m of x,
         as one exact dot product (``coeff.dot``): one reduction per value,
         not one per product and per partial sum."""
-        coeffs, values = [], []
+        triples = []
         for m, c in x.terms.items():
             if mono_degree(m) != 0:
                 continue
             n = mono_length(m)
             if n > self._length:
                 self.ensure(n)
-            coeffs.append(c)
-            values.append(self._table[m])
-        return dot(coeffs, values)
+            triples.append((c, self._table[m], 0))
+        return dot(triples)
 
 
 def _solve(table: dict, length: int, max_length: int) -> dict:

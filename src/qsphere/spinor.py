@@ -63,8 +63,8 @@ import random
 
 from .coeff import ZERO, q_pow, rational
 from .algebra import (Element, ONE_EL, Pair, SPHERE_A, SPHERE_B,
-                      SPHERE_BSTAR, del_e, del_f, exact_check, parse,
-                      pbw_monomials, spin_half)
+                      SPHERE_BSTAR, del_e, del_f, exact_check, mul_sum,
+                      parse, pbw_monomials, spin_half)
 from .forms import OneForm, dee, frame, ip_right
 from .tensors import (Diag, Tensor, as_scalar, e_beta, ip_T, metric, mul_map,
                       tensor)
@@ -108,8 +108,8 @@ def ip_spin_left(x: Spinor, y: Spinor) -> Element:
     are orthonormal because the t^{1/2} columns are:
     q sum_i s_{i,+}* s_{i,+} = 1 and likewise with q^{-1} on the minus side.
     """
-    return x.plus * y.plus.star().scale_s(2) \
-        + x.minus * y.minus.star().scale_s(-2)
+    return mul_sum(((x.plus, y.plus.star(), 2),
+                    (x.minus, y.minus.star(), -2)))
 
 
 FRAME_SPINORS = (Spinor(plus=frame_plus(-1)), Spinor(plus=frame_plus(1)),

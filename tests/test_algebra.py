@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from qsphere import algebra as alg
 from qsphere.algebra import (
     GEN_A, GEN_B, GEN_C, GEN_D, ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR,
-    ZERO_EL, Element, del_e, del_f, del_k, mono_degree,
+    ZERO_EL, Element, del_e, del_f, del_k, mono_degree, mono_mul, mul_sum,
     check_podles_relations, mono_length, parse, pbw_monomials, spin_half,
     spin_one,
 )
-from qsphere.coeff import ONE, ROOT_TWO_Q, q_pow, qnum, rational, s_pow
+from qsphere.coeff import (ONE, ROOT_TWO_Q, accumulate, q_pow, qnum, rational,
+                           s_pow)
 
 
 def q(n=1):
@@ -91,6 +92,74 @@ def test_associative(x, y, z):
 def test_distributive(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert (x + y) * z == x * z + y * z
+
+
+# coefficients with denominators, of several n and Phi-exponents, beside
+# the units
+mixed_coeffs = st.sampled_from([
+    ONE, -ONE, s_pow(-3), ROOT_TWO_Q.scale_s(2), -ROOT_TWO_Q, qnum(3),
+    qnum(6).inverse(), (ONE + q_pow(2)).inverse(), ROOT_TWO_Q.inverse(),
+    rational(Fraction(2, 3)) * qnum(5), s_pow(1) + ROOT_TWO_Q,
+    rational(Fraction(-1, 2)) * (ONE + q_pow(2)).inverse() ** 2,
+])
+
+
+@st.composite
+def mixed_elements(draw, max_terms=3):
+    pairs = draw(st.lists(st.tuples(small_monos, mixed_coeffs),
+                          max_size=max_terms))
+    return Element(accumulate({}, ((m, c) for m, c in pairs)))
+
+
+def _products_term_by_term(triples):
+    """The reference for mul_sum: every contribution by mul_s, summed into
+    its monomial with accumulate."""
+    return accumulate({}, ((m, c1.mul_s(c2, e + e12))
+                           for x, y, e in triples
+                           for m1, c1 in x.terms.items()
+                           for m2, c2 in y.terms.items()
+                           for m, e12 in mono_mul(m1, m2)))
+
+
+def _check_mul_sum(triples):
+    got = mul_sum(triples)
+    want = _products_term_by_term(triples)
+    assert all(got.terms.values())
+    assert {m: c._freeze() for m, c in got.terms.items()} == \
+        {m: c._freeze() for m, c in want.items()}
+
+
+@given(mixed_elements(), mixed_elements())
+@settings(max_examples=150, deadline=None)
+def test_products_match_the_term_by_term_sum(x, y):
+    _check_mul_sum([(x, y, 0)])
+    assert (x * y).terms == mul_sum([(x, y, 0)]).terms
+
+
+@given(st.lists(st.tuples(mixed_elements(), mixed_elements(),
+                          st.integers(-4, 4)), max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_sums_of_products_match_the_term_by_term_sum(triples):
+    _check_mul_sum(triples)
+
+
+def test_sums_of_products_that_cancel():
+    x, y = GEN_A + GEN_B.scale(qnum(3)), GEN_D.scale(qnum(6).inverse())
+    assert mul_sum([(x, y, 2), (x.scale(-q()), y, 0)]).is_zero()
+    # a d = 1 + q bc: the two monomials of a cross product cancel apart
+    ad = mul_sum([(GEN_A, GEN_D, 0), (GEN_B * GEN_C, ONE_EL.scale(-q()), 0)])
+    assert ad == ONE_EL
+    _check_mul_sum([(GEN_A, GEN_D, 0), (GEN_B * GEN_C, ONE_EL.scale(-q()), 0)])
+
+
+@pytest.mark.parametrize("other", [1, rational(1), Fraction(1, 2), "a"],
+                         ids=["int", "Scalar", "Fraction", "str"])
+def test_sums_with_a_non_element_raise_type_error(other):
+    for op in (lambda: GEN_A + other, lambda: GEN_A - other,
+               lambda: other + GEN_A, lambda: other - GEN_A,
+               lambda: GEN_A * other):
+        with pytest.raises(TypeError):
+            op()
 
 
 # ---------------------------------------------------------------------------

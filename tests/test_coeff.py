@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsphere.coeff import (
-    ONE, ROOT_TWO_Q, ZERO, Scalar, _cyclotomic, _dense, _divide, _factor,
-    _reduce, _unit, dot, q_pow, qnum, rational, s_pow,
+    ONE, ROOT_TWO_Q, ZERO, Scalar, _cyclotomic, _dense, _divide, _expansion,
+    _factor, _reduce, _unit, accumulate, dot, q_pow, qnum, rational, s_pow,
 )
 
 
@@ -894,7 +894,7 @@ def _held(*xs):
 
 def _check_dot(xs, ys):
     before = _held(*xs, *ys)
-    got = dot(xs, ys)
+    got = dot([(x, y, 0) for x, y in zip(xs, ys)])
     want = sum((x * y for x, y in zip(xs, ys)), ZERO)
     assert repr(got) == repr(want)
     assert _stored_form(got) == _stored_form(want)
@@ -948,10 +948,188 @@ def test_dot_keeps_the_stored_form_of_the_sum(pairs):
 
 def test_dot_edge_cases():
     x, y = _ODD_DENS[3], qnum(6).inverse()
-    assert dot([], []) is ZERO
-    assert dot([x, ZERO], [ZERO, y]) is ZERO
+    assert dot([]) is ZERO
+    assert dot([(x, ZERO, 0), (ZERO, y, 0)]) is ZERO
     # a sum that cancels
     assert _check_dot([x, -x], [y, y]) is ZERO
     assert _check_dot([x, x.scale_s(2)], [y, -y.scale_s(-2)]) is ZERO
     # one pair is the reduced product
     assert repr(_check_dot([x], [y])) == repr(x * y)
+
+
+# ---------------------------------------------------------------------------
+# the fused sum of products: dot over (x, y, e) triples
+# ---------------------------------------------------------------------------
+
+
+def _term_by_term(triples):
+    """The reference: each product by mul_s, summed with accumulate."""
+    return accumulate({}, ((0, x.mul_s(y, e)) for x, y, e in triples)) \
+        .get(0, ZERO)
+
+
+def _check_fused(triples):
+    before = _held(*(z for x, y, _ in triples for z in (x, y)))
+    got = dot(triples)
+    assert got._freeze() == _term_by_term(triples)._freeze()
+    assert all(got._pe.values()) and all(got._pr.values())
+    assert _held(*(z for x, y, _ in triples for z in (x, y))) == before
+    return got
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of coeff.<name> while the test runs."""
+    import qsphere.coeff as coeff_mod
+    calls, inner = [], getattr(coeff_mod, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(coeff_mod, name, counted)
+    return calls
+
+
+_PHI8 = (ONE + q_pow(2)).inverse()  # 1 / (1 + s^4)
+
+
+def test_fused_unit_products_reduce_once(monkeypatch):
+    x = (s_pow(1) + rational(Fraction(2, 3)) * ROOT_TWO_Q.scale_s(-3)) \
+        / (q_pow(2) + ONE + q_pow(-2))
+    triples = [(u, x.scale_s(k), e) if k % 2 else (x.scale_s(k), u, e)
+               for k, (u, e) in enumerate(zip(UNITS[::3], range(-4, 4)))]
+    want = _term_by_term(triples)
+    reductions = _count_calls(monkeypatch, "_reduce")
+    lcms = _count_calls(monkeypatch, "_over_lcm")
+    assert dot(triples)._freeze() == want._freeze()
+    assert len(reductions) == 1 and not lcms
+
+
+def test_fused_r_units_cancel_phi8():
+    r, y = ROOT_TWO_Q, ROOT_TWO_Q * _PHI8  # r / (1 + s^4)
+    # r * r / (1 + s^4) = s^-2, and r (1 + s^4) / (1 + s^4) = r
+    assert _check_fused([(r, y, 0)]) == s_pow(-2)
+    assert _check_fused([(r, _PHI8, 0), (_PHI8, r, 4)]) == r
+    assert _check_fused([(-r, _PHI8, 2), (_PHI8, -r, 6)]) == -r.scale_s(2)
+    # s-units and r-units together over the one denominator
+    assert _check_fused([(ONE, _PHI8, 0), (s_pow(4), _PHI8, 0),
+                         (r, y, 1), (-r, y, 1)]) == ONE
+
+
+def test_fused_units_over_other_denominators_fall_back(monkeypatch):
+    third = rational(Fraction(1, 3))
+    cases = ([(ONE, _PHI8, 0), (ONE, third * _PHI8, 1)],  # n
+             [(ONE, _PHI8, 0), (ROOT_TWO_Q, _PHI8 * _PHI8, 0)],  # e_N
+             [(s_pow(1), _PHI8, 0), (ONE, qnum(3), 2)])  # N
+    for triples in cases:
+        _check_fused(triples)
+    wants = [_term_by_term(triples) for triples in cases]
+    lcms = _count_calls(monkeypatch, "_over_lcm")
+    assert [dot(triples) for triples in cases] == wants
+    assert len(lcms) == 3
+
+
+def test_fused_group_summing_to_zero():
+    x = qnum(6).inverse()
+    assert _check_fused([(ONE, x, 2), (-s_pow(2), x, 0)]) is ZERO
+    assert _check_fused([(ROOT_TWO_Q, x, 0), (x, -ROOT_TWO_Q, 0)]) is ZERO
+    assert _check_fused([(qnum(3), x, 1), (-qnum(3), x.scale_s(1), 0)]) \
+        is ZERO
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fused_sum_is_the_term_by_term_sum(seed):
+    # units times scalars over one denominator (the fast path), mixed
+    # with general products and units over other denominators
+    rng = random.Random(seed)
+    pool = _random_scalars(seed, 40) + _ODD_DENS + [ZERO]
+    for _ in range(60):
+        inv = rng.choice(_DENS).inverse()
+        triples = []
+        for _ in range(rng.randint(1, 6)):
+            u = rng.choice(UNITS)
+            x = _laurent([(rng.randint(-3, 3), rng.randint(-6, 6),
+                           rng.randint(0, 1)) for _ in range(3)]) * inv
+            if rng.random() < 0.2:
+                x = rng.choice(pool)
+            if rng.random() < 0.1:
+                u = rng.choice(pool)
+            triples.append((u, x, rng.randint(-4, 4)) if rng.random() < 0.5
+                           else (x, u, rng.randint(-4, 4)))
+        _check_fused(triples)
+
+
+@given(st.lists(st.tuples(scalars(), scalars(), st.integers(-4, 4)),
+                max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_fused_general_products(triples):
+    _check_fused(triples)
+
+
+@given(st.lists(st.tuples(st.sampled_from(UNITS), _TERMS,
+                          st.integers(-4, 4)), min_size=1, max_size=6),
+       st.sampled_from(_DENS))
+@settings(max_examples=100, deadline=None)
+def test_fused_unit_products_keep_the_stored_form(parts, den):
+    inv = den.inverse()
+    _check_fused([(u, _laurent(terms) * inv, e) for u, terms, e in parts])
+
+
+# ---------------------------------------------------------------------------
+# repr: the bytes of the formatter with a Fraction per term
+# ---------------------------------------------------------------------------
+
+
+def _reference_poly_str(p, n):
+    """The terms of p / n as formatted with a Fraction per term and one
+    replace over the joined string; kept to pin the bytes of repr."""
+    if not p:
+        return "0"
+    parts = []
+    for e in sorted(p):
+        c = p[e] if n == 1 else Fraction(p[e], n)
+        if e == 0:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append("s^%d" % e)
+        elif c == -1:
+            parts.append("-s^%d" % e)
+        else:
+            parts.append("%s*s^%d" % (c, e))
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def _reference_repr(x):
+    if not x:
+        return "0"
+    num = _reference_poly_str(x._pe, x._n)
+    if x._pr:
+        rpart = "(%s)*r" % _reference_poly_str(x._pr, x._n)
+        num = rpart if not x._pe else "%s + %s" % (num, rpart)
+    if not x._factors:
+        return num
+    return "(%s)/(%s)" % (num, _reference_poly_str(
+        _expansion(x._factors), 1))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_repr_matches_the_reference_formatter(seed):
+    rng = random.Random(seed)
+    xs = _random_scalars(seed, 300) + _ODD_DENS + [ZERO, ONE, -ONE]
+    # n != 1, a coefficient equal to +-n, an r-part alone or beside pe
+    xs += [x.scale_s(rng.randint(-3, 3)) * rational(Fraction(
+        rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 6)))
+        for x in xs[:100]]
+    xs += [rational(Fraction(3, 2)) * s_pow(2) + rational(Fraction(1, 2)),
+           rational(Fraction(-1, 2)) + rational(Fraction(1, 2)) * s_pow(3),
+           -ROOT_TWO_Q.scale_s(-1) + s_pow(-2) - ONE]
+    seen = set()
+    for x in xs:
+        assert repr(x) == _reference_repr(x)
+        for p in (x._pe, x._pr):
+            if p:
+                lead = p[min(p)]
+                seen |= {("n", x._n != 1), ("lead < 0", lead < 0),
+                         ("e = 0", 0 in p), ("c = +-n", abs(lead) == x._n)}
+        seen.add(("r", bool(x._pr)))
+    assert len(seen) == 10, seen

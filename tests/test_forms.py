@@ -13,7 +13,7 @@ from qsphere.forms import (
     frame_expand_right, ip_left, ip_right,
 )
 
-from test_algebra import elements
+from test_algebra import elements, mixed_elements
 
 
 one_forms = st.builds(OneForm, elements(max_terms=2), elements(max_terms=2))
@@ -51,6 +51,23 @@ def test_inner_product_module_linearity(x, y, z):
     assert ip_right(x * z, y) == z.star() * ip_right(x, y)
     assert ip_left(z * x, y) == z * ip_left(x, y)
     assert ip_left(x, z * y) == ip_left(x, y) * z.star()
+
+
+mixed_forms = st.one_of(
+    st.builds(OneForm, mixed_elements(max_terms=2),
+              mixed_elements(max_terms=2)),
+    st.sampled_from(frame()))
+
+
+@given(mixed_forms, mixed_forms)
+@settings(max_examples=150, deadline=None)
+def test_inner_products_are_the_two_corner_products(x, y):
+    # each is one fused sum over both corners; the reference forms the two
+    # products and adds them
+    assert ip_right(x, y) == x.minus.star().scale_s(2) * y.minus + \
+        x.plus.star().scale_s(-2) * y.plus
+    assert ip_left(x, y) == x.plus * y.plus.star().scale_s(2) + \
+        x.minus * y.minus.star().scale_s(-2)
 
 
 # ---------------------------------------------------------------------------

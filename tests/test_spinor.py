@@ -22,6 +22,8 @@ from qsphere.tensors import (
     Diag, Tensor, diag_scalars, e_beta, ip_T, metric, mul_map,
 )
 
+from test_algebra import mixed_elements
+
 _sph = [SPHERE_A, SPHERE_B, SPHERE_BSTAR]
 
 th = lambda i2: spin_half(i2, 1)
@@ -122,6 +124,16 @@ def test_spin_inner_product_star_symmetry():
     x = Spinor(plus=th(1), minus=SPHERE_A * tl(-1))
     y = Spinor(plus=SPHERE_B * th(-1), minus=tl(1))
     assert ip_spin_left(x, y).star() == ip_spin_left(y, x)
+
+
+@given(st.builds(Spinor, mixed_elements(max_terms=2),
+                 mixed_elements(max_terms=2)) | basis_spinors,
+       st.builds(Spinor, mixed_elements(max_terms=2),
+                 mixed_elements(max_terms=2)) | coeff_spinors)
+@settings(max_examples=150, deadline=None)
+def test_spin_inner_product_is_the_two_corner_products(x, y):
+    assert ip_spin_left(x, y) == x.plus * y.plus.star().scale_s(2) + \
+        x.minus * y.minus.star().scale_s(-2)
 
 
 # ---------------------------------------------------------------------------
