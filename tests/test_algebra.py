@@ -146,10 +146,11 @@ def test_sums_of_products_match_the_term_by_term_sum(triples):
 def test_sums_of_products_that_cancel():
     x, y = GEN_A + GEN_B.scale(qnum(3)), GEN_D.scale(qnum(6).inverse())
     assert mul_sum([(x, y, 2), (x.scale(-q()), y, 0)]).is_zero()
-    # a d = 1 + q bc: the two monomials of a cross product cancel apart
-    ad = mul_sum([(GEN_A, GEN_D, 0), (GEN_B * GEN_C, ONE_EL.scale(-q()), 0)])
-    assert ad == ONE_EL
-    _check_mul_sum([(GEN_A, GEN_D, 0), (GEN_B * GEN_C, ONE_EL.scale(-q()), 0)])
+    # a d - q bc = 1: the bc monomial of the cross product a d cancels
+    # against the second product and leaves no zero behind
+    det = [(GEN_A, GEN_D, 0), (GEN_B * GEN_C, ONE_EL.scale(-q()), 0)]
+    assert mul_sum(det) == ONE_EL
+    _check_mul_sum(det)
 
 
 @pytest.mark.parametrize("other", [1, rational(1), Fraction(1, 2), "a"],
