@@ -573,30 +573,20 @@ class Scalar:
 
     @staticmethod
     def _poly_str(p, n):
-        """The terms of p / n, exponents ascending: c, s^e or c*s^e with c
-        an integer or a fraction a/b in lowest terms (the str of the
-        Fraction, made without one), joined by " + ", and " + -" read as
-        " - "."""
         if not p:
             return "0"
-        terms = []
+        parts = []
         for e in sorted(p):
-            c, d = p[e], 1
-            if n != 1:
-                g = gcd(c, n)
-                c, d = c // g, n // g
-            if d != 1:
-                terms.append("%d/%d*s^%d" % (c, d, e) if e
-                             else "%d/%d" % (c, d))
-            elif not e:
-                terms.append("%d" % c)
+            c = p[e] if n == 1 else Fraction(p[e], n)
+            if e == 0:
+                parts.append(str(c))
             elif c == 1:
-                terms.append("s^%d" % e)
+                parts.append("s^%d" % e)
             elif c == -1:
-                terms.append("-s^%d" % e)
+                parts.append("-s^%d" % e)
             else:
-                terms.append("%d*s^%d" % (c, e))
-        return " + ".join(terms).replace("+ -", "- ")
+                parts.append("%s*s^%d" % (c, e))
+        return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):
         if not self:
@@ -681,8 +671,9 @@ def _product(x, y, e):
 
 
 def dot(triples) -> Scalar:
-    """sum(x * y * s^e for x, y, e in triples), reduced once; triples is a
-    sequence.
+    """sum(x * y * s^e for x, y, e in triples), reduced once.  triples is
+    read twice when a product leaves the first path, so it must be a
+    sequence; an iterator raises TypeError.
 
     When every product has a unit factor (``_unit``) and the other factors
     share n and the factors of their denominator, each product is a shift
@@ -692,8 +683,11 @@ def dot(triples) -> Scalar:
     over their lcm (``_over_lcm``).  Summing product by product would
     reduce each product and each partial sum.  The operands are not
     touched."""
+    items = iter(triples)
+    if items is triples:
+        raise TypeError("dot needs a sequence of (x, y, e), not an iterator")
     pe, pr, n, factors = {}, {}, None, None
-    for x, y, e in triples:
+    for x, y, e in items:
         unit, other = _unit(x), y
         if unit is None:
             unit, other = _unit(y), x

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qsphere import algebra as alg
 from qsphere.algebra import (
@@ -129,15 +129,9 @@ def _check_mul_sum(triples):
         {m: c._freeze() for m, c in want.items()}
 
 
-@given(mixed_elements(), mixed_elements())
-@settings(max_examples=150, deadline=None)
-def test_products_match_the_term_by_term_sum(x, y):
-    _check_mul_sum([(x, y, 0)])
-    assert (x * y).terms == mul_sum([(x, y, 0)]).terms
-
-
 @given(st.lists(st.tuples(mixed_elements(), mixed_elements(),
                           st.integers(-4, 4)), max_size=3))
+@example([(GEN_A + GEN_B.scale(qnum(3)), GEN_C + GEN_D, 0)])  # one x * y
 @settings(max_examples=100, deadline=None)
 def test_sums_of_products_match_the_term_by_term_sum(triples):
     _check_mul_sum(triples)
