@@ -39,7 +39,7 @@ pole there exactly when its denominator holds Phi_1.  Values with a
 nonzero r-part pick up an exact multiple of sqrt(2) at q = 1 and are
 returned as a pair of rationals.
 
-Three kernels take the shapes the program makes most, each giving the
+Four kernels take the shapes the program makes most, each giving the
 value of the general arithmetic exactly and each kept because the
 benchmark workload named with it is slower without it (ROADMAP item 8):
 
@@ -60,6 +60,13 @@ benchmark workload named with it is slower without it (ROADMAP item 8):
    (``algebra.mul_sum``), so each coefficient of the inner products of
    one-forms and spinors, summed over both corners; and every Haar
    value.
+4. A quotient by a monomial over cyclotomics cancels exponents (spectra).
+   x / (c s^k / (n prod Phi_N^e_N)) with no r-part (each Gram norm of
+   ``spectra._reduced``) subtracts the divisor's exponents from x's,
+   expands only the Phi_N left over from the divisor into x's numerators
+   and divides out the integer content: no mod-p test and no division,
+   where x * y.inverse() expands all of y's denominator and reduces the
+   product again.
 
 ``pe``, ``pr`` and ``den`` are read-only views: a fresh {exponent:
 Fraction} dict per call, exponents ascending.  Outputs read only the
@@ -374,8 +381,9 @@ class Scalar:
     ``pr`` and ``den`` are Fraction views of the numerators over n and of
     the expanded monic denominator.  The module docstring's kernels sit in
     ``mul_s`` (a unit factor shifts; ``*`` is ``mul_s`` with no s-power),
-    ``__add__`` (equal denominators add) and the function ``dot`` (a sum
-    of products reduces once).
+    ``__add__`` (equal denominators add), the function ``dot`` (a sum of
+    products reduces once) and ``__truediv__`` (a quotient by a monomial
+    over cyclotomics cancels exponents).
     """
 
     __slots__ = ("_pe", "_pr", "_n", "_factors")
@@ -521,9 +529,42 @@ class Scalar:
         return x
 
     def __truediv__(self, other):
+        """self / other.
+
+        A divisor c s^k / (n prod Phi_N^e_N) with no r-part (each Gram
+        norm of ``spectra._reduced``) cancels exponents: a Phi_N of self's
+        denominator keeps the excess of its exponent over the divisor's,
+        only the Phi_N the divisor holds more of are expanded into self's
+        numerators (times n s^-k), and the integer content that |c| times
+        self's n shares with the numerators divides out.  The result is
+        reduced with no ``_vanishes`` or ``_divide``: self is reduced, so
+        no Phi_N left in the denominator divides both its numerators, and
+        the factors multiplied in are other Phi_M, coprime to that Phi_N.
+        Any other divisor is self * other.inverse()."""
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self * other.inverse()
+        if other._pr or len(other._pe) != 1:
+            return self * other.inverse()
+        if not self:
+            return ZERO
+        (k, c), = other._pe.items()
+        exps = dict(self._factors)
+        up = []
+        for N, e in other._factors:
+            left = exps.pop(N, 0) - e
+            if left > 0:
+                exps[N] = left
+            elif left:
+                up.append((N, -left))
+        f = other._n if c > 0 else -other._n
+        f = {j - k: v * f for j, v in _expansion(tuple(up)).items()}
+        pe, pr = _pmul(self._pe, f), _pmul(self._pr, f)
+        n = self._n * abs(c)
+        g = gcd(n, *pe.values(), *pr.values()) if n != 1 else 1
+        if g != 1:
+            pe = {j: v // g for j, v in pe.items()}
+            pr = {j: v // g for j, v in pr.items()}
+        return _make(pe, pr, n // g, tuple(sorted(exps.items())))
 
     def __pow__(self, n: int):
         if n < 0:

@@ -57,7 +57,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import Element, mono_length, pbw_monomials
-from .coeff import ZERO
+from .coeff import ONE, ZERO, dot
 from .haar import haar
 from .spinor import Spinor, dirac, ip_spin_left, laplacian
 
@@ -102,32 +102,58 @@ def _reduced(n: int):
     This is Gaussian elimination on the component's Gram matrix, ordered
     by length.  Its earlier rows reduce the shorter monomials of the
     component, one of each length n-2, n-4, ..., and those reductions are
-    the t' of the smaller blocks, which are mutually orthogonal (the form
-    is symmetric: K is real and h(z*) is the conjugate of h(z)); so they
-    are taken from ``_reduced(n - 2)`` and below, and only the row of t
-    is eliminated here.  A zero pivot, <t', t'> = 0, raises.
+    the t'_y of the smaller blocks, which are mutually orthogonal (the
+    form is symmetric: K is real and h(z*) is the conjugate of h(z)); so
+    they are taken from ``_reduced(n - 2)`` and below, and only the row
+    of t is eliminated here.
+
+    The row is the Gram row G(t, m) = h(<t, m>) over t and the shorter
+    monomials m of the component: Haar values of monomial pairs.  The
+    form is linear in each slot over K, so <t, t'_y> = sum_m (t'_y)_m
+    G(t, m) is one ``coeff.dot``, and c_y = <t, t'_y> / <t'_y, t'_y>
+    divides by a norm that is a monomial over cyclotomic factors
+    (``Scalar.__truediv__`` cancels its exponents).  Each coefficient
+    (t')_m = -sum_y c_y (t'_y)_m of m != t is one ``dot``.  The norm is
+    <t', t'> = <t', t>, as t' is orthogonal to the t'_y, and by the
+    symmetry G(m, t) = G(t, m) it is sum_m (t')_m G(t, m): one more
+    ``dot`` over the row, with no further Haar value.  A zero pivot,
+    <t', t'> = 0, raises.
     """
     lower = {}
     for m in range(n - 2, 0, -2):
         for key, t_prime, norm in _reduced(m):
             sign, t = key
-            lower.setdefault((sign, _row_weight(t)), []).append((t_prime, norm))
+            part = t_prime.plus if sign > 0 else t_prime.minus
+            lower.setdefault((sign, _row_weight(t)), []).append(
+                (t, part.terms, norm))
     out = []
     for sign in (1, -1):
         for t in pbw_monomials(n, sign):
             if mono_length(t) != n:
                 continue
+            ys = lower.get((sign, _row_weight(t)), ())
             x = Spinor.slot(sign, Element.from_mono(t))
-            t_prime = x
-            for y, norm in lower.get((sign, _row_weight(t)), ()):
-                c = haar(ip_spin_left(x, y)) * norm.inverse()
-                t_prime = t_prime - y.scale(c)
-            # <t', t'> = <t', t>, as t' is orthogonal to the y
-            norm = haar(ip_spin_left(t_prime, x))
+            row = {m: haar(ip_spin_left(
+                x, Spinor.slot(sign, Element.from_mono(m))))
+                for m in (t, *(y for y, _, _ in ys))}
+            columns = {}
+            for _, terms, norm in ys:
+                c = dot([(v, row[m], 0) for m, v in terms.items()])
+                if not c:
+                    continue
+                c = -(c / norm)
+                for m, v in terms.items():
+                    columns.setdefault(m, []).append((c, v, 0))
+            terms = {t: ONE}
+            for m, triples in columns.items():
+                v = dot(triples)
+                if v:
+                    terms[m] = v
+            norm = dot([(v, row[m], 0) for m, v in terms.items()])
             if norm.is_zero():
                 raise ArithmeticError("Gram matrix is singular at l=%s "
                                       "(pivot of %r)" % (Fraction(n, 2), t))
-            out.append(((sign, t), t_prime, norm))
+            out.append(((sign, t), Spinor.slot(sign, Element(terms)), norm))
     if len(out) != 2 * (n + 1):
         raise ArithmeticError("block dimension %d does not match 2(2l+1) = %d"
                               % (len(out), 2 * (n + 1)))

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from qsphere.algebra import Element, mono_length, pbw_monomials
-from qsphere.coeff import ZERO, q_pow, qnum, rational
-from qsphere.haar import haar
+from qsphere.coeff import ZERO, Scalar, q_pow, qnum, rational
+from qsphere.haar import haar, haar_state
 from qsphere.spectra import (
     _OPERATORS, SpinBlock, _block_matrix, _half_integer, _reduced,
     _row_weight, qnum_float, spectra_table, spectrum,
@@ -96,6 +96,50 @@ def test_reduced_basis_is_orthogonal_to_shorter_monomials():
             for _, _, x in _monomial_spinors(n - 2):
                 assert haar(ip_spin_left(t_prime, x)) == 0
                 assert haar(ip_spin_left(x, t_prime)) == 0
+
+
+def test_gram_row_is_symmetric_on_each_component():
+    # _reduced takes the norm <t', t> as sum_m (t')_m G(t, m), which needs
+    # G(m, t) = G(t, m) on a component (one sector and row weight)
+    spinors = _monomial_spinors(5)
+    pairs = 0
+    for i, (sign, m, x) in enumerate(spinors):
+        for sign2, m2, y in spinors[i + 1:]:
+            if sign == sign2 and _row_weight(m) == _row_weight(m2):
+                assert haar(ip_spin_left(x, y)) == \
+                    haar(ip_spin_left(y, x)), (m, m2)
+                pairs += 1
+    assert pairs > 0
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
+def test_gram_norms_are_monomials_over_cyclotomics(n):
+    # the premise of the factored quotient c_y = <t, t'_y> / <t'_y, t'_y>:
+    # each norm is +-c s^k / (n prod Phi_N^e_N), with no r-part
+    for (sign, t), _, norm in _reduced(n):
+        assert not norm.pr and len(norm.pe) == 1, \
+            "n=%d, t=%r: norm %r" % (n, (sign, t), norm)
+
+
+def test_reduction_takes_no_inverse(monkeypatch):
+    # every quotient of the Gram elimination cancels exponents
+    # (Scalar.__truediv__); the Haar table, whose solve inverts its
+    # pivots, is extended beforehand
+    haar_state().ensure(22)
+    _clear_caches()
+    try:
+        calls, inverse = [], Scalar.inverse
+
+        def counted(x):
+            calls.append(x)
+            return inverse(x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Scalar, "inverse", counted)
+            assert len(_reduced(11)) == 24
+        assert calls == []
+    finally:
+        _clear_caches()
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
