@@ -545,8 +545,6 @@ class Scalar:
             return NotImplemented
         if other._pr or len(other._pe) != 1:
             return self * other.inverse()
-        if not self:
-            return ZERO
         (k, c), = other._pe.items()
         exps = dict(self._factors)
         up = []
@@ -556,15 +554,11 @@ class Scalar:
                 exps[N] = left
             elif left:
                 up.append((N, -left))
-        f = other._n if c > 0 else -other._n
-        f = {j - k: v * f for j, v in _expansion(tuple(up)).items()}
-        pe, pr = _pmul(self._pe, f), _pmul(self._pr, f)
-        n = self._n * abs(c)
-        g = gcd(n, *pe.values(), *pr.values()) if n != 1 else 1
-        if g != 1:
-            pe = {j: v // g for j, v in pe.items()}
-            pr = {j: v // g for j, v in pr.items()}
-        return _make(pe, pr, n // g, tuple(sorted(exps.items())))
+        f = _pshift(_pscale(_expansion(tuple(up)),
+                            other._n if c > 0 else -other._n), -k)
+        # trial () tries no Phi_N: only the integer content divides out
+        return _scalar(_pmul(self._pe, f), _pmul(self._pr, f),
+                       self._n * abs(c), tuple(sorted(exps.items())), ())
 
     def __pow__(self, n: int):
         if n < 0:
