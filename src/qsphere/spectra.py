@@ -24,9 +24,13 @@ found by Gaussian elimination on the component's exact Gram matrix
 An operator maps t'_j to a combination of the t'_i; its coefficients are
 the top-monomial coefficients of op(t'_j), and the closure
 op(t'_j) = sum_i M_ij t'_i is checked exactly (``_block_matrix``).  D^2
-is not applied: D maps the block into itself, so its matrix is M_D^2.  Both
-are cached per process, once per spin and once per (spin, operator), so
-only the evaluation of M's nonzero entries at q0 is paid per block.
+is not applied: D maps the block into itself, so its matrix is M_D^2.  The
+reduction is cached per process once per spin, the matrix once per (spin,
+operator), and the image of each monomial spinor once per operator
+(``_image``): the t' of spin l holds the shorter monomials of its
+component, which the smaller blocks have already mapped, so a block
+applies the operator only to its new monomials, and a block met before
+pays only the evaluation of M's nonzero entries at q0.
 
 Every block matrix is monomial: one nonzero entry per row and column.
 The block holds one t' per (sector, row weight), D and the laplacian
@@ -63,7 +67,6 @@ from .spinor import Spinor, dirac, ip_spin_left, laplacian
 
 # the operators a block can take; D2 is the square of the D block matrix
 _OPERATORS = ("D", "D2", "lap")
-_APPLY = {"D": dirac, "lap": laplacian}
 
 
 def _half_integer(l) -> Fraction:
@@ -161,10 +164,31 @@ def _reduced(n: int):
 
 
 @cache
+def _image(operator: str, sign: int, m):
+    """D ("D") or the laplacian ("lap") applied to the monomial spinor
+    with m in the plus (sign +1) or the minus (sign -1) entry.
+
+    The t' of spin n/2 holds every shorter monomial of its component, and
+    the smaller blocks of the same operator map those too, so the blocks
+    share these images.  An image depends on (operator, sign, m) alone,
+    so a block that fails its closure check leaves only true images
+    behind.  The operator is looked up by its module name at each call,
+    not bound once, so a rebinding of ``dirac`` or ``laplacian`` in this
+    module (a tracer's wrapper) is seen."""
+    apply = dirac if operator == "D" else laplacian
+    return apply(Spinor.slot(sign, Element.from_mono(m)))
+
+
+@cache
 def _block_matrix(n: int, operator: str):
     """The matrix M of an operator on the spin-n/2 block basis, exactly:
     op(t'_j) = sum_i M_ij t'_i, checked term by term.  Rows of scalars,
     in the order of ``_reduced(n)``.
+
+    The image of t'_j is the sum of the cached monomial images
+    ``_image(operator, sign, m)`` scaled by the coefficients of t'_j; each
+    monomial lies in exactly one t', so each image is read once per block.
+    The closure check runs on every block, whichever images it reads.
 
     The D^2 matrix is the square of the D matrix: the closure check of D
     gives D(t'_i) = sum_k (M_D)_ki t'_k, so D^2(t'_j) = sum_k (M_D^2)_kj
@@ -180,12 +204,10 @@ def _block_matrix(n: int, operator: str):
     block = _reduced(n)
     columns = []
     for _, t_prime, _ in block:
-        # one monomial at a time: each lies in exactly one t'
         image = Spinor()
         for sign, part in ((1, t_prime.plus), (-1, t_prime.minus)):
             for m, c in part.terms.items():
-                image = image + _APPLY[operator](
-                    Spinor.slot(sign, Element.from_mono(m))).scale(c)
+                image = image + _image(operator, sign, m).scale(c)
         col = [(image.plus if sign > 0 else image.minus).terms.get(t, ZERO)
                for (sign, t), _, _ in block]
         span = Spinor()
@@ -207,11 +229,14 @@ class SpinBlock:
     its entries: row i has its one nonzero in column ``columns[i]``, and
     that entry at q0 is ``entries[i]``.  A row with no nonzero or several,
     or a column met twice, raises ArithmeticError naming the row.  The
-    exact reduction and the exact matrix are cached per process, so a
-    spin or a (spin, operator) met before costs only the evaluation of
-    its nonzero entries; q0 enters nowhere else.  The t' are mutually
-    orthogonal, so the matrix is the orthonormal-basis one up to a
-    positive diagonal similarity, and has the same eigenvalues.
+    exact reduction, the exact matrix and the operator's image of each
+    monomial spinor are cached per process, so a spin or a (spin,
+    operator) met before costs only the evaluation of its nonzero
+    entries, and a new block of an operator applies it only to the
+    monomials that no smaller block holds; q0 enters nowhere else.  The
+    t' are mutually orthogonal, so the matrix is the orthonormal-basis
+    one up to a positive diagonal similarity, and has the same
+    eigenvalues.
     """
 
     def __init__(self, l, q0: float, operator: str = "D"):

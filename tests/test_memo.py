@@ -17,6 +17,7 @@ MEMOISED = [
     forms.frame, tensors.metric, calculus.volume_form,
     levicivita.riemann, levicivita.ricci,
     spinor._metric_diag, spectra._reduced, spectra._block_matrix,
+    spectra._image,
     haar.haar_state, coeff._cyclotomic, coeff._orders, coeff._expansion,
     coeff._root,
 ]

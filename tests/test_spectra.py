@@ -14,10 +14,10 @@ from qsphere.algebra import Element, mono_length, pbw_monomials
 from qsphere.coeff import ZERO, Scalar, q_pow, qnum, rational
 from qsphere.haar import haar, haar_state
 from qsphere.spectra import (
-    _OPERATORS, SpinBlock, _block_matrix, _half_integer, _reduced,
+    _OPERATORS, SpinBlock, _block_matrix, _half_integer, _image, _reduced,
     _row_weight, qnum_float, spectra_table, spectrum,
 )
-from qsphere.spinor import Spinor, dirac, ip_spin_left
+from qsphere.spinor import Spinor, dirac, ip_spin_left, laplacian
 
 
 def test_smallest_block_dirac_eigenvalues():
@@ -144,7 +144,8 @@ def test_reduction_takes_no_inverse(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
 def test_each_monomial_lies_in_exactly_one_t_prime(n):
-    # so _block_matrix applies the operator to each monomial once
+    # so a block reads each monomial's cached image (_image) once, scaled
+    # by the one t' coefficient of that monomial
     seen = []
     for _, t_prime, _ in _reduced(n):
         seen += [(1, m) for m in t_prime.plus.terms]
@@ -188,6 +189,80 @@ def test_d2_block_is_dirac_applied_twice(n):
         for i, (_, t_i, _) in enumerate(block):
             span = span + t_i.scale(m_d2[i][j])
         assert dirac(dirac(t_j)) == span, j
+
+
+def _frozen(matrix):
+    return [[c._freeze() for c in row] for row in matrix]
+
+
+def test_lap_blocks_do_not_depend_on_the_order_they_are_built():
+    # a block reads the images its smaller blocks left in _image; built
+    # from the largest down, every image is made by the largest block
+    _clear_caches()
+    try:
+        down = {n: _frozen(_block_matrix(n, "lap")) for n in (5, 3, 1)}
+        _clear_caches()
+        up = {n: _frozen(_block_matrix(n, "lap")) for n in (1, 3, 5)}
+        assert down == up
+    finally:
+        _clear_caches()
+
+
+def _monomials_of_blocks(ns):
+    """Every (sign, m) that a t' of the spin-n/2 blocks holds."""
+    return {(sign, m) for n in ns for _, t_prime, _ in _reduced(n)
+            for sign, part in ((1, t_prime.plus), (-1, t_prime.minus))
+            for m in part.terms}
+
+
+@pytest.mark.parametrize("operator, ns, calls", [
+    ("lap", (1, 3, 5), 24), ("D", (3, 5, 7, 9, 11), 84)])
+def test_each_monomial_spinor_is_mapped_once(operator, ns, calls,
+                                             monkeypatch):
+    # the operator is resolved through the module's name at each call,
+    # so a wrapper bound there (as a tracer binds one) sees every call
+    import qsphere.spectra as spectra_mod
+    name = {"D": "dirac", "lap": "laplacian"}[operator]
+    apply, seen = getattr(spectra_mod, name), []
+
+    def counted(psi):
+        seen.append(psi)
+        return apply(psi)
+
+    _clear_caches()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra_mod, name, counted)
+            for n in ns:
+                _block_matrix(n, operator)
+        keys = _monomials_of_blocks(ns)
+        # every monomial spinor of odd length <= max(ns) in both sectors
+        assert len(seen) == len(keys) == calls
+        assert _image.cache_info().currsize == calls
+        for sign, m in keys:
+            psi = Spinor.slot(sign, Element.from_mono(m))
+            assert psi in seen
+    finally:
+        _clear_caches()
+
+
+@pytest.mark.parametrize("operator, apply, ns", [
+    ("lap", laplacian, (1, 3, 5)), ("D", dirac, (1, 3, 5, 7))])
+def test_cached_images_are_the_operator_applied_afresh(operator, apply, ns):
+    _clear_caches()
+    try:
+        for n in ns:
+            _block_matrix(n, operator)
+        keys = _monomials_of_blocks(ns)
+        cached = _image.cache_info()
+        # the keys read below are every entry of the memo, each a hit
+        assert cached.currsize == len(keys)
+        for sign, m in keys:
+            psi = Spinor.slot(sign, Element.from_mono(m))
+            assert _image(operator, sign, m) == apply(psi), (sign, m)
+        assert _image.cache_info().misses == cached.misses
+    finally:
+        _clear_caches()
 
 
 @pytest.mark.parametrize("q0", [0.01, 0.3, 0.58, 0.97, 1.0])
@@ -346,6 +421,7 @@ def test_dirac_beyond_eleven_halves():
 def _clear_caches():
     _reduced.cache_clear()
     _block_matrix.cache_clear()
+    _image.cache_clear()
 
 
 def test_singular_gram_is_an_error(monkeypatch):
