@@ -71,10 +71,10 @@ def chern2() -> Tensor:
 
 
 class JunkData:
-    """The volume form C, its squared length alpha and the metric G,
-    together with the junk projection Psi and its complement."""
+    """The volume form C and its squared length alpha, together with the
+    junk projection Psi and its complement."""
 
-    __slots__ = ("C", "alpha", "G", "_alpha_inv")
+    __slots__ = ("C", "alpha", "_alpha_inv")
 
     def __init__(self):
         g = metric()
@@ -98,7 +98,6 @@ class JunkData:
             raise ArithmeticError("volume form is not orthogonal to the metric")
         self.C = c
         self.alpha = alpha
-        self.G = g
         self._alpha_inv = alpha.inverse()
 
     def psi(self, t: Tensor) -> Tensor:

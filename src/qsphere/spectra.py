@@ -60,7 +60,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .algebra import Element, mono_length, pbw_monomials
+from .algebra import Element, _pbw_of_length
 from .coeff import ONE, ZERO, dot
 from .haar import haar
 from .spinor import Spinor, dirac, ip_spin_left, laplacian
@@ -131,9 +131,7 @@ def _reduced(n: int):
                 (t, part.terms, norm))
     out = []
     for sign in (1, -1):
-        for t in pbw_monomials(n, sign):
-            if mono_length(t) != n:
-                continue
+        for t in _pbw_of_length(n, sign):
             ys = lower.get((sign, _row_weight(t)), ())
             x = Spinor.slot(sign, Element.from_mono(t))
             row = {m: haar(ip_spin_left(
@@ -141,10 +139,7 @@ def _reduced(n: int):
                 for m in (t, *(y for y, _, _ in ys))}
             columns = {}
             for _, terms, norm in ys:
-                c = dot([(v, row[m], 0) for m, v in terms.items()])
-                if not c:
-                    continue
-                c = -(c / norm)
+                c = -(dot([(v, row[m], 0) for m, v in terms.items()]) / norm)
                 for m, v in terms.items():
                     columns.setdefault(m, []).append((c, v, 0))
             terms = {t: ONE}

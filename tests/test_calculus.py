@@ -120,7 +120,7 @@ def test_alpha_value_and_classical_limit():
 
 def test_volume_form_shape():
     vf = volume_form()
-    assert ip_T(vf.C, vf.G).is_zero()
+    assert ip_T(vf.C, metric()).is_zero()
     assert as_scalar(ip_T(vf.C, vf.C)) == vf.alpha
     assert vf.C.dag() == vf.C
     # C is a combination of the two halves of the metric
@@ -140,10 +140,10 @@ def test_multiplication_of_volume_form():
 
 def test_psi_fixes_metric_and_kills_volume_form():
     vf = volume_form()
-    assert vf.psi(vf.G) == vf.G
+    assert vf.psi(metric()) == metric()
     assert vf.psi(vf.C).is_zero()
     assert psi_decomposed(vf.C).is_zero()
-    assert psi_decomposed(vf.G) == vf.G
+    assert psi_decomposed(metric()) == metric()
 
 
 @given(proper_two_tensors)
@@ -238,7 +238,7 @@ def test_sigma_fixes_the_metric():
 def test_sigma_on_volume_form():
     vf = volume_form()
     coef = rational(2) * q_pow(-1) * (q_pow(-2) - q_pow(2)) * e_beta().inverse()
-    assert sigma(vf.C) == -vf.C + vf.G.scale(coef)
+    assert sigma(vf.C) == -vf.C + metric().scale(coef)
     # sigma squares to the identity on the mixed sector
     assert sigma(sigma(vf.C)) == vf.C
     mm = tensor(OneForm(minus=frame()[1].minus), OneForm(minus=frame()[2].minus))

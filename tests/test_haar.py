@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsphere.algebra import (
-    Element, GEN_B, GEN_C, MONO_ID, ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR,
+    Element, GEN_B, GEN_C, ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR,
     del_e, del_f, mono_degree, mono_length, pbw_monomials, spin_one,
 )
 from qsphere.coeff import ONE, ZERO, q_pow, qnum, rational
-from qsphere.haar import HaarState, _solve, haar, haar_state
+from qsphere.haar import _solve, haar, haar_state
 
 
 def test_normalisation_and_degree_kill():
@@ -24,31 +24,33 @@ def test_normalisation_and_degree_kill():
 def test_solve_is_consistent_at_length_six():
     # every invariance constraint used by the solve holds for the returned
     # state, through the public interface
-    state = HaarState()
+    state = haar_state()
     state.ensure(6)
     for y in pbw_monomials(6, 2):
         assert state(del_f(Element.from_mono(y))).is_zero()
 
 
 def test_solve_extension_is_stable():
-    state = HaarState()
+    _solve.cache_clear()
+    state = haar_state()
     state.ensure(4)
     v4 = state(GEN_B * GEN_C)
-    state.ensure(8)
+    state.ensure(7)
     assert state(GEN_B * GEN_C) == v4
-    assert state._length == 8
+    # rounded up to the even length 8: lengths 0, 2, 4, 6 and 8
+    assert _solve.cache_info().currsize == 5
 
 
 def test_degree_zero_and_two_monomials_have_even_length():
     # a^i b^j c^k has degree j - i - k and d^i b^j c^k has i + j - k, so
     # degree 0 or 2 fixes j = i + k (+2) or k = i + j (-2): the length is
-    # even, and the state table extends to exactly the length asked for
+    # even, and the state is solved to exactly the length asked for
     for degree in (0, 2):
         assert all(mono_length(m) % 2 == 0
                    for m in pbw_monomials(40, degree))
-    state = HaarState()
-    state(Element.from_mono((0, 1, 3, 2)))  # a b^3 c^2, length 6
-    assert state._length == 6
+    _solve.cache_clear()
+    haar(Element.from_mono((0, 1, 3, 2)))  # a b^3 c^2, length 6
+    assert _solve.cache_info().currsize == 4  # lengths 0, 2, 4 and 6
 
 
 def _stored(table):
@@ -58,51 +60,61 @@ def _stored(table):
 
 
 def test_solve_restricts_to_the_shorter_table():
-    # extending 28 -> 30 equals one solve to 30 in value, canonical form
-    # and the table's key order, and the shorter table is its restriction
-    step, once = HaarState(), HaarState()
-    step.ensure(28)
-    short = _stored(step._table)
-    step.ensure(30)
-    once.ensure(30)
-    assert step._table == once._table
-    assert _stored(step._table) == _stored(once._table)
-    assert _stored(once._table)[:len(short)] == short
+    # the table to 30 lists pbw_monomials(30, 0) in order, the table to 28
+    # is its prefix in value and canonical form, and a fresh solve repeats
+    # it in both
+    short = _stored(_solve(28))
+    step = _solve(30)
+    assert list(step) == pbw_monomials(30, 0)
+    assert _stored(step)[:len(short)] == short
+    _solve.cache_clear()
+    once = _solve(30)
+    assert once is not step
+    assert _stored(once) == _stored(step)
 
 
 def test_solve_stored_form_is_pinned():
     # a SHA-256 prefix over the table at length 26 in its key order, each
     # value in its canonical form
-    table = {MONO_ID: ONE}
-    table.update(_solve(table, 0, 26))
     h = hashlib.sha256()
-    for m, v in table.items():
+    for m, v in _solve(26).items():
         h.update(repr((m, [list(p.items()) for p in (v.pe, v.pr, v.den)]))
                  .encode())
     assert h.hexdigest()[:16] == "e2486af1e3df3c5b"
 
 
+@pytest.fixture
+def fresh_solve():
+    # a test that patches del_f starts and ends with no Haar values
+    # cached, so that no value solved under the patch outlives it
+    _solve.cache_clear()
+    yield
+    _solve.cache_clear()
+
+
 @pytest.mark.parametrize("image, message", [
-    # a constraint with two unknowns left: the solve is not triangular
-    (lambda x: Element({(0, 0, 1, 1): ONE, (0, 0, 2, 2): ONE}),
+    # a constraint with two unknowns left, a b^2 c and b^2 c^2: the solve
+    # is not triangular
+    (lambda x: Element({(0, 1, 2, 1): ONE, (0, 0, 2, 2): ONE}),
      "2 unknowns left in one invariance constraint at length 4"),
     # h(1) = 0 against h(1) = 1
     (lambda x: ONE_EL, "inconsistent invariance constraints at length 4"),
-    # no constraint but h(1) = 1
+    # no constraint of length 4
     (lambda x: Element(), "underdetermined invariance system at length 4"),
 ])
-def test_solve_raises_naming_the_length(monkeypatch, image, message):
+def test_solve_raises_naming_the_length(monkeypatch, fresh_solve, image,
+                                        message):
     import qsphere.haar as haar_mod
+    _solve(2)
     monkeypatch.setattr(haar_mod, "del_f", image)
     with pytest.raises(ArithmeticError, match=message):
-        _solve({MONO_ID: ONE}, 0, 4)
+        _solve(4)
 
 
-def test_failed_extension_leaves_the_table(monkeypatch):
+def test_failed_extension_leaves_the_table(monkeypatch, fresh_solve):
+    # a raising _solve(8) leaves _solve(4) cached and caches nothing for 8
     import qsphere.haar as haar_mod
-    state = HaarState()
-    state.ensure(4)
-    before = _stored(state._table)
+    four = _solve(4)
 
     def inconsistent_at_eight(x):
         (y,) = x.terms
@@ -111,17 +123,16 @@ def test_failed_extension_leaves_the_table(monkeypatch):
     monkeypatch.setattr(haar_mod, "del_f", inconsistent_at_eight)
     with pytest.raises(ArithmeticError,
                        match="inconsistent invariance constraints at length 8"):
-        state.ensure(8)
-    assert state._length == 4
-    assert _stored(state._table) == before
+        _solve(8)
+    assert _solve(4) is four
+    assert _solve.cache_info().currsize == 4  # lengths 0, 2, 4 and 6
     monkeypatch.undo()
-    state.ensure(8)
-    once = HaarState()
-    once.ensure(8)
-    assert _stored(state._table) == _stored(once._table)
+    eight = _solve(8)
+    _solve.cache_clear()
+    assert _stored(eight) == _stored(_solve(8))
 
 
-def test_each_constraint_is_solved_once(monkeypatch):
+def test_each_constraint_is_solved_once(monkeypatch, fresh_solve):
     import qsphere.haar as haar_mod
     rows = []
 
@@ -130,7 +141,7 @@ def test_each_constraint_is_solved_once(monkeypatch):
         return del_f(x)
 
     monkeypatch.setattr(haar_mod, "del_f", counting)
-    state = HaarState()
+    state = haar_state()
     state.ensure(4)
     state.ensure(8)
     state.ensure(6)
@@ -207,14 +218,12 @@ def test_values_are_the_sequential_sums_of_the_spin_reduction(monkeypatch):
     finally:
         spectra_mod._reduced.cache_clear()
     assert len(inputs) > 50
-    state = haar_state()
     for x in inputs:
         got = haar(x)
         want = ZERO
         for m, c in x.terms.items():
             if mono_degree(m) == 0:
-                assert mono_length(m) <= state._length
-                want = want + c * state._table[m]
+                want = want + c * _solve(mono_length(m))[m]
         assert repr(got) == repr(want)
         # the canonical views, exponents ascending, which eval_float reads
         assert [list(v.items()) for v in (got.pe, got.pr, got.den)] == \

@@ -123,8 +123,8 @@ def test_gram_norms_are_monomials_over_cyclotomics(n):
 
 def test_reduction_takes_no_inverse(monkeypatch):
     # every quotient of the Gram elimination cancels exponents
-    # (Scalar.__truediv__); the Haar table, whose solve inverts its
-    # pivots, is extended beforehand
+    # (Scalar.__truediv__); the Haar values, whose solve inverts its
+    # pivots, are solved beforehand
     haar_state().ensure(22)
     _clear_caches()
     try:
