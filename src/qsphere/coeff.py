@@ -31,7 +31,15 @@ A denominator is born factored, in ``inverse()`` (the norm pe^2 - pr^2
 (s^2 + s^-2)), in ``Scalar(pe, pr, den)``, in ``rational`` and in
 ``qnum``, by trial division over the Phi_N of degree at most its own, in
 t = s^k (``_factor``).  A factor that is not cyclotomic raises
-``ValueError`` naming the value: there is no fallback.
+``ValueError`` naming the value: there is no fallback.  Where a product
+prod_N Phi_N^e_N is needed expanded (the ``den`` view, ``inverse()``, the
+Phi_N a quotient leaves over, ``eval_float``, ``repr``, the cofactors of a
+sum over the lcm, and the Phi_N table itself), it is expanded as a
+product of binomials by Phi_N(s) = prod_{d | N} (s^d - 1)^mu(N/d), mu the
+Moebius function (Lang, *Algebra*, VI §3), in ``_expansion``: every
+multiplication by an s^d - 1 runs before the divisions, so each division
+is exact, and each checks its remainder, raising ``ArithmeticError`` if
+it is not.
 
 The q -> 1 limit substitutes s = 1 into the reduced form, never
 differentiating: only Phi_1 vanishes at s = 1, so a reduced scalar has a
@@ -77,9 +85,11 @@ how a scalar was built.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import neg, sub
 from types import MappingProxyType
 
 # ---------------------------------------------------------------------------
@@ -217,24 +227,35 @@ def _divide(a, b):
 
 @cache
 def _cyclotomic(N):
-    """Phi_N(t) as a dense int tuple: t^N - 1 divided by the Phi_d of every
-    proper divisor d of N."""
-    p = [-1] + [0] * (N - 1) + [1]
-    for d in range(1, N):
-        if N % d == 0:
-            p = _divide(p, _cyclotomic(d))
-    return tuple(p)
+    """Phi_N(t) as a dense int tuple, the constant term first."""
+    return tuple(_dense(_expansion(((N, 1),)), 1))
+
+
+def _primes(N):
+    """The distinct prime factors of N, ascending."""
+    out, p = [], 2
+    while p * p <= N:
+        if N % p == 0:
+            out.append(p)
+            while N % p == 0:
+                N //= p
+        p += 1
+    return out + [N] if N > 1 else out
 
 
 def _totient(N):
-    out, m, p = N, N, 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    return out - out // m if m > 1 else out
+    for p in _primes(N):
+        N -= N // p
+    return N
+
+
+def _binomials(N):
+    """The pairs (d, mu(N/d)) for the d | N with N/d squarefree, one per
+    squarefree divisor of N: Phi_N(s) = prod (s^d - 1)^mu(N/d)."""
+    out = [(N, 1)]
+    for p in _primes(N):
+        out += [(d // p, -mu) for d, mu in out]
+    return out
 
 
 @cache
@@ -263,13 +284,45 @@ def _factors_mul(f1, f2):
 @cache
 def _expansion(factors):
     """prod_N Phi_N(s)^e_N as a read-only {exponent: int} mapping,
-    exponents ascending, for a factor tuple ((N, e_N), ...)."""
-    p = {0: 1}
+    exponents ascending, for a factor tuple ((N, e_N), ...).
+
+    The product is one of binomials: s^d - 1 has the exponent sum_N e_N
+    mu(N/d) (``_binomials``), so binomials that the Phi_N share cancel
+    before any arithmetic, as in Phi_1 Phi_2 Phi_4 Phi_8 = s^8 - 1.  A
+    dense list is multiplied by each binomial of positive exponent, one
+    shift and subtraction each, and then divided by each of negative
+    exponent (``_over_binomial``).  Each quotient is the expansion times
+    the binomials still to divide, so each division is exact; one that
+    is not raises ArithmeticError and caches nothing."""
+    exps = {}
     for N, e in factors:
-        phi = {i: c for i, c in enumerate(_cyclotomic(N)) if c}
+        for d, mu in _binomials(N):
+            exps[d] = exps.get(d, 0) + mu * e
+    p = [1]
+    for d, e in exps.items():
+        pad = [0] * d
         for _ in range(e):
-            p = _pmul(p, phi)
-    return MappingProxyType(dict(sorted(p.items())))
+            p = list(map(sub, pad + p, p + pad))
+    for d, e in exps.items():
+        for _ in range(-e):
+            p = _over_binomial(p, d, factors)
+    return MappingProxyType({i: c for i, c in enumerate(p) if c})
+
+
+def _over_binomial(p, d, factors):
+    """The dense quotient p / (s^d - 1): coefficient i is minus the running
+    sum of p_i, p_(i-d), p_(i-2d), ..., one sum per residue class mod d.
+    The top d coefficients of p, which the quotient drops, must equal its
+    own top d (p_i = q_(i-d)), or the division is not exact and raises
+    ArithmeticError naming the factor tuple being expanded."""
+    n = len(p) - d
+    q = [0] * max(n, 0)
+    for r in range(min(d, n)):
+        q[r::d] = itertools.accumulate(map(neg, p[r:n:d]))
+    if n < 1 or p[n:] != ([0] * d + q)[-d:]:
+        raise ArithmeticError("s^%d - 1 does not divide the expansion of %r"
+                              % (d, factors))
+    return q
 
 
 def _factor(p):

@@ -6,12 +6,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qsphere.coeff import (
-    ONE, ROOT_TWO_Q, ZERO, Scalar, _cyclotomic, _dense, _divide, _factor,
-    _reduce, _unit, accumulate, dot, q_pow, qnum, rational, s_pow,
+    ONE, ROOT_TWO_Q, ZERO, Scalar, _cyclotomic, _dense, _divide, _expansion,
+    _factor, _pmul, _reduce, _unit, accumulate, dot, q_pow, qnum, rational,
+    s_pow,
 )
 
 
@@ -834,6 +835,57 @@ def test_cyclotomic_table_matches_sympy():
     for N in range(1, 101):
         want = sympy.Poly(sympy.cyclotomic_poly(N, t), t).all_coeffs()
         assert list(_cyclotomic(N)) == [int(c) for c in reversed(want)], N
+
+
+# 1, 2 and the chain 4, 8, 16 share most of their binomials s^d - 1
+_PHI_ORDERS = st.one_of(st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 60))
+
+
+@given(st.dictionaries(_PHI_ORDERS, st.integers(1, 4), max_size=4))
+@example({})
+@settings(max_examples=100, deadline=None)
+def test_expansion_is_the_product_of_cyclotomic_polynomials(exps):
+    sympy = _sympy()
+    s = sympy.Symbol("s")
+    factors = tuple(sorted(exps.items()))
+    got = _expansion(factors)
+    want = sympy.Poly(1, s)
+    for N, e in factors:
+        want *= sympy.Poly(sympy.cyclotomic_poly(N, s), s) ** e
+    assert dict(got) == {int(m): int(c) for (m,), c in want.terms()}
+    chain = {0: 1}  # the product of the Phi_N tables
+    for N, e in factors:
+        phi = {i: c for i, c in enumerate(_cyclotomic(N)) if c}
+        for _ in range(e):
+            chain = _pmul(chain, phi)
+    assert dict(got) == chain
+    keys = list(got)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    with pytest.raises(TypeError):
+        got[0] = 0
+
+
+def test_expansion_multiplies_no_polynomials(monkeypatch):
+    products = _count_calls(monkeypatch, "_pmul")
+    _expansion.cache_clear()
+    for factors in [((1, 1), (2, 1), (4, 1), (8, 1)), ((3, 2), (12, 4)),
+                    ((6, 1), (10, 3), (30, 1), (56, 2))]:
+        _expansion(factors)
+    assert not products
+
+
+def test_an_inexact_binomial_division_raises_and_caches_nothing(monkeypatch):
+    # Phi_6 = (s^6 - 1)(s - 1)/((s^3 - 1)(s^2 - 1)); without s - 1 the
+    # quotient (s^6 - 1)/(s^3 - 1) = s^3 + 1 is not divisible by s^2 - 1
+    import qsphere.coeff as coeff_mod
+    binomials = coeff_mod._binomials
+    assert (1, 1) in binomials(6)
+    monkeypatch.setattr(coeff_mod, "_binomials", lambda N: [
+        b for b in binomials(N) if N != 6 or b != (1, 1)])
+    _expansion.cache_clear()
+    with pytest.raises(ArithmeticError, match=r"\(\(6, 1\),\)"):
+        _expansion(((6, 1),))
+    assert _expansion.cache_info().currsize == 0
 
 
 @given(c=st.integers(-6, 6).filter(bool), lo=st.integers(-8, 8),

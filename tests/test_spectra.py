@@ -158,7 +158,7 @@ def _matmul(a, b):
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
-@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11, 13])
 def test_exact_block_identities(n):
     size = 2 * (n + 1)
     m_d, m_d2, m_lap = (_block_matrix(n, op) for op in ("D", "D2", "lap"))
