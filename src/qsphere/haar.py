@@ -1,32 +1,31 @@
-"""The Haar state on the sphere subalgebra, by forward substitution.
+"""The Haar state on the sphere subalgebra, from its closed form.
 
 The invariant state h kills every component of nonzero circle degree, so it
-is determined by its values on degree-zero normal-form monomials.  Rather
-than hardcoding known values, we solve the finite linear system
+is determined by its values on degree-zero normal-form monomials.  On those
+it is (Woronowicz, "Twisted SU(2) group", 1987)
 
-    h(1) = 1,      h(del_f(y)) = 0   for every degree +2 monomial y
+    h(a^i b^j c^k) = delta_{i,0} delta_{j,k} (-q)^j / (1 + q^2 + ... + q^{2j}),
+    h(d^i b^j c^k) = 0,
 
-over monomials of bounded length, exactly in the coefficient field.  A
-constraint involves no monomial longer than its y, and degree-zero and
-degree-two monomials have even length, so the system is taken length by
-length: the constraints of the y of length n decide the values of length
-n, given the shorter ones, and a value they leave undecided raises.
-``_solve`` memoises the values up to each even length, so each constraint
-is solved once.  Taken in order, each length's system is
-triangular: each constraint has at most one unknown left once the values
-already found are substituted, at every length through 40, so each
-constraint decides one value by forward substitution.  Invariance under
-del_f (together with the degree grading) pins the state completely, and
-the solver raises if a requested length ever leaves a constraint with two
-unknowns, or turns out inconsistent or underdetermined, instead of
-silently guessing.
+so the only nonzero value of each even length 2j is the rung h((bc)^j) of
+the ladder, whose first rung h(bc) = -q/(1+q^2) is forced by
+h(1 + [2]_q bc) = 0.  Degree-zero and degree-two monomials have even
+length.
 
-Invariance under del_e is not imposed; it comes out as a theorem and is
-checked in the tests.  So is h(t^1_{m j}) = 0 and the ladder
+The formula is not taken on trust.  Each length's values are checked, as
+they are formed, against every invariance row
 
-    h((bc)^n) = (-q)^n / (1 + q^2 + ... + q^{2n}),
+    h(del_f(y)) = 0   for every degree +2 monomial y of that length,
 
-whose first rung h(bc) = -q/(1+q^2) is forced by h(1 + [2]_q bc) = 0.
+one exact dot product per row; a nonzero row raises, naming it.  A row
+involves no monomial longer than its y.  With h(1) = 1, these rows pin h
+uniquely: taken length by length in the order of ``pbw_monomials``, each
+row leaves at most one value undecided by the rows before it, and every
+value gets decided.  The tests check this triangularity at every even
+length through 40; Woronowicz's theorem gives uniqueness at every length.
+So the checked values are the Haar state, and invariance under del_e, the
+vanishing of h(t^1_{m j}) and the ladder follow from the formula; the
+tests check them too.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ class HaarState:
     length.  It holds no state of its own."""
 
     def ensure(self, max_length: int) -> None:
-        """Solve h on every degree-zero monomial of length <= max_length
-        ahead of use."""
+        """Form and check h on every degree-zero monomial of length <=
+        max_length ahead of use."""
         _solve(max_length + max_length % 2)
 
     def __call__(self, x: Element) -> Scalar:
@@ -56,44 +55,33 @@ class HaarState:
         return dot([(c, values[m], 0) for m, c in terms])
 
 
+def _rung(j: int) -> Scalar:
+    """h((bc)^j) = (-q)^j / (1 + q^2 + ... + q^{2j}), for j >= 1."""
+    return Scalar({2 * j: (-1) ** j}, {}, {4 * i: 1 for i in range(j + 1)})
+
+
 @functools.cache
 def _solve(n: int) -> dict:
     """h on the degree-zero monomials of length <= n, n even, in the order
     of ``pbw_monomials``: ``_solve(n - 2)`` and then the values of length
-    n, which the rows h(del_f(y)) = 0 of the degree-2 y of length n decide.
+    n from the closed form (module docstring).
 
-    The rows are taken in the order of ``pbw_monomials``; each has at most
-    one unknown left once the values already decided are substituted, and
-    decides it (module docstring).  A row that leaves two or more
-    unknowns, an inconsistent row, or an unknown that no row decides
-    raises ``ArithmeticError``, and a raising call caches nothing."""
+    Every invariance row h(del_f(y)) of a degree-2 y of length n is then
+    checked to be zero; a nonzero row raises ``ArithmeticError`` naming y
+    and n, and a raising call caches nothing."""
     if n == 0:
         return {MONO_ID: ONE}
-    shorter = _solve(n - 2)
-    values = dict(shorter)
+    values = dict(_solve(n - 2))
+    for m in _pbw_of_length(n, 0):  # (0, 0, j, j) is b^j c^j
+        values[m] = _rung(m[2]) if m[:2] == (0, 0) else ZERO
     for y in _pbw_of_length(n, 2):
-        val = ZERO
-        left = []
-        for m, c in del_f(Element.from_mono(y)).terms.items():
-            if m in values:
-                val = val - values[m] * c
-            else:
-                left.append((m, c))
-        if len(left) > 1:
+        row = dot([(c, values[m], 0)
+                   for m, c in del_f(Element.from_mono(y)).terms.items()])
+        if not row.is_zero():
             raise ArithmeticError(
-                "%d unknowns left in one invariance constraint at length %d"
-                % (len(left), n))
-        if left:
-            (m, c), = left
-            values[m] = val * c.inverse()
-        elif not val.is_zero():
-            raise ArithmeticError(
-                "inconsistent invariance constraints at length %d" % n)
-    new = _pbw_of_length(n, 0)
-    if len(values) != len(shorter) + len(new):
-        raise ArithmeticError(
-            "underdetermined invariance system at length %d" % n)
-    return {**shorter, **{m: values[m] for m in new}}
+                "invariance row h(del_f(%r)) = %r is not zero at length %d"
+                % (y, row, n))
+    return values
 
 
 @functools.cache

@@ -80,11 +80,11 @@ class Tensor:
     or only its corners when built by ``from_corners``.
 
     Equality, the zero test, the pairings and the operations read the
-    corners (see the module docstring); the frame coefficients (computed
-    once) and the terms of a corner-built tensor are derived views.
+    corners (see the module docstring); the frame coefficients and the
+    terms of a corner-built tensor are derived views, not kept.
     """
 
-    __slots__ = ("k", "_terms", "_coeffs", "_corners")
+    __slots__ = ("k", "_terms", "_corners")
 
     def __init__(self, k: int, terms=()):
         if k not in (2, 3, 4):
@@ -98,7 +98,6 @@ class Tensor:
             if not any(leg.is_zero() for leg in term):
                 kept.append(tuple(term))
         self._terms = kept
-        self._coeffs = None
         self._corners = None
 
     @property
@@ -122,39 +121,19 @@ class Tensor:
 
     def coeffs(self):
         """Frame coefficient array as a dict multi-index -> Element,
-        holding only the nonzero entries.
-
-        From corners, coeff[I] = <w_{i_1} (x) ... (x) w_{i_k}, T>, paired
-        one first leg at a time; from legs, the walk over the terms
-        (module docstring).
-        """
-        if self._coeffs is None and self._terms is None:
-            ws = frame()
-            states = {(): self._corners}
-            for _ in range(self.k):
-                states = {idx + (i,): pair_first_legs(w, c)
-                          for idx, c in states.items() if c
-                          for i, w in enumerate(ws)}
-            self._coeffs = {idx: c[()] for idx, c in states.items() if c}
-        elif self._coeffs is None:
-            out = {}
-            for term in self._terms:
-                _walk_term(term, out)
-            self._coeffs = out
-        return self._coeffs
+        holding only the nonzero entries (``_frame_coeffs``)."""
+        return _frame_coeffs(self)
 
     def canonical(self) -> "Tensor":
-        """Re-express through the frame: the tensor with the same corners,
-        its coefficients and its frame terms w_{i_1} (x) ... (x) w_{i_k}
-        coeff[I], in sorted multi-index order, set now.  Coefficients
-        already computed are read as stored, so that a wrapper of
+        """Re-express through the frame: the tensor with the same corners
+        and its frame terms w_{i_1} (x) ... (x) w_{i_k} coeff[I], in sorted
+        multi-index order, set now.  The coefficients come from
+        ``_frame_coeffs``, not the method, so that a wrapper of
         ``coeffs()`` that reads ``terms`` does not re-enter itself."""
         out = from_corners(self.k, self.corners())
-        out._coeffs = self._coeffs if self._coeffs is not None \
-            else self.coeffs()
         ws = frame()
         out._terms = [tuple(ws[i] for i in idx[:-1]) + (ws[idx[-1]] * c,)
-                      for idx, c in sorted(out._coeffs.items())]
+                      for idx, c in sorted(_frame_coeffs(self).items())]
         return out
 
     def is_proper(self) -> bool:
@@ -225,6 +204,24 @@ class Tensor:
         if self._terms is None:
             return "Tensor(k=%d, %d corners)" % (self.k, len(self._corners))
         return "Tensor(k=%d, %d terms)" % (self.k, len(self._terms))
+
+
+def _frame_coeffs(t: Tensor):
+    """coeff[I] = <w_{i_1} (x) ... (x) w_{i_k}, T>: paired one first leg
+    at a time from the corners of a corner-built tensor, or walked over
+    the terms (module docstring)."""
+    if t._terms is None:
+        ws = frame()
+        states = {(): t._corners}
+        for _ in range(t.k):
+            states = {idx + (i,): pair_first_legs(w, c)
+                      for idx, c in states.items() if c
+                      for i, w in enumerate(ws)}
+        return {idx: c[()] for idx, c in states.items() if c}
+    out = {}
+    for term in t._terms:
+        _walk_term(term, out)
+    return out
 
 
 def _walk_term(term, out):

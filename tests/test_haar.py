@@ -1,5 +1,5 @@
-"""The Haar state: forward-substitution construction, invariance, known
-ladder."""
+"""The Haar state: the closed form and its row check, the triangularity
+that makes it unique, invariance, known ladder."""
 
 import hashlib
 
@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from qsphere.algebra import (
     Element, GEN_B, GEN_C, ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR,
-    del_e, del_f, mono_degree, mono_length, pbw_monomials, spin_one,
+    _pbw_of_length, del_e, del_f, mono_degree, mono_length, pbw_monomials,
+    spin_one,
 )
-from qsphere.coeff import ONE, ZERO, q_pow, qnum, rational
+from qsphere.coeff import ONE, ZERO, Scalar, q_pow, qnum, rational
 from qsphere.haar import _solve, haar, haar_state
 
 
@@ -92,44 +93,68 @@ def fresh_solve():
     _solve.cache_clear()
 
 
-@pytest.mark.parametrize("image, message", [
-    # a constraint with two unknowns left, a b^2 c and b^2 c^2: the solve
-    # is not triangular
-    (lambda x: Element({(0, 1, 2, 1): ONE, (0, 0, 2, 2): ONE}),
-     "2 unknowns left in one invariance constraint at length 4"),
-    # h(1) = 0 against h(1) = 1
-    (lambda x: ONE_EL, "inconsistent invariance constraints at length 4"),
-    # no constraint of length 4
-    (lambda x: Element(), "underdetermined invariance system at length 4"),
-])
-def test_solve_raises_naming_the_length(monkeypatch, fresh_solve, image,
-                                        message):
-    import qsphere.haar as haar_mod
-    _solve(2)
-    monkeypatch.setattr(haar_mod, "del_f", image)
-    with pytest.raises(ArithmeticError, match=message):
-        _solve(4)
+def _triangular(n, image=del_f):
+    # whether the rows h(image(y)) of the degree-2 y of length n, taken in
+    # the order of pbw_monomials, each leave at most one degree-zero
+    # monomial not decided by the shorter values and the rows before it,
+    # and together decide every degree-zero monomial of length n
+    decided = set(pbw_monomials(n - 2, 0))
+    for y in _pbw_of_length(n, 2):
+        left = set(image(Element.from_mono(y)).terms) - decided
+        if len(left) > 1:
+            return False
+        decided |= left
+    return decided == set(pbw_monomials(n, 0))
+
+
+def test_invariance_rows_are_triangular_through_length_40():
+    # with h(1) = 1 the rows h(del_f(y)) = 0 decide each value in turn,
+    # so they admit one state at most: the closed form is the Haar state
+    assert all(_triangular(n) for n in range(2, 41, 2))
+
+
+@pytest.mark.parametrize("image", [
+    # a row with two new values, a b^2 c and b^2 c^2
+    lambda x: Element({(0, 1, 2, 1): ONE, (0, 0, 2, 2): ONE}),
+    # no row decides anything
+    lambda x: Element(),
+], ids=["two_new_values", "nothing_decided"])
+def test_triangularity_check_rejects(image):
+    assert _triangular(4)
+    assert not _triangular(4, image)
 
 
 def test_failed_extension_leaves_the_table(monkeypatch, fresh_solve):
-    # a raising _solve(8) leaves _solve(4) cached and caches nothing for 8
+    # a wrong rung, h((bc)^5) doubled, makes _solve(10) raise naming the
+    # first invariance row it breaks; _solve(8) stays cached and nothing
+    # is cached for 10
     import qsphere.haar as haar_mod
-    four = _solve(4)
-
-    def inconsistent_at_eight(x):
-        (y,) = x.terms
-        return ONE_EL if mono_length(y) == 8 else del_f(x)
-
-    monkeypatch.setattr(haar_mod, "del_f", inconsistent_at_eight)
-    with pytest.raises(ArithmeticError,
-                       match="inconsistent invariance constraints at length 8"):
-        _solve(8)
-    assert _solve(4) is four
-    assert _solve.cache_info().currsize == 4  # lengths 0, 2, 4 and 6
-    monkeypatch.undo()
     eight = _solve(8)
+    size = _solve.cache_info().currsize
+    real = haar_mod._rung
+    monkeypatch.setattr(haar_mod, "_rung",
+                        lambda j: real(j) * rational(2) if j == 5 else real(j))
+    with pytest.raises(ArithmeticError,
+                       match=r"h\(del_f\(\(1, 1, 5, 4\)\)\) = .+ is not zero "
+                             r"at length 10$"):
+        _solve(10)
+    assert _solve(8) is eight
+    assert _solve.cache_info().currsize == size
+    monkeypatch.undo()
+    ten = _solve(10)
     _solve.cache_clear()
-    assert _stored(eight) == _stored(_solve(8))
+    assert _stored(ten) == _stored(_solve(10))
+
+
+def test_cold_ensure_inverts_no_scalar(monkeypatch, fresh_solve):
+    # the values come from the closed form, not by forward substitution
+    calls = []
+    real = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse",
+                        lambda self: calls.append(self) or real(self))
+    haar_state().ensure(22)
+    assert _solve.cache_info().currsize == 12  # lengths 0, 2, ..., 22
+    assert calls == []
 
 
 def test_each_constraint_is_solved_once(monkeypatch, fresh_solve):
