@@ -49,10 +49,13 @@ class HaarState:
     def __call__(self, x: Element) -> Scalar:
         """h(x), the sum of c h(m) over the degree-zero terms c m of x,
         as one exact dot product (``coeff.dot``): one reduction per value,
-        not one per product and per partial sum."""
+        not one per product and per partial sum.  Only the nonzero values
+        enter it: most are zero, and a zero factor shares no denominator
+        with the rest, so it would send the sum from ``dot``'s shift path
+        to the lcm."""
         terms = [(m, c) for m, c in x.terms.items() if mono_degree(m) == 0]
         values = _solve(max((mono_length(m) for m, _ in terms), default=0))
-        return dot([(c, values[m], 0) for m, c in terms])
+        return dot([(c, values[m], 0) for m, c in terms if values[m]])
 
 
 def _rung(j: int) -> Scalar:
@@ -76,7 +79,8 @@ def _solve(n: int) -> dict:
         values[m] = _rung(m[2]) if m[:2] == (0, 0) else ZERO
     for y in _pbw_of_length(n, 2):
         row = dot([(c, values[m], 0)
-                   for m, c in del_f(Element.from_mono(y)).terms.items()])
+                   for m, c in del_f(Element.from_mono(y)).terms.items()
+                   if values[m]])
         if not row.is_zero():
             raise ArithmeticError(
                 "invariance row h(del_f(%r)) = %r is not zero at length %d"

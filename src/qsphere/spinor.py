@@ -48,6 +48,12 @@ where the connection laplacian is built from the metric pairing,
 lap(psi) = e^{-beta} m(G) <G, (conn_right (x) 1 + 1 (x) conn) conn(psi)>_B.
 The laplacian and the curvature share one walk of that second covariant
 derivative: each pairs a two-tensor (G or C) with its two one-form legs.
+The pairing (``tensors.pair_terms``) forms only the corners that G or C
+holds, the two mixed ones, so each simple term costs two leg products
+instead of the four corners a leg-built tensor has.  ``ip_T`` still forms
+all four: it reads the corners a tensor keeps, and later pairings of the
+same tensor reuse them (ROADMAP item 8).  The tensors paired here are
+built for one pairing and dropped, so nothing would reuse their corners.
 The identity holds exactly at symbolic q; at q = 1 the defect becomes
 (1/2) Id, one quarter of the classical round scalar curvature.
 
@@ -66,8 +72,8 @@ from .algebra import (Element, ONE_EL, Pair, SPHERE_A, SPHERE_B,
                       SPHERE_BSTAR, del_e, del_f, exact_check, mul_sum,
                       parse, pbw_monomials, spin_half)
 from .forms import OneForm, dee, frame, ip_right
-from .tensors import (Diag, Tensor, as_scalar, e_beta, ip_T, metric, mul_map,
-                      tensor)
+from .tensors import (Diag, Tensor, as_scalar, e_beta, metric, mul_map,
+                      pair_terms, tensor)
 from .calculus import sigma, volume_form
 from .levicivita import conn_right, scalar_curvature
 from .haar import haar
@@ -166,15 +172,20 @@ def conn_spinor(psi: Spinor):
 
 def _pair_second(x: Tensor, psi: Spinor) -> Spinor:
     """<X, (conn_right (x) 1 + 1 (x) conn) conn(psi)>: pair the two-tensor
-    X (through ip_T) with the two one-form legs of the second covariant
-    derivative and let the result act on the spinor leg."""
+    X with the two one-form legs of the second covariant derivative and
+    let the result act on the spinor leg.
+
+    The legs are paired as terms (``pair_terms``), on the corners X holds
+    only: the two mixed corners for X = G or C, half of the four that
+    ``ip_T`` would form and keep on a leg-built tensor that nothing pairs
+    again."""
     acc = ZERO_SP
     for w, chi in conn_spinor(psi):
-        g = ip_T(x, conn_right(w))
+        g = pair_terms(x, conn_right(w).terms)
         if not g.is_zero():
             acc = acc + g * chi
         for eta, xi in conn_spinor(chi):
-            g = ip_T(x, tensor(w, eta))
+            g = pair_terms(x, [(w, eta)])
             if not g.is_zero():
                 acc = acc + g * xi
     return acc

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsphere.algebra import (
-    Element, GEN_B, GEN_C, ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR,
+    Element, GEN_B, GEN_C, ONE_EL, ZERO_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR,
     _pbw_of_length, del_e, del_f, mono_degree, mono_length, pbw_monomials,
     spin_one,
 )
@@ -155,6 +155,27 @@ def test_cold_ensure_inverts_no_scalar(monkeypatch, fresh_solve):
     haar_state().ensure(22)
     assert _solve.cache_info().currsize == 12  # lengths 0, 2, ..., 22
     assert calls == []
+
+
+def test_haar_sums_carry_no_zero_value(monkeypatch, fresh_solve):
+    # the row checks and h(x) pass coeff.dot only the nonzero Haar values,
+    # although most degree-zero monomials have the value zero
+    import qsphere.haar as haar_mod
+    real = haar_mod.dot
+    values = []
+
+    def recording(triples):
+        values.extend(y for _, y, _ in triples)
+        return real(triples)
+
+    monkeypatch.setattr(haar_mod, "dot", recording)
+    monos = pbw_monomials(8, 0)
+    x = sum((Element.from_mono(m) for m in monos), ZERO_EL)
+    got = haar(x)
+    assert values and all(values)
+    monkeypatch.undo()
+    assert sum(not _solve(8)[m] for m in monos) > len(monos) // 2
+    assert got == sum((haar(Element.from_mono(m)) for m in monos), ZERO)
 
 
 def test_each_constraint_is_solved_once(monkeypatch, fresh_solve):

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from qsphere.algebra import (
     ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR, ZERO_EL, Element, parse,
 )
-from qsphere.calculus import volume_form
+from qsphere.calculus import chern2, volume_form
 from qsphere.coeff import ONE, q_pow, qnum, rational, s_pow
 from qsphere.forms import E12, E21, OneForm, dee, frame, ip_left, ip_right
 from qsphere.tensors import (
     Diag, Tensor, as_scalar, coeff_json, contract_left, diag_scalars, e_beta,
-    from_corners, ip_left_T, ip_T, metric, mul_map, product_corners, select,
-    tensor,
+    from_corners, ip_left_T, ip_T, metric, mul_map, pair_terms,
+    product_corners, select, tensor,
 )
 
 from metric_halves import t_mp, t_pm
@@ -272,6 +272,51 @@ def test_ip_on_corners_matches_the_nested_pairing(k, seed):
     assert ip_T(t, s) == _ip_oracle(_ip_right_nested, t, s)
     assert ip_left_T(s, t) == _ip_oracle(_ip_left_nested, s, t)
     assert ip_left_T(t, s) == _ip_oracle(_ip_left_nested, t, s)
+
+
+def _pairing_left_tensors(k):
+    """Left tensors of rank k for pair_terms: G, C and chern2, each with
+    only its two mixed corners (times a leg at k = 3), and a leg-built
+    tensor with all 2^k corners."""
+    w = frame()[0]
+    held = [metric(), volume_form().C, chern2()]
+    if k == 3:
+        held = [from_corners(3, product_corners(g, w)) for g in held]
+    full = _random_tensor(random.Random(2 if k == 2 else 4), k, 2)
+    assert len(full.corners()) == 2 ** k
+    return held + [full]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_pair_terms_matches_ip_T(k):
+    rng = random.Random(40 + k)
+    for s in _pairing_left_tensors(k):
+        for n_terms in (1, 2):
+            terms = _random_tensor(rng, k, n_terms).terms
+            assert pair_terms(s, terms) == ip_T(s, Tensor(k, terms))
+    with pytest.raises(ValueError):
+        pair_terms(metric(), [tuple(frame())])
+
+
+def test_pair_terms_forms_only_the_corners_held(monkeypatch):
+    # G holds two corners, so one term makes two products, one per corner
+    # held, where the term's own corners would take four; the last leg's
+    # products are fused in mul_sum
+    w1, w2, _ = frame()
+    assert len(metric().corners()) == 2
+    assert len(tensor(w1, w2).corners()) == 4
+    products = []
+    mul = Element.__mul__
+
+    def counting(x, y):
+        products.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(Element, "__mul__", counting)
+    got = pair_terms(metric(), [(w1, w2)])
+    assert len(products) == 2
+    monkeypatch.undo()
+    assert got == ip_T(metric(), tensor(w1, w2))
 
 
 @pytest.mark.parametrize("k,seed", _CORNER_CASES)
