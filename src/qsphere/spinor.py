@@ -49,8 +49,8 @@ lap(psi) = e^{-beta} m(G) <G, (conn_right (x) 1 + 1 (x) conn) conn(psi)>_B.
 The laplacian and the curvature share one walk of that second covariant
 derivative: each pairs a two-tensor (G or C) with its two one-form legs.
 The pairing (``tensors.pair_terms``) forms only the corners that G or C
-holds, the two mixed ones, so each simple term costs two leg products
-instead of the four corners a leg-built tensor has.  ``ip_T`` still forms
+holds, the two mixed ones, so each simple term is multiplied out on two
+corners instead of the four a leg-built tensor has.  ``ip_T`` still forms
 all four: it reads the corners a tensor keeps, and later pairings of the
 same tensor reuse them (ROADMAP item 8).  The tensors paired here are
 built for one pairing and dropped, so nothing would reuse their corners.

@@ -43,7 +43,8 @@ corners (``from_corners``), as are the braiding in ``calculus``, ``select``,
     (x T)^eps = x T^eps,  (T x)^eps = T^eps x,  (T^dag)^eps = (T^{-rev eps})*,
 
 the last as dag(w) = (minus*, plus*).  Legs are an input format, taken
-only by ``Tensor(k, terms)`` and ``tensor(*legs)``.  The frame
+only by ``Tensor(k, terms)``, ``tensor(*legs)`` and ``pair_terms``, which
+pairs a tensor with a term list on the tensor's corners alone.  The frame
 coefficients, read by ``coeff_json`` and the command line, are paired from
 the corners or walked from the legs; the terms of a corner-built tensor
 are its frame terms (``canonical()``).
