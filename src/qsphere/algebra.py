@@ -464,27 +464,27 @@ def check_podles_relations():
 # ---------------------------------------------------------------------------
 
 
-def pbw_monomials(max_length: int, degree: int | None = None):
-    """All normal-form monomials of length <= max_length, optionally
-    restricted to one circle-action degree: ``_pbw_of_length`` of each
-    length in turn, shortest first."""
+def pbw_monomials(max_length: int, degree: int):
+    """The normal-form monomials of length <= max_length and of one
+    circle-action degree: ``_pbw_of_length`` of each length in turn,
+    shortest first."""
     return [m for n in range(max_length + 1)
             for m in _pbw_of_length(n, degree)]
 
 
-def _pbw_of_length(n: int, degree: int | None = None):
-    """The normal-form monomials of length exactly n, optionally of one
+def _pbw_of_length(n: int, degree: int):
+    """The normal-form monomials of length exactly n and of one
     circle-action degree, in a deterministic order."""
     out = []
     for i in range(n + 1):
         for j in range(n - i + 1):
             k = n - i - j
             m = (0, i, j, k)
-            if degree is None or mono_degree(m) == degree:
+            if mono_degree(m) == degree:
                 out.append(m)
             if i:
                 m = (1, i, j, k)
-                if degree is None or mono_degree(m) == degree:
+                if mono_degree(m) == degree:
                     out.append(m)
     return out
 

@@ -6,13 +6,14 @@
     qsphere curvature [--json | --latex]
 
 ``spectra`` prints the block spectra as a table or as JSON, the list of
-``spectra.spectrum`` rows {l, q, operator, eigenvalues} indented by 2; a
-spin or q0 out of range exits with status 2.  Status 1 means that an
-exact identity failed while a block was reduced in K (a singular Gram
-matrix, or an operator that leaves the block), that a block matrix is
-not monomial (a row without exactly one nonzero, or a column met
-twice), or that a block has a non-real spectrum (a 2-cycle whose entries
-have a negative product at q0, or a longer cycle).
+``spectra.spectrum`` rows {l, q, operator, eigenvalues} indented by 2.
+Status 2 means a spin or q0 out of range, or a q0 so small that a block
+entry overflows a float at it (such as 1e-40 from l = 9/2 on).  Status 1
+means that an exact identity failed while a block was reduced in K (a
+singular Gram matrix, or an operator that leaves the block), that a
+block matrix is not monomial (a row without exactly one nonzero, or a
+column met twice), or that a block has a non-real spectrum (a 2-cycle
+whose entries have a negative product at q0, or a longer cycle).
 ``check`` runs the exact identity checks, one line each with its wall time,
 and exits with status 1 if any fails.  The entries, in order:
 podles-relations, then hermitian, torsion-free and bimodule (the
@@ -65,7 +66,7 @@ CHECKS = {
 def _spectra(args) -> int:
     try:
         results = spectrum(args.l_max, args.q, args.operator)
-    except ValueError as exc:  # a spin or q0 out of range
+    except ValueError as exc:  # a spin or q0 out of range, see above
         print("qsphere spectra: error: %s" % exc, file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # an exact identity failed, see above

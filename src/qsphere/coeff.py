@@ -441,11 +441,11 @@ class Scalar:
 
     __slots__ = ("_pe", "_pr", "_n", "_factors")
 
-    def __init__(self, pe, pr=None, den=None):
-        """(pe + pr*r)/den from {exponent: Fraction or int} dicts; den must
-        be a product of cyclotomic polynomials up to c s^k."""
-        pe, pr, den = _ints(pe, {} if pr is None else pr,
-                            {0: 1} if den is None else den)
+    def __init__(self, pe, pr, den):
+        """(pe + pr*r)/den from three {exponent: Fraction or int} dicts
+        (``{}`` for no r part, ``{0: 1}`` for den = 1); den must be a
+        product of cyclotomic polynomials up to c s^k."""
+        pe, pr, den = _ints(pe, pr, den)
         if not den:
             raise ZeroDivisionError("zero denominator in scalar")
         x = _over_factored(pe, pr, den)

@@ -43,8 +43,8 @@ class HaarState:
 
     def ensure(self, max_length: int) -> None:
         """Form and check h on every degree-zero monomial of length <=
-        max_length ahead of use."""
-        _solve(max_length + max_length % 2)
+        max_length ahead of use; max_length is even (``_solve``)."""
+        _solve(max_length)
 
     def __call__(self, x: Element) -> Scalar:
         """h(x), the sum of c h(m) over the degree-zero terms c m of x,
@@ -65,13 +65,16 @@ def _rung(j: int) -> Scalar:
 
 @functools.cache
 def _solve(n: int) -> dict:
-    """h on the degree-zero monomials of length <= n, n even, in the order
-    of ``pbw_monomials``: ``_solve(n - 2)`` and then the values of length
-    n from the closed form (module docstring).
+    """h on the degree-zero monomials of length <= n, in the order of
+    ``pbw_monomials``: ``_solve(n - 2)`` and then the values of length n
+    from the closed form (module docstring).  A negative or odd n raises
+    ``ValueError`` naming it.
 
     Every invariance row h(del_f(y)) of a degree-2 y of length n is then
     checked to be zero; a nonzero row raises ``ArithmeticError`` naming y
     and n, and a raising call caches nothing."""
+    if n < 0 or n % 2:
+        raise ValueError("Haar lengths are even and >= 0: %r" % (n,))
     if n == 0:
         return {MONO_ID: ONE}
     values = dict(_solve(n - 2))

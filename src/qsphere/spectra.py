@@ -217,13 +217,15 @@ def _block_matrix(n: int, operator: str):
 
 
 class SpinBlock:
-    """One total-spin block of the spinor space at a numeric parameter.
+    """One total-spin block of the spinor space at a numeric parameter,
+    for one operator: "D", "D2" or "lap".
 
-    The chosen operator's exact block matrix (in the basis of the t', see
-    the module docstring) is monomial, so it is held as a permutation and
-    its entries: row i has its one nonzero in column ``columns[i]``, and
-    that entry at q0 is ``entries[i]``.  A row with no nonzero or several,
-    or a column met twice, raises ArithmeticError naming the row.  The
+    The operator's exact block matrix (in the basis of the t', see the
+    module docstring) is monomial, so it is held as a permutation and its
+    entries: row i has its one nonzero in column ``columns[i]``, and that
+    entry at q0 is ``entries[i]``.  A row with no nonzero or several, or a
+    column met twice, raises ArithmeticError naming the row; an entry
+    that overflows a float at q0 raises ValueError naming q0 and l.  The
     exact reduction, the exact matrix and the operator's image of each
     monomial spinor are cached per process, so a spin or a (spin,
     operator) met before costs only the evaluation of its nonzero
@@ -234,7 +236,7 @@ class SpinBlock:
     eigenvalues.
     """
 
-    def __init__(self, l, q0: float, operator: str = "D"):
+    def __init__(self, l, q0: float, operator: str):
         self.l = _half_integer(l)
         if not 0.0 < q0 <= 1.0:
             raise ValueError("q0 must lie in (0, 1]: %r" % (q0,))
@@ -257,7 +259,12 @@ class SpinBlock:
                     "columns %r" % (self.operator, self.l, i, nonzero,
                                     columns))
             columns.append(nonzero[0])
-            entries.append(row[nonzero[0]].eval_float(self.q0))
+            try:
+                entries.append(row[nonzero[0]].eval_float(self.q0))
+            except OverflowError as exc:  # an s ** e beyond the float range
+                raise ValueError(
+                    "q0 = %r is too small to evaluate the %s block at l=%s "
+                    "in floats" % (self.q0, self.operator, self.l)) from exc
         self.columns, self.entries = columns, entries
 
     def eigenvalues(self):
@@ -277,8 +284,9 @@ class SpinBlock:
         return sorted(vals)
 
 
-def spectrum(l_max, q0: float, operator: str = "D"):
-    """Per-block eigenvalue lists for l = 1/2, 3/2, ..., l_max.
+def spectrum(l_max, q0: float, operator: str):
+    """Per-block eigenvalue lists of an operator ("D", "D2" or "lap") for
+    l = 1/2, 3/2, ..., l_max.
 
     Returns a list of dicts {l, q, operator, eigenvalues}, ready for JSON.
     """

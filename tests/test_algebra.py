@@ -1,5 +1,6 @@
 """PBW normal form, star structure, derivations, and matrix elements."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -411,20 +412,35 @@ def test_spin_one_rejects_indices_outside_the_vector_rep(m, j):
 # enumeration
 # ---------------------------------------------------------------------------
 
+def _normal_forms(max_length):
+    """Every normal-form monomial of length <= max_length, a^i b^j c^k and
+    d^i b^j c^k with i >= 1, enumerated apart from pbw_monomials."""
+    r = range(max_length + 1)
+    return [(branch, i, j, k)
+            for branch, i, j, k in itertools.product((0, 1), r, r, r)
+            if i + j + k <= max_length and (i or not branch)]
+
+
 def test_pbw_monomial_counts():
-    # (n+1)^2 monomials of length exactly n
+    # (n+1)^2 monomials of length exactly n, over the degrees -n..n
     for n in range(5):
-        got = len(pbw_monomials(n)) - len(pbw_monomials(n - 1)) if n else 1
+        got = sum(len(pbw_monomials(n, d)) - len(pbw_monomials(n - 1, d))
+                  for d in range(-n, n + 1))
         assert got == (n + 1) ** 2
+        assert got == sum(mono_length(m) == n for m in _normal_forms(n))
 
 
 def test_pbw_degree_filter_partitions():
-    allm = pbw_monomials(3)
     by_deg = {}
-    for m in allm:
-        by_deg.setdefault(mono_degree(m), []).append(m)
+    for m in _normal_forms(3):
+        by_deg.setdefault(mono_degree(m), set()).add(m)
+    assert set(by_deg) == set(range(-3, 4))
     for deg, ms in by_deg.items():
-        assert pbw_monomials(3, degree=deg) == ms
+        got = pbw_monomials(3, deg)
+        assert len(got) == len(ms) and set(got) == ms
+        assert all(mono_degree(m) == deg for m in got)
+        lengths = [mono_length(m) for m in got]
+        assert lengths == sorted(lengths)  # shortest first
     # spinor component dimensions at cutoff 3: one spin-1/2 and one spin-3/2
     assert len(pbw_monomials(3, degree=1)) == 2 + 4
     assert len(pbw_monomials(3, degree=-1)) == 2 + 4

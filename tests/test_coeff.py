@@ -1144,8 +1144,8 @@ def _over(exps):
     """1 / prod Phi_N(s)^e_N for the dict exps = {N: e_N}."""
     out = ONE
     for N, e in exps.items():
-        out = out * Scalar({i: c for i, c in enumerate(_cyclotomic(N)) if c}) \
-            ** e
+        phi = {i: c for i, c in enumerate(_cyclotomic(N)) if c}
+        out = out * Scalar(phi, {}, {0: 1}) ** e
     return out.inverse()
 
 

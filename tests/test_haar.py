@@ -36,10 +36,23 @@ def test_solve_extension_is_stable():
     state = haar_state()
     state.ensure(4)
     v4 = state(GEN_B * GEN_C)
-    state.ensure(7)
+    state.ensure(8)
     assert state(GEN_B * GEN_C) == v4
-    # rounded up to the even length 8: lengths 0, 2, 4, 6 and 8
+    # lengths 0, 2, 4, 6 and 8
     assert _solve.cache_info().currsize == 5
+
+
+@pytest.mark.parametrize("solve, n", [
+    (haar_state().ensure, -2), (_solve, 3), (haar_state().ensure, 7),
+], ids=["ensure-negative", "solve-odd", "ensure-odd"])
+def test_haar_lengths_are_validated(solve, n):
+    # _solve(n) recurses through _solve(n - 2), so a length that never
+    # reaches 0 is refused before it recurses, and nothing is cached
+    _solve(4)
+    size = _solve.cache_info().currsize
+    with pytest.raises(ValueError, match=r"even and >= 0: %d$" % n):
+        solve(n)
+    assert _solve.cache_info().currsize == size
 
 
 def test_degree_zero_and_two_monomials_have_even_length():

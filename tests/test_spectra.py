@@ -485,6 +485,21 @@ def test_cli_rejects_bad_input(capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("operator", ["D", "D2", "lap"])
+def test_a_float_overflow_at_tiny_q0_is_an_input_error(operator, capsys):
+    # an entry's s ** e overflows a float at q0 = 1e-40 from l = 9/2 on;
+    # that is a q0 out of the float range, not a failed exact identity
+    from qsphere.cli import main
+    with pytest.raises(ValueError, match=r"q0 = 1e-40 .* %s block at l=9/2"
+                       % operator):
+        spectrum(Fraction(11, 2), 1e-40, operator)
+    assert spectrum(Fraction(1, 2), 1e-40, operator)[0]["eigenvalues"]
+    assert main(["spectra", "--l-max", "11/2", "--q", "1e-40",
+                 "--operator", operator]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qsphere spectra: error: q0 = 1e-40"), err
+
+
 def test_cli_spectra_reports_a_numeric_failure(monkeypatch, capsys):
     from qsphere import cli
 
@@ -541,11 +556,15 @@ def test_cli_curvature_formats(capsys):
 
 
 @pytest.mark.parametrize("argv, digest", [
-    (["--l-max", "7/2", "--operator", "lap"],
+    (["--l-max", "7/2", "--q", "0.6", "--operator", "lap"],
      "c92114686cd468e0d159c64d609cadda1d26277728aadd05e903b96ad4bd3716"),
-    (["--l-max", "11/2", "--operator", "D"],
+    (["--l-max", "11/2", "--q", "0.6", "--operator", "D"],
      "681d657031123d51101fdca67f94deb3dba6420962be59772aee6626e6d3d3d7"),
-], ids=["lap-7/2", "D-11/2"])
+    (["--l-max", "11/2", "--q", "0.37", "--operator", "lap"],
+     "15545241b61d0245fce776b67efea0452d877e983b6475324981817779233fb1"),
+    (["--l-max", "9/2", "--q", "0.9", "--operator", "D2"],
+     "096c2a44e27efae6a41f48d6670523027ff9200744cd55be2d8fb48a5e92017b"),
+], ids=["lap-7/2", "D-11/2", "lap-11/2-q0.37", "D2-9/2-q0.9"])
 def test_cli_spectra_json_bytes_are_pinned(argv, digest, capsys):
     # each eigenvalue is an evaluated entry (the laplacian) or +-sqrt of
     # the product of a 2-cycle's two (D), and an entry is a sum over the
@@ -553,6 +572,6 @@ def test_cli_spectra_json_bytes_are_pinned(argv, digest, capsys):
     # so this pins the arithmetic to the last bit whatever route built the
     # scalars
     from qsphere.cli import main
-    assert main(["spectra", *argv, "--q", "0.6", "--json"]) == 0
+    assert main(["spectra", *argv, "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
