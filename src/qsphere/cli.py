@@ -8,9 +8,10 @@
 ``spectra`` prints the block spectra as a table or as JSON, the list of
 ``spectra.spectrum`` rows {l, q, operator, eigenvalues} indented by 2.
 Status 2 means a spin or q0 out of range, or a q0 so small that a block
-entry overflows a float at it (such as 1e-40 from l = 9/2 on).  Status 1
+entry is not a finite float at it (it overflows, such as at 1e-40 from
+l = 9/2 on, or is nan at a subnormal q0 such as 5e-324).  Status 1
 means that an exact identity failed while a block was reduced in K (a
-singular Gram matrix, or an operator that leaves the block), that a
+premise of the Casimir solve, or an operator that leaves the block), that a
 block matrix is not monomial (a row without exactly one nonzero, or a
 column met twice), or that a block has a non-real spectrum (a 2-cycle
 whose entries have a negative product at q0, or a longer cycle).

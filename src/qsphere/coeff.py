@@ -13,8 +13,7 @@ than by numerics.
 
 The package computes in the subring K_cyc of K whose denominators are
 products of cyclotomic polynomials Phi_N(s): q-numbers, r^-1 = r s^2/(1 +
-s^4), the Haar values (-q)^n/[n+1]_{q^2} and the Gram norms built from
-them all lie in it.  A scalar is
+s^4) and the Haar values (-q)^n/[n+1]_{q^2} all lie in it.  A scalar is
 
     (pe + pr * r) / (n * prod_N Phi_N(s)^e_N),
 
@@ -47,7 +46,7 @@ pole there exactly when its denominator holds Phi_1.  Values with a
 nonzero r-part pick up an exact multiple of sqrt(2) at q = 1 and are
 returned as a pair of rationals.
 
-Four kernels take the shapes the program makes most, each giving the
+Three kernels take the shapes the program makes most, each giving the
 value of the general arithmetic exactly and each kept because the
 benchmark workload named with it is slower without it (ROADMAP item 8):
 
@@ -66,15 +65,9 @@ benchmark workload named with it is slower without it (ROADMAP item 8):
    unreduced and summed over their lcm.  Its callers: each coefficient
    of an ``Element`` product that several term pairs reach
    (``algebra.mul_sum``), so each coefficient of the inner products of
-   one-forms and spinors, summed over both corners; and every Haar
-   value.
-4. A quotient by a monomial over cyclotomics cancels exponents (spectra).
-   x / (c s^k / (n prod Phi_N^e_N)) with no r-part (each Gram norm of
-   ``spectra._reduced``) subtracts the divisor's exponents from x's,
-   expands only the Phi_N left over from the divisor into x's numerators
-   and divides out the integer content: no mod-p test and no division,
-   where x * y.inverse() expands all of y's denominator and reduces the
-   product again.
+   one-forms and spinors, summed over both corners; every Haar value;
+   and each coefficient of a spin-block basis vector and of del_f del_e
+   on its monomials (``spectra._reduced``).
 
 ``pe``, ``pr`` and ``den`` are read-only views: a fresh {exponent:
 Fraction} dict per call, exponents ascending.  Outputs read only the
@@ -434,9 +427,8 @@ class Scalar:
     ``pr`` and ``den`` are Fraction views of the numerators over n and of
     the expanded monic denominator.  The module docstring's kernels sit in
     ``mul_s`` (a unit factor shifts; ``*`` is ``mul_s`` with no s-power),
-    ``__add__`` (equal denominators add), the function ``dot`` (a sum of
-    products reduces once) and ``__truediv__`` (a quotient by a monomial
-    over cyclotomics cancels exponents).
+    ``__add__`` (equal denominators add) and the function ``dot`` (a sum
+    of products reduces once).
     """
 
     __slots__ = ("_pe", "_pr", "_n", "_factors")
@@ -582,36 +574,11 @@ class Scalar:
         return x
 
     def __truediv__(self, other):
-        """self / other.
-
-        A divisor c s^k / (n prod Phi_N^e_N) with no r-part (each Gram
-        norm of ``spectra._reduced``) cancels exponents: a Phi_N of self's
-        denominator keeps the excess of its exponent over the divisor's,
-        only the Phi_N the divisor holds more of are expanded into self's
-        numerators (times n s^-k), and the integer content that |c| times
-        self's n shares with the numerators divides out.  The result is
-        reduced with no ``_vanishes`` or ``_divide``: self is reduced, so
-        no Phi_N left in the denominator divides both its numerators, and
-        the factors multiplied in are other Phi_M, coprime to that Phi_N.
-        Any other divisor is self * other.inverse()."""
+        """self * other.inverse(); a zero divisor raises
+        ``ZeroDivisionError``."""
         if not isinstance(other, Scalar):
             return NotImplemented
-        if other._pr or len(other._pe) != 1:
-            return self * other.inverse()
-        (k, c), = other._pe.items()
-        exps = dict(self._factors)
-        up = []
-        for N, e in other._factors:
-            left = exps.pop(N, 0) - e
-            if left > 0:
-                exps[N] = left
-            elif left:
-                up.append((N, -left))
-        f = _pshift(_pscale(_expansion(tuple(up)),
-                            other._n if c > 0 else -other._n), -k)
-        # trial () tries no Phi_N: only the integer content divides out
-        return _scalar(_pmul(self._pe, f), _pmul(self._pr, f),
-                       self._n * abs(c), tuple(sorted(exps.items())), ())
+        return self * other.inverse()
 
     def __pow__(self, n: int):
         if n < 0:

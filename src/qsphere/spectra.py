@@ -1,31 +1,49 @@
 """Spectra of D, D^2 and the laplacian on total-spin blocks.
 
-The chiral summands are filtered by monomial length: the degree +1
-normal-form monomials of length at most 2l span the first blocks of S+,
-and the orthogonal complement of the length 2l-2 subspace inside the
-length 2l subspace (with respect to the Haar inner product
-<x, y> = h({}_B<x, y>)) is the total-spin-l block.  Blocks are therefore
-generated by products of the algebra generators; no corepresentation
-theory enters.
+The chiral summands are filtered by monomial length: F_n, the degree +-1
+normal-form monomials of length at most n (n odd), is spanned by the
+blocks of spin 1/2, 3/2, ..., n/2, and the block of spin l = n/2 is a
+complement V_n of F_{n-2} in F_n with one basis vector t' per monomial t
+of length n.  Blocks are therefore generated by products of the algebra
+generators; no corepresentation theory enters.
 
-The reduction is exact, in the field K, and does not involve q0.  Write
-the row weight of a monomial a^i b^j c^k (or d^i b^j c^k) as
--i - j + k (or i - j + k): the Haar state is invariant under the left
-circle action, so <x, y> vanishes unless x and y lie in the same chiral
-sector and have the same row weight.  Degree, row weight and length fix
-a monomial, so such a component holds one monomial of each length
-2l, 2l-2, ... down to |row weight|; with t the one of the top length
-2l, the block basis vector is
+The basis is fixed by the algebra alone, exactly in K and with no q0.
+Write the row weight of a monomial a^i b^j c^k (or d^i b^j c^k) as
+-i - j + k (or i - j + k).  Degree, row weight and length fix a
+monomial, so a Gram component, one sector and one row weight, holds one
+monomial of each length n, n-2, ... down to |row weight|.  The
+derivations del_e and del_f are the right U_q(su(2)) action
+(Dabrowski-Sitarz, "Dirac operator on the standard Podles quantum
+sphere", 2003), so they keep the row weight, and on a sector of degree
++-1 the Casimir is
 
-    t' = t - (orthogonal projection of t onto the shorter monomials),
+    C = del_f del_e + c_sector,    c_sector = [(degree + 1)/2]_q^2,
 
-found by Gaussian elimination on the component's exact Gram matrix
-(``_reduced``; a zero pivot means a singular Gram matrix and raises).
+which D^2 equals there (probed, not yet decided: ROADMAP item 16).  C is
+triangular by length on each component: on a monomial of length L it is
+c_L = [(L+1)/2]_q^2 times that monomial plus shorter ones.  So t' is the
+one solution of
+
+    (C - c_n) t' = 0    with (t')_t = 1,
+
+solved top-down (``_reduced``): the coefficient of the monomial of length
+L = n - 2r is one sum over the longer ones, divided by
+c_n - c_L = [r]_q [n+1-r]_q, which is not zero.  The solve checks both
+premises, the diagonal and the shortening, on every monomial it meets,
+and raises ``ArithmeticError`` naming the monomial if either fails.
+
 An operator maps t'_j to a combination of the t'_i; its coefficients are
 the top-monomial coefficients of op(t'_j), and the closure
-op(t'_j) = sum_i M_ij t'_i is checked exactly (``_block_matrix``).  D^2
-is not applied: D maps the block into itself, so its matrix is M_D^2.  The
-reduction is cached per process once per spin, the matrix once per (spin,
+op(t'_j) = sum_i M_ij t'_i is checked exactly (``_block_matrix``).  That
+check makes the spectrum sound without item 16's proof: it shows that the
+operator maps V_n into itself, and, the smaller blocks having passed it
+too, F_{n-2}; V_n complements F_{n-2} in F_n, so the spectrum of M is that
+of the operator on F_n / F_{n-2}, whatever the basis.  The t' are
+orthogonal for the Haar inner product <x, y> = h({}_B<x, y>), as the tests
+check to l = 9/2, but nothing here uses it: deciding it needs D to be
+symmetric and the form positive (ROADMAP items 16 and 13).  D^2 is not
+applied: D maps the block into itself, so its matrix is M_D^2.  The basis
+is cached per process once per spin, the matrix once per (spin,
 operator), and the image of each monomial spinor once per operator
 (``_image``): the t' of spin l holds the shorter monomials of its
 component, which the smaller blocks have already mapped, so a block
@@ -35,16 +53,15 @@ pays only the evaluation of M's nonzero entries at q0.
 Every block matrix is monomial: one nonzero entry per row and column.
 The block holds one t' per (sector, row weight), D and the laplacian
 commute with the left circle action (they are left U_q(su(2))-equivariant,
-Dabrowski-Sitarz, "Dirac operator on the standard Podles quantum sphere",
-2003), D exchanges the sectors and the laplacian keeps them; so M_D pairs
-the two t' of each row weight, a product of 2l+1 2-cycles, and M_D2 and
-M_lap are diagonal.  That argument is cited, not decided; the structure
-itself is checked exactly on every block built (``SpinBlock._build``
-raises otherwise), and the tests build every D, D2 and lap block up to
-l = 11/2 (``test_op_matrix_is_the_dense_evaluation``).  The eigenvalues
-are read off the cycles of the permutation: a fixed point gives its
-entry, a 2-cycle with entry product p >= 0 gives +-sqrt(p), and any
-other cycle has a non-real eigenvalue and raises.  For a monomial matrix
+Dabrowski-Sitarz), D exchanges the sectors and the laplacian keeps them;
+so M_D pairs the two t' of each row weight, a product of 2l+1 2-cycles,
+and M_D2 and M_lap are diagonal.  That argument is cited, not decided; the
+structure itself is checked exactly on every block built
+(``SpinBlock._build`` raises otherwise), and the tests build every D, D2
+and lap block up to l = 11/2 (``test_op_matrix_is_the_dense_evaluation``).
+The eigenvalues are read off the cycles of the permutation: a fixed point
+gives its entry, a 2-cycle with entry product p >= 0 gives +-sqrt(p), and
+any other cycle has a non-real eigenvalue and raises.  For a monomial matrix
 this is exact, so no dense eigensolver is needed.
 
 Eigenvalues of D on the block of total spin l come out as +-[l+1/2]_{q0},
@@ -60,10 +77,9 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .algebra import Element, _pbw_of_length
-from .coeff import ONE, ZERO, dot
-from .haar import haar
-from .spinor import Spinor, dirac, ip_spin_left, laplacian
+from .algebra import Element, _pbw_of_length, del_e, del_f, mono_length
+from .coeff import ONE, ZERO, dot, qnum
+from .spinor import Spinor, dirac, laplacian
 
 # the operators a block can take; D2 is the square of the D block matrix
 _OPERATORS = ("D", "D2", "lap")
@@ -87,71 +103,50 @@ def qnum_float(two_x: int, q0: float) -> float:
     return math.sinh(two_x / 2.0 * log_q) / math.sinh(log_q)
 
 
-def _row_weight(m) -> int:
-    """Twice the row (left) weight of a monomial: a, b count -1, c, d +1."""
-    branch, i, j, k = m
-    return (i if branch else -i) - j + k
-
-
 @cache
 def _reduced(n: int):
     """The basis of the total-spin n/2 block, exactly in K.
 
-    Returns ((sign, t), t', <t', t'>) triples: t runs over the monomials
-    of length n in the plus (sign +1) and then the minus (sign -1) sector,
-    and t' is t minus its projection onto the shorter monomials of its
-    Gram component, the monomials of the same sector and row weight.
+    Returns ((sign, t), t') pairs: t runs over the monomials of length n
+    in the plus (sign +1) and then the minus (sign -1) sector, and t' is
+    the solution of (C - c_n) t' = 0 with (t')_t = 1 (module docstring).
 
-    This is Gaussian elimination on the component's Gram matrix, ordered
-    by length.  Its earlier rows reduce the shorter monomials of the
-    component, one of each length n-2, n-4, ..., and those reductions are
-    the t'_y of the smaller blocks, which are mutually orthogonal (the
-    form is symmetric: K is real and h(z*) is the conjugate of h(z)); so
-    they are taken from ``_reduced(n - 2)`` and below, and only the row
-    of t is eliminated here.
-
-    The row is the Gram row G(t, m) = h(<t, m>) over t and the shorter
-    monomials m of the component: Haar values of monomial pairs.  The
-    form is linear in each slot over K, so <t, t'_y> = sum_m (t'_y)_m
-    G(t, m) is one ``coeff.dot``, and c_y = <t, t'_y> / <t'_y, t'_y>
-    divides by a norm that is a monomial over cyclotomic factors
-    (``Scalar.__truediv__`` cancels its exponents).  Each coefficient
-    (t')_m = -sum_y c_y (t'_y)_m of m != t is one ``dot``.  The norm is
-    <t', t'> = <t', t>, as t' is orthogonal to the t'_y, and by the
-    symmetry G(m, t) = G(t, m) it is sum_m (t')_m G(t, m): one more
-    ``dot`` over the row, with no further Haar value.  A zero pivot,
-    <t', t'> = 0, raises.
-    """
-    lower = {}
-    for m in range(n - 2, 0, -2):
-        for key, t_prime, norm in _reduced(m):
-            sign, t = key
-            part = t_prime.plus if sign > 0 else t_prime.minus
-            lower.setdefault((sign, _row_weight(t)), []).append(
-                (t, part.terms, norm))
+    The solve runs top-down.  Each monomial m of t', once its coefficient
+    x_m is decided, adds x_m (del_f del_e m)_u to the row of every
+    shorter u; the longest open row is decided next, as one ``dot`` over
+    its entries divided by c_n - c_L, L the length of u.  It checks its
+    two premises on every monomial it decides, and raises
+    ``ArithmeticError`` naming l and the monomial if either fails: the
+    diagonal entry of del_f del_e on m is c_L - c_sector, and every other
+    monomial of the image is shorter than m.  A block that is not
+    2(2l+1) vectors raises too."""
+    # c_L for the odd lengths L <= n, and c_-1 = 0: c_sector is c_degree
+    c = {length: qnum(length + 1) ** 2 for length in range(-1, n + 1, 2)}
+    over = {length: (c[n] - c[length]).inverse() for length in range(1, n, 2)}
     out = []
     for sign in (1, -1):
+        diagonal = {length: c[length] - c[sign]
+                    for length in range(1, n + 1, 2)}
         for t in _pbw_of_length(n, sign):
-            ys = lower.get((sign, _row_weight(t)), ())
-            x = Spinor.slot(sign, Element.from_mono(t))
-            row = {m: haar(ip_spin_left(
-                x, Spinor.slot(sign, Element.from_mono(m))))
-                for m in (t, *(y for y, _, _ in ys))}
-            columns = {}
-            for _, terms, norm in ys:
-                c = -(dot([(v, row[m], 0) for m, v in terms.items()]) / norm)
-                for m, v in terms.items():
-                    columns.setdefault(m, []).append((c, v, 0))
-            terms = {t: ONE}
-            for m, triples in columns.items():
-                v = dot(triples)
-                if v:
-                    terms[m] = v
-            norm = dot([(v, row[m], 0) for m, v in terms.items()])
-            if norm.is_zero():
-                raise ArithmeticError("Gram matrix is singular at l=%s "
-                                      "(pivot of %r)" % (Fraction(n, 2), t))
-            out.append(((sign, t), Spinor.slot(sign, Element(terms)), norm))
+            terms, rows, m, x = {}, {}, t, ONE
+            while True:
+                if x:
+                    terms[m] = x
+                    image = dict(del_f(del_e(Element.from_mono(m))).terms)
+                    length = mono_length(m)
+                    if image.pop(m, ZERO) != diagonal[length] \
+                            or any(mono_length(u) >= length for u in image):
+                        raise ArithmeticError(
+                            "the Casimir solve fails at l=%s on %r: del_f "
+                            "del_e is not c_L - c_sector on it plus shorter "
+                            "monomials" % (Fraction(n, 2), m))
+                    for u, v in image.items():
+                        rows.setdefault(u, []).append((x, v, 0))
+                if not rows:
+                    break
+                m = max(rows, key=mono_length)
+                x = dot(rows.pop(m)) * over[mono_length(m)]
+            out.append(((sign, t), Spinor.slot(sign, Element(terms))))
     if len(out) != 2 * (n + 1):
         raise ArithmeticError("block dimension %d does not match 2(2l+1) = %d"
                               % (len(out), 2 * (n + 1)))
@@ -198,15 +193,15 @@ def _block_matrix(n: int, operator: str):
                      for row in rows)
     block = _reduced(n)
     columns = []
-    for _, t_prime, _ in block:
+    for _, t_prime in block:
         image = Spinor()
         for sign, part in ((1, t_prime.plus), (-1, t_prime.minus)):
             for m, c in part.terms.items():
                 image = image + _image(operator, sign, m).scale(c)
         col = [(image.plus if sign > 0 else image.minus).terms.get(t, ZERO)
-               for (sign, t), _, _ in block]
+               for (sign, t), _ in block]
         span = Spinor()
-        for c, (_, t_i, _) in zip(col, block):
+        for c, (_, t_i) in zip(col, block):
             span = span + t_i.scale(c)
         if image != span:
             raise ArithmeticError("operator %s does not preserve the l=%s block"
@@ -225,15 +220,18 @@ class SpinBlock:
     entries: row i has its one nonzero in column ``columns[i]``, and that
     entry at q0 is ``entries[i]``.  A row with no nonzero or several, or a
     column met twice, raises ArithmeticError naming the row; an entry
-    that overflows a float at q0 raises ValueError naming q0 and l.  The
-    exact reduction, the exact matrix and the operator's image of each
+    that is not a finite float at q0 (it overflows, or is nan where 1/q0
+    is inf at a subnormal q0) raises ValueError naming q0 and l.  The
+    exact basis, the exact matrix and the operator's image of each
     monomial spinor are cached per process, so a spin or a (spin,
     operator) met before costs only the evaluation of its nonzero
     entries, and a new block of an operator applies it only to the
     monomials that no smaller block holds; q0 enters nowhere else.  The
-    t' are mutually orthogonal, so the matrix is the orthonormal-basis
-    one up to a positive diagonal similarity, and has the same
-    eigenvalues.
+    eigenvalues are those of the operator on the block whether or not the
+    t' are orthogonal (module docstring): that they are, so that the
+    matrix is the orthonormal-basis one up to a positive diagonal
+    similarity, is tested but not used, and deciding it needs ROADMAP
+    items 16 and 13.
     """
 
     def __init__(self, l, q0: float, operator: str):
@@ -260,11 +258,14 @@ class SpinBlock:
                                     columns))
             columns.append(nonzero[0])
             try:
-                entries.append(row[nonzero[0]].eval_float(self.q0))
-            except OverflowError as exc:  # an s ** e beyond the float range
+                entry = row[nonzero[0]].eval_float(self.q0)
+            except OverflowError:  # an s ** e beyond the float range
+                entry = math.inf
+            if not math.isfinite(entry):  # 1/q0 is inf at a subnormal q0
                 raise ValueError(
                     "q0 = %r is too small to evaluate the %s block at l=%s "
-                    "in floats" % (self.q0, self.operator, self.l)) from exc
+                    "in floats" % (self.q0, self.operator, self.l))
+            entries.append(entry)
         self.columns, self.entries = columns, entries
 
     def eigenvalues(self):

@@ -1133,20 +1133,8 @@ def test_fused_unit_products_keep_the_stored_form(parts, den):
 
 
 # ---------------------------------------------------------------------------
-# the quotient by a monomial over cyclotomic factors
+# the quotient
 # ---------------------------------------------------------------------------
-
-
-_PHI_ORDERS = [1, 2, 3, 4, 5, 6, 8, 10, 12]
-
-
-def _over(exps):
-    """1 / prod Phi_N(s)^e_N for the dict exps = {N: e_N}."""
-    out = ONE
-    for N, e in exps.items():
-        phi = {i: c for i, c in enumerate(_cyclotomic(N)) if c}
-        out = out * Scalar(phi, {}, {0: 1}) ** e
-    return out.inverse()
 
 
 def _check_quotient(x, y):
@@ -1157,66 +1145,16 @@ def _check_quotient(x, y):
     return got
 
 
-@st.composite
-def _monomial_quotients(draw):
-    """(x, y, how): y = +-c s^k / (n prod Phi_N^e_N) with c, n > 1 whose
-    orders N are nested in, overlap or are disjoint from those of x's
-    denominator (how); x has an r-part, or one example in ten is zero."""
-    x_orders = draw(st.lists(st.sampled_from(_PHI_ORDERS), min_size=1,
-                             max_size=3, unique=True))
-    rest = [N for N in _PHI_ORDERS if N not in x_orders]
-    how = draw(st.sampled_from(["nested", "overlapping", "disjoint"]))
-    if how == "nested":
-        y_orders = draw(st.lists(st.sampled_from(x_orders), min_size=1,
-                                 unique=True))
-    elif how == "overlapping":
-        y_orders = [draw(st.sampled_from(x_orders)),
-                    draw(st.sampled_from(rest))]
-    else:
-        y_orders = draw(st.lists(st.sampled_from(rest), min_size=1,
-                                 max_size=3, unique=True))
-    exps = st.integers(1, 3)
-    x = ZERO
-    if draw(st.integers(0, 9)):
-        r_term = (draw(st.integers(1, 3)), draw(st.integers(-6, 6)), 1)
-        x = _laurent(draw(_TERMS) + [r_term]) \
-            * rational(Fraction(1, draw(st.integers(1, 6)))) \
-            * _over({N: draw(exps) for N in x_orders})
-        assume(x._pr and {N for N, _ in x._factors} == set(x_orders))
-    c, n = draw(st.integers(2, 9)), draw(st.integers(2, 9))
-    assume(gcd(c, n) == 1)
-    y = rational(Fraction(draw(st.sampled_from([c, -c])), n)) \
-        * s_pow(draw(st.integers(-6, 6))) \
-        * _over({N: draw(exps) for N in y_orders})
-    return x, y, how
-
-
-@given(_monomial_quotients())
-@settings(max_examples=200, deadline=None)
-def test_quotient_by_a_monomial_is_the_product_by_the_inverse(case):
-    x, y, how = case
-    (_, c), = y._pe.items()
-    assert not y._pr and abs(c) > 1 and y._n > 1
-    x_orders, y_orders = ({N for N, _ in z._factors} for z in (x, y))
-    if x:
-        assert {"nested": y_orders <= x_orders,
-                "overlapping": y_orders & x_orders and y_orders - x_orders,
-                "disjoint": not y_orders & x_orders}[how]
-    _check_quotient(x, y)
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_quotient_by_a_general_divisor_is_the_product_by_the_inverse(
         seed, monkeypatch):
-    # a divisor with an r-part or several terms takes the inverse
     divisors = []
     for y in _random_scalars(seed, 30) + _ODD_DENS:
-        if y._pr or len(y._pe) > 1:
-            try:
-                y.inverse()
-                divisors.append(y)
-            except ValueError:
-                pass
+        try:
+            y.inverse()
+            divisors.append(y)
+        except ValueError:
+            pass
     cases = [(x, y) for x in _random_scalars(seed + 10, 10) + [ZERO]
              for y in divisors]
     wants = [(want._freeze(), repr(want))
@@ -1237,18 +1175,3 @@ def test_quotient_edge_cases():
     assert ZERO / qnum(3).inverse() is ZERO
     assert _check_quotient(x, x) == ONE
     assert _check_quotient(x, -s_pow(3)) == -x.scale_s(-3)
-
-
-def test_quotient_by_a_gram_norm_runs_no_division(monkeypatch):
-    # the Gram norms of spectra are monomials over cyclotomic factors, so
-    # a quotient by one cancels exponents: no mod-p test, no division
-    # (once the Phi_N table holds the orders involved)
-    from qsphere.spectra import _reduced
-    norms = [norm for n in (3, 5) for _, _, norm in _reduced(n)]
-    pairs = [(x, y) for x in norms[:8] + [x * ROOT_TWO_Q for x in norms[8:12]]
-             for y in norms[8:]]
-    wants = [(x * y.inverse())._freeze() for x, y in pairs]
-    divisions = _count_calls(monkeypatch, "_divide")
-    tests = _count_calls(monkeypatch, "_vanishes")
-    assert [(x / y)._freeze() for x, y in pairs] == wants
-    assert not divisions and not tests

@@ -14,6 +14,8 @@ from qsphere.algebra import (
 from qsphere.coeff import ONE, ZERO, Scalar, q_pow, qnum, rational
 from qsphere.haar import _solve, haar, haar_state
 
+from gram import gram_pairs
+
 
 def test_normalisation_and_degree_kill():
     assert haar(ONE_EL) == ONE
@@ -258,24 +260,11 @@ def test_shared_state_accessor():
     assert haar_state()(ONE_EL) == ONE
 
 
-def test_values_are_the_sequential_sums_of_the_spin_reduction(monkeypatch):
-    # every Haar value the spin blocks up to l = 7/2 ask for equals the
-    # sum of c h(m) taken term by term, acc + c * h(m), in repr and in
-    # the views of the reduced form
-    import qsphere.spectra as spectra_mod
-
-    inputs = []
-
-    def recording(x):
-        inputs.append(x)
-        return haar(x)
-
-    spectra_mod._reduced.cache_clear()
-    try:
-        monkeypatch.setattr(spectra_mod, "haar", recording)
-        spectra_mod._reduced(7)
-    finally:
-        spectra_mod._reduced.cache_clear()
+def test_values_are_the_sequential_sums_of_the_spin_reduction():
+    # every Haar value of the Gram pairs of the spin-block components up to
+    # l = 7/2 equals the sum of c h(m) taken term by term, acc + c * h(m),
+    # in repr and in the views of the reduced form
+    inputs = [x for n in (1, 3, 5, 7) for x in gram_pairs(n)]
     assert len(inputs) > 50
     for x in inputs:
         got = haar(x)

@@ -84,3 +84,18 @@ def test_the_command_line_loads_without_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "False\n"
+
+
+def test_spectra_forms_no_haar_value():
+    # the block basis comes from the Casimir, not from Haar Gram rows, so
+    # spectra imports neither the Haar state nor the inner product it reads
+    tree = ast.parse((SOURCES[0].parent / "spectra.py").read_text())
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+    assert not any("haar" in module.split(".") for module in modules)
+    assert not names & {"haar", "ip_spin_left"}

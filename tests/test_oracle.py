@@ -14,7 +14,7 @@ Haar state is the weighted trace
 The operators, the words of the PBW monomials, the adjoints and the trace
 are written out here.  Of the package this module reads only
 ``Element.terms`` and ``Scalar.eval_float``: the products, ``star``, the
-solved Haar table and the Gram pivots of the spin blocks are checked
+solved Haar table and the Haar norms of the spin-block basis are checked
 against arithmetic that shares no code with ``algebra.py`` or ``haar.py``.
 """
 
@@ -27,6 +27,8 @@ from qsphere.algebra import Element
 from qsphere.coeff import ONE, ROOT_TWO_Q, qnum, rational, s_pow
 from qsphere.haar import haar
 from qsphere.spectra import _reduced
+
+from gram import norm
 
 QS = (0.3, 0.7)
 TRACE_TERMS = 400
@@ -221,7 +223,7 @@ def test_gram_pivots_are_norms(n, q):
         return lambda n: sum(
             u * u for u in _apply_adjoint(x, q, {(n, 0): 1.0}).values())
 
-    for _, t_prime, norm in _reduced(n):
+    for _, t_prime in _reduced(n):
         want = q * _haar_trace(norm_sq(t_prime.plus), q) \
             + _haar_trace(norm_sq(t_prime.minus), q) / q
-        assert norm.eval_float(q) == pytest.approx(want, rel=1e-12)
+        assert norm(t_prime).eval_float(q) == pytest.approx(want, rel=1e-12)

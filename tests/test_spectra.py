@@ -10,14 +10,17 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qsphere.algebra import Element, mono_length, pbw_monomials
-from qsphere.coeff import ZERO, Scalar, q_pow, qnum, rational
-from qsphere.haar import haar, haar_state
+from qsphere.algebra import (Element, del_e, del_f, mono_length,
+                             pbw_monomials)
+from qsphere.coeff import ZERO, q_pow, qnum, rational
+from qsphere.haar import haar
 from qsphere.spectra import (
     _OPERATORS, SpinBlock, _block_matrix, _half_integer, _image, _reduced,
-    _row_weight, qnum_float, spectra_table, spectrum,
+    qnum_float, spectra_table, spectrum,
 )
 from qsphere.spinor import Spinor, dirac, ip_spin_left, laplacian
+
+from gram import norm, row_weight
 
 
 def test_smallest_block_dirac_eigenvalues():
@@ -71,41 +74,40 @@ def test_gram_is_positive():
 
 
 def test_row_weight_filter_skips_only_zero_pairs():
-    # the reduction pairs only monomials of one sector and row weight;
-    # every other pair is orthogonal, exactly
+    # a Gram component holds the monomials of one sector and row weight;
+    # every pair across components is orthogonal, exactly
     for n in (1, 3, 5):
         spinors = _monomial_spinors(n)
         skipped = 0
         for sign, m, x in spinors:
             for sign2, m2, y in spinors:
-                if sign == sign2 and _row_weight(m) != _row_weight(m2):
+                if sign == sign2 and row_weight(m) != row_weight(m2):
                     assert haar(ip_spin_left(x, y)) == 0, (m, m2)
                     skipped += 1
         assert skipped > 0
 
 
 def test_reduced_basis_is_orthogonal_to_shorter_monomials():
-    for n in (1, 3, 5):
+    for n in range(1, 10, 2):
         block = _reduced(n)
         assert len(block) == 2 * (n + 1)
-        for (sign, t), t_prime, norm in block:
+        for (sign, t), t_prime in block:
             assert mono_length(t) == n
             assert (t_prime.plus if sign > 0 else t_prime.minus).terms[t] == 1
-            assert haar(ip_spin_left(t_prime, t_prime)) == norm
-            assert norm.eval_float(0.5) > 0
+            assert norm(t_prime).eval_float(0.5) > 0
             for _, _, x in _monomial_spinors(n - 2):
                 assert haar(ip_spin_left(t_prime, x)) == 0
                 assert haar(ip_spin_left(x, t_prime)) == 0
 
 
 def test_gram_row_is_symmetric_on_each_component():
-    # _reduced takes the norm <t', t> as sum_m (t')_m G(t, m), which needs
-    # G(m, t) = G(t, m) on a component (one sector and row weight)
+    # G(m, t) = G(t, m) on a component (one sector and row weight): the
+    # form is symmetric there, as the orthogonality of the t' needs
     spinors = _monomial_spinors(5)
     pairs = 0
     for i, (sign, m, x) in enumerate(spinors):
         for sign2, m2, y in spinors[i + 1:]:
-            if sign == sign2 and _row_weight(m) == _row_weight(m2):
+            if sign == sign2 and row_weight(m) == row_weight(m2):
                 assert haar(ip_spin_left(x, y)) == \
                     haar(ip_spin_left(y, x)), (m, m2)
                 pairs += 1
@@ -113,41 +115,11 @@ def test_gram_row_is_symmetric_on_each_component():
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
-def test_gram_norms_are_monomials_over_cyclotomics(n):
-    # the premise of the factored quotient c_y = <t, t'_y> / <t'_y, t'_y>:
-    # each norm is +-c s^k / (n prod Phi_N^e_N), with no r-part
-    for (sign, t), _, norm in _reduced(n):
-        assert not norm.pr and len(norm.pe) == 1, \
-            "n=%d, t=%r: norm %r" % (n, (sign, t), norm)
-
-
-def test_reduction_takes_no_inverse(monkeypatch):
-    # every quotient of the Gram elimination cancels exponents
-    # (Scalar.__truediv__); the Haar values, whose solve inverts its
-    # pivots, are solved beforehand
-    haar_state().ensure(22)
-    _clear_caches()
-    try:
-        calls, inverse = [], Scalar.inverse
-
-        def counted(x):
-            calls.append(x)
-            return inverse(x)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(Scalar, "inverse", counted)
-            assert len(_reduced(11)) == 24
-        assert calls == []
-    finally:
-        _clear_caches()
-
-
-@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
 def test_each_monomial_lies_in_exactly_one_t_prime(n):
     # so a block reads each monomial's cached image (_image) once, scaled
     # by the one t' coefficient of that monomial
     seen = []
-    for _, t_prime, _ in _reduced(n):
+    for _, t_prime in _reduced(n):
         seen += [(1, m) for m in t_prime.plus.terms]
         seen += [(-1, m) for m in t_prime.minus.terms]
     assert len(seen) == len(set(seen))
@@ -176,6 +148,11 @@ def test_exact_block_identities(n):
         for j in range(size):
             want = defect[i] if i == j else 0
             assert m_d2[i][j] - m_lap[i][j] == want, (i, j)
+    # each t' solves (C - c_n) t' = 0, C = del_f del_e + [(degree + 1)/2]_q^2
+    for (sign, t), t_prime in _reduced(n):
+        x = t_prime.plus if sign > 0 else t_prime.minus
+        c_sector = qnum(sign + 1) * qnum(sign + 1)
+        assert del_f(del_e(x)) + x.scale(c_sector) == x.scale(top), t
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
@@ -184,9 +161,9 @@ def test_d2_block_is_dirac_applied_twice(n):
     # D twice to each basis vector must give the same columns
     block = _reduced(n)
     m_d2 = _block_matrix(n, "D2")
-    for j, (_, t_j, _) in enumerate(block):
+    for j, (_, t_j) in enumerate(block):
         span = Spinor()
-        for i, (_, t_i, _) in enumerate(block):
+        for i, (_, t_i) in enumerate(block):
             span = span + t_i.scale(m_d2[i][j])
         assert dirac(dirac(t_j)) == span, j
 
@@ -210,7 +187,7 @@ def test_lap_blocks_do_not_depend_on_the_order_they_are_built():
 
 def _monomials_of_blocks(ns):
     """Every (sign, m) that a t' of the spin-n/2 blocks holds."""
-    return {(sign, m) for n in ns for _, t_prime, _ in _reduced(n)
+    return {(sign, m) for n in ns for _, t_prime in _reduced(n)
             for sign, part in ((1, t_prime.plus), (-1, t_prime.minus))
             for m in part.terms}
 
@@ -424,17 +401,22 @@ def _clear_caches():
     _image.cache_clear()
 
 
-def test_singular_gram_is_an_error(monkeypatch):
+def test_a_broken_casimir_premise_is_an_error(monkeypatch):
+    # q-numbers shifted by one step break the diagonal c_L - c_sector of
+    # del_f del_e: at l = 1/2 first on the minus sector's c, whose
+    # diagonal [1]_q^2 is then read as [2]_q^2 - [1]_q^2
     import qsphere.spectra as spectra_mod
 
     _clear_caches()
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(spectra_mod, "haar", lambda x: ZERO)
-            for l in (0.5, 1.5):
-                with pytest.raises(ArithmeticError, match="singular"):
+            patch.setattr(spectra_mod, "qnum", lambda two_x: qnum(two_x + 2))
+            for l, mono in ((0.5, r"\(0, 0, 0, 1\)"), (1.5, r"\(\d, ")):
+                with pytest.raises(ArithmeticError,
+                                   match=r"solve fails at l=%s on %s"
+                                   % (Fraction(l), mono)):
                     SpinBlock(l, 0.5, "D")
-        # a failed reduction stores nothing, so a real block builds after
+        # a failed solve stores nothing, so a real block builds after
         assert _reduced.cache_info().currsize == 0
         assert _block_matrix.cache_info().currsize == 0
         vals = SpinBlock(1.5, 0.5, "D").eigenvalues()
@@ -485,6 +467,19 @@ def test_cli_rejects_bad_input(capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--q", "5e-324", "--operator", "lap"], ["--q", "1e-310", "--operator", "D"]])
+def test_a_nan_entry_at_a_subnormal_q0_is_an_input_error(argv, capsys):
+    # 1/q0 is inf at a subnormal q0, so an entry evaluates to nan; that
+    # exits 2 with the q0 error, not 0 with [NaN, ...] (not valid JSON)
+    from qsphere.cli import main
+    assert main(["spectra", "--l-max", "1/2", *argv, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qsphere spectra: error: q0 = %s is too "
+                                   "small" % argv[1]), captured.err
+
+
 @pytest.mark.parametrize("operator", ["D", "D2", "lap"])
 def test_a_float_overflow_at_tiny_q0_is_an_input_error(operator, capsys):
     # an entry's s ** e overflows a float at q0 = 1e-40 from l = 9/2 on;
@@ -503,12 +498,12 @@ def test_a_float_overflow_at_tiny_q0_is_an_input_error(operator, capsys):
 def test_cli_spectra_reports_a_numeric_failure(monkeypatch, capsys):
     from qsphere import cli
 
-    def singular(*args):
-        raise ArithmeticError("Gram matrix is singular")
+    def broken(*args):
+        raise ArithmeticError("the Casimir solve fails")
 
-    monkeypatch.setattr(cli, "spectrum", singular)
+    monkeypatch.setattr(cli, "spectrum", broken)
     assert cli.main(["spectra"]) == 1
-    assert "failed: Gram matrix is singular" in capsys.readouterr().err
+    assert "failed: the Casimir solve fails" in capsys.readouterr().err
 
 
 def test_cli_check_runs_the_checks(capsys):
