@@ -44,11 +44,12 @@ check to l = 9/2, but nothing here uses it: deciding it needs D to be
 symmetric and the form positive (ROADMAP items 16 and 13).  D^2 is not
 applied: D maps the block into itself, so its matrix is M_D^2.  The basis
 is cached per process once per spin, the matrix once per (spin,
-operator), and the image of each monomial spinor once per operator
-(``_image``): the t' of spin l holds the shorter monomials of its
-component, which the smaller blocks have already mapped, so a block
-applies the operator only to its new monomials, and a block met before
-pays only the evaluation of M's nonzero entries at q0.
+operator), and per monomial both the image of del_f del_e that the solve
+reads (``_casimir``) and the image of the monomial spinor under each
+operator (``_image``): the t' of spin l holds the shorter monomials of
+its component, which the smaller blocks have already met, so a block
+solves with and applies the operator to its new monomials only, and a
+block met before pays only the evaluation of M's nonzero entries at q0.
 
 Every block matrix is monomial: one nonzero entry per row and column.
 The block holds one t' per (sector, row weight), D and the laplacian
@@ -78,7 +79,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import Element, _pbw_of_length, del_e, del_f, mono_length
-from .coeff import ONE, ZERO, dot, qnum
+from .coeff import ONE, ZERO, accumulate, dot, qnum
 from .spinor import Spinor, dirac, laplacian
 
 # the operators a block can take; D2 is the square of the D block matrix
@@ -132,7 +133,7 @@ def _reduced(n: int):
             while True:
                 if x:
                     terms[m] = x
-                    image = dict(del_f(del_e(Element.from_mono(m))).terms)
+                    image = dict(_casimir(m).terms)
                     length = mono_length(m)
                     if image.pop(m, ZERO) != diagonal[length] \
                             or any(mono_length(u) >= length for u in image):
@@ -154,6 +155,15 @@ def _reduced(n: int):
 
 
 @cache
+def _casimir(m) -> Element:
+    """del_f del_e on the monomial m, the part of the Casimir that the
+    solve of ``_reduced`` reads.  A monomial of length L lies in the t' of
+    every block of spin n/2 >= L/2 of its component, so the blocks share
+    these images."""
+    return del_f(del_e(Element.from_mono(m)))
+
+
+@cache
 def _image(operator: str, sign: int, m):
     """D ("D") or the laplacian ("lap") applied to the monomial spinor
     with m in the plus (sign +1) or the minus (sign -1) entry.
@@ -169,6 +179,12 @@ def _image(operator: str, sign: int, m):
     return apply(Spinor.slot(sign, Element.from_mono(m)))
 
 
+def _add_scaled(out, c, psi: Spinor):
+    """Add the terms of c psi into the plus and minus term dicts out."""
+    for terms, x in zip(out, (psi.plus, psi.minus)):
+        accumulate(terms, ((u, c * v) for u, v in x.terms.items()))
+
+
 @cache
 def _block_matrix(n: int, operator: str):
     """The matrix M of an operator on the spin-n/2 block basis, exactly:
@@ -176,33 +192,41 @@ def _block_matrix(n: int, operator: str):
     in the order of ``_reduced(n)``.
 
     The image of t'_j is the sum of the cached monomial images
-    ``_image(operator, sign, m)`` scaled by the coefficients of t'_j; each
-    monomial lies in exactly one t', so each image is read once per block.
-    The closure check runs on every block, whichever images it reads.
+    ``_image(operator, sign, m)`` scaled by the coefficients of t'_j,
+    summed in one pass per component; each monomial lies in exactly one
+    t', so each image is read once per block.  The span
+    sum_i M_ij t'_i is summed over the nonzero M_ij only, and the closure
+    check compares it with the full image, every monomial of both, on
+    every block, whichever images it reads: a zero M_ij adds nothing to
+    the span, so skipping it leaves the check as strong.
 
     The D^2 matrix is the square of the D matrix: the closure check of D
     gives D(t'_i) = sum_k (M_D)_ki t'_k, so D^2(t'_j) = sum_k (M_D^2)_kj
-    t'_k.  M_D has one entry per row, so the square costs a small part of
-    applying D twice to the basis."""
+    t'_k.  The square runs over the nonzero entries of M_D only, one per
+    row when M_D is monomial, so it costs a small part of applying D
+    twice to the basis."""
     if operator == "D2":
-        m = _block_matrix(n, "D")
-        rows = [[(k, c) for k, c in enumerate(row) if not c.is_zero()]
-                for row in m]
-        return tuple(tuple(sum((c * m[k][j] for k, c in row), ZERO)
-                           for j in range(len(m)))
-                     for row in rows)
+        rows = [[(k, c) for k, c in enumerate(row) if c]
+                for row in _block_matrix(n, "D")]
+        square = []
+        for row in rows:
+            out = {}
+            for k, c in row:
+                accumulate(out, ((j, c * d) for j, d in rows[k]))
+            square.append(tuple(out.get(j, ZERO) for j in range(len(rows))))
+        return tuple(square)
     block = _reduced(n)
     columns = []
     for _, t_prime in block:
-        image = Spinor()
+        image = ({}, {})  # the plus and the minus terms
         for sign, part in ((1, t_prime.plus), (-1, t_prime.minus)):
             for m, c in part.terms.items():
-                image = image + _image(operator, sign, m).scale(c)
-        col = [(image.plus if sign > 0 else image.minus).terms.get(t, ZERO)
-               for (sign, t), _ in block]
-        span = Spinor()
+                _add_scaled(image, c, _image(operator, sign, m))
+        col = [image[sign < 0].get(t, ZERO) for (sign, t), _ in block]
+        span = ({}, {})
         for c, (_, t_i) in zip(col, block):
-            span = span + t_i.scale(c)
+            if c:
+                _add_scaled(span, c, t_i)
         if image != span:
             raise ArithmeticError("operator %s does not preserve the l=%s block"
                                   % (operator, Fraction(n, 2)))

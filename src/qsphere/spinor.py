@@ -48,12 +48,15 @@ where the connection laplacian is built from the metric pairing,
 lap(psi) = e^{-beta} m(G) <G, (conn_right (x) 1 + 1 (x) conn) conn(psi)>_B.
 The laplacian and the curvature share one walk of that second covariant
 derivative: each pairs a two-tensor (G or C) with its two one-form legs.
-The pairing (``tensors.pair_terms``) forms only the corners that G or C
-holds, the two mixed ones, so each simple term is multiplied out on two
-corners instead of the four a leg-built tensor has.  ``ip_T`` still forms
-all four: it reads the corners a tensor keeps, and later pairings of the
-same tensor reuse them (ROADMAP item 8).  The tensors paired here are
-built for one pairing and dropped, so nothing would reuse their corners.
+The pairing forms only the corners that G or C holds, the two mixed ones,
+so each simple term is multiplied out on two corners instead of the four
+a leg-built tensor has.  ``ip_T`` still forms all four: it reads the
+corners a tensor keeps, and later pairings of the same tensor reuse them
+(ROADMAP item 8).  The terms paired here are built for one pairing and
+dropped, so nothing would reuse their corners.  The spinor leg of conn is
+always one of the four frame spinors, so the last leg of the
+1 (x) conn part is paired once per frame spinor and process, not once
+per term (``_pair_second``).
 The identity holds exactly at symbolic q; at q = 1 the defect becomes
 (1/2) Id, one quarter of the classical round scalar curvature.
 
@@ -154,14 +157,16 @@ def dirac_commutator(b: Element, psi: Spinor) -> Spinor:
 
 
 def conn_spinor(psi: Spinor):
-    """The left Grassmann connection, as (one-form, spinor) pairs.
+    """The left Grassmann connection, as (one-form, frame index) pairs.
 
     conn(psi) = sum_i dee({}_B<psi, s_i>) (x) s_i over the four frame
-    spinors; pairs with vanishing coefficient are dropped.  Satisfies the
+    spinors s_i = FRAME_SPINORS[i]; pairs with vanishing coefficient are
+    dropped.  The index, not the spinor, is returned so that what depends
+    on s_i alone can be memoised by it (``_frame_second``).  Satisfies the
     left Leibniz rule conn(b psi) = dee(b) (x) psi + b conn(psi) and
     c o conn = D.
     """
-    return [(dee(b), s) for b, s in zip(frame_expand(psi), FRAME_SPINORS)
+    return [(dee(b), i) for i, b in enumerate(frame_expand(psi))
             if not b.is_zero()]
 
 
@@ -170,25 +175,52 @@ def conn_spinor(psi: Spinor):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _frame_second(i: int):
+    """(K^+, K^-) for the frame spinor s_i = FRAME_SPINORS[i]: the spinors
+    K^e = sum eta^e xi over the pairs (eta, xi) of conn(s_i), eta^e the
+    e-component of the one-form eta.  Memoised by the index because
+    ``Spinor`` is unhashable."""
+    pairs = conn_spinor(FRAME_SPINORS[i])
+    return tuple(sum(((eta.plus if e > 0 else eta.minus) * FRAME_SPINORS[j]
+                      for eta, j in pairs), ZERO_SP)
+                 for e in (1, -1))
+
+
 def _pair_second(x: Tensor, psi: Spinor) -> Spinor:
     """<X, (conn_right (x) 1 + 1 (x) conn) conn(psi)>: pair the two-tensor
     X with the two one-form legs of the second covariant derivative and
     let the result act on the spinor leg.
 
-    The legs are paired as terms (``pair_terms``), on the corners X holds
-    only: the two mixed corners for X = G or C, half of the four that
-    ``ip_T`` would form and keep on a leg-built tensor that nothing pairs
-    again."""
-    acc = ZERO_SP
-    for w, chi in conn_spinor(psi):
+    The conn_right (x) 1 part is paired as terms (``pair_terms``), on the
+    corners X holds only: the two mixed corners for X = G or C, half of
+    the four that ``ip_T`` would form and keep on a leg-built tensor that
+    nothing pairs again.  In the 1 (x) conn part the spinor leg of each
+    pair (w, s_i) of conn(psi) is a frame spinor, and its last leg is
+    paired once per frame spinor: by associativity and distributivity in
+    A,
+
+        sum_{(eta, xi) in conn(s_i)} <X, w (x) eta> xi
+            = sum_{eps in corners(X)}
+                  q^{-(eps_1 + eps_2)} (X^eps)* w^{eps_1} K_i^{eps_2},
+
+    exactly, with K_i^e = sum eta^e xi (``_frame_second``).  So each pair
+    costs one product per corner of X, whatever conn(s_i) holds, and all
+    the contributions to an output monomial are one ``mul_sum`` group."""
+    corners = [(eps, c.star()) for eps, c in x.corners().items()]
+    plus, minus = [], []
+    for w, i in conn_spinor(psi):
         g = pair_terms(x, conn_right(w).terms)
-        if not g.is_zero():
-            acc = acc + g * chi
-        for eta, xi in conn_spinor(chi):
-            g = pair_terms(x, [(w, eta)])
-            if not g.is_zero():
-                acc = acc + g * xi
-    return acc
+        s = FRAME_SPINORS[i]
+        plus.append((g, s.plus, 0))
+        minus.append((g, s.minus, 0))
+        k = _frame_second(i)
+        for (e1, e2), c in corners:
+            y = c * (w.plus if e1 > 0 else w.minus)
+            k2 = k[0] if e2 > 0 else k[1]
+            plus.append((y, k2.plus, -2 * (e1 + e2)))
+            minus.append((y, k2.minus, -2 * (e1 + e2)))
+    return Spinor(mul_sum(plus), mul_sum(minus))
 
 
 def spinor_curvature(psi: Spinor) -> Spinor:
@@ -226,9 +258,9 @@ def clifford_curvature_action(psi: Spinor) -> Spinor:
 
 
 @functools.cache
-def _metric_diag() -> Diag:
-    """m(G) = diag(q, q^{-1})."""
-    return mul_map(metric())
+def _metric_weight() -> Diag:
+    """e^{-beta} m(G) = diag(q, q^{-1}) / (q^2 + q^{-2})."""
+    return mul_map(metric()).scale(e_beta().inverse())
 
 
 def laplacian(psi: Spinor) -> Spinor:
@@ -239,8 +271,7 @@ def laplacian(psi: Spinor) -> Spinor:
     the shared walk _pair_second with X = G: the metric pairs with the two
     one-form legs and the resulting algebra elements act on the spinor legs.
     """
-    return (_metric_diag() * _pair_second(metric(), psi)) \
-        .scale(e_beta().inverse())
+    return _metric_weight() * _pair_second(metric(), psi)
 
 
 def weitzenbock_correction(psi: Spinor) -> Spinor:
@@ -276,14 +307,13 @@ def check_compatibility():
         rho = dee(parse(b)) * parse(a)
         psi = Spinor(parse(plus), parse(minus))
         rhs = mul_map(sigma(conn_right(rho))) * psi
-        for w, chi in conn_spinor(psi):
-            rhs = rhs + mul_map(sigma(tensor(rho, w))) * chi
+        for w, i in conn_spinor(psi):
+            rhs = rhs + mul_map(sigma(tensor(rho, w))) * FRAME_SPINORS[i]
         yield "D(c(rho (x) psi)), rho = dee(%s) %s, psi = (%s, %s)" \
             % (b, a, plus, minus), dirac(clifford(rho, psi)), rhs
 
     vf = volume_form()
-    mg = _metric_diag()
-    ebi = e_beta().inverse()
+    wt = _metric_weight()
     ws = frame()
     probes = {"w1": ws[0], "w2": ws[1], "w3": ws[2],
               "dee(A) B": dee(SPHERE_A) * SPHERE_B,
@@ -292,7 +322,7 @@ def check_compatibility():
         for y, eta in probes.items():
             yield "m(Psi(%s (x) %s))" % (x, y), \
                 mul_map(vf.psi(tensor(rho, eta))), \
-                (mg * ip_right(rho.dag(), eta)).scale(ebi)
+                wt * ip_right(rho.dag(), eta)
 
 
 @exact_check
@@ -308,7 +338,7 @@ def check_divergence():
     and the vanishing are checked on a monomial family, together with the
     structural h o del_e = h o del_f = 0 on a batch of sampled elements.
     """
-    wt = _metric_diag()
+    wt = mul_map(metric())
     for b, a in (("A", "1"), ("B", "Bstar"), ("A", "B"), ("Bstar", "A^2")):
         x, y = parse(b), parse(a)
         d = mul_map(conn_right(dee(x) * y))

@@ -10,8 +10,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qsphere.algebra import (Element, del_e, del_f, mono_length,
-                             pbw_monomials)
+from qsphere.algebra import (Element, _pbw_of_length, del_e, del_f,
+                             mono_length, pbw_monomials)
 from qsphere.coeff import ZERO, q_pow, qnum, rational
 from qsphere.haar import haar
 from qsphere.spectra import (
@@ -421,6 +421,41 @@ def test_a_broken_casimir_premise_is_an_error(monkeypatch):
         assert _block_matrix.cache_info().currsize == 0
         vals = SpinBlock(1.5, 0.5, "D").eigenvalues()
         assert vals == pytest.approx([-2.5] * 4 + [2.5] * 4, abs=1e-8)
+    finally:
+        _clear_caches()
+
+
+@pytest.mark.parametrize("operator", ["D", "lap"])
+def test_an_image_outside_the_block_fails_the_closure_check(operator,
+                                                           monkeypatch):
+    # one image gains a monomial of length n - 2 of another component:
+    # F_{n-2} holds no t' of the block, so the span of the nonzero entries
+    # cannot reach it and the full comparison must fail
+    import qsphere.spectra as spectra_mod
+
+    n = 3
+    want = _block_matrix(n, operator)
+    (sign, top), _ = _reduced(n)[0]
+    stray = next(u for u in _pbw_of_length(n - 2, sign)
+                 if row_weight(u) != row_weight(top))
+    image = spectra_mod._image
+
+    def stray_image(op, s, m):
+        out = image(op, s, m)
+        if (s, m) == (sign, top):
+            out = out + Spinor.slot(sign, Element.from_mono(stray))
+        return out
+
+    _clear_caches()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra_mod, "_image", stray_image)
+            with pytest.raises(ArithmeticError, match=r"operator %s does not "
+                               r"preserve the l=3/2 block" % operator):
+                _block_matrix(n, operator)
+        # the failed block stores nothing, and a clean rebuild passes
+        assert _block_matrix.cache_info().currsize == 0
+        assert _block_matrix(n, operator) == want
     finally:
         _clear_caches()
 

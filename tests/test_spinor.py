@@ -3,23 +3,25 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsphere import spinor
 from qsphere.algebra import (
-    ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR, ZERO_EL, del_e, del_f,
-    spin_half,
+    ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR, ZERO_EL, Element, _pbw_of_length,
+    del_e, del_f, spin_half,
 )
 from qsphere.calculus import projector_entry, sigma, volume_form
 from qsphere.coeff import q_pow, rational
 from qsphere.forms import OneForm, dee, frame, ip_right
 from qsphere.levicivita import conn_right
 from qsphere.spinor import (
-    FRAME_SPINORS, Spinor, ZERO_SP, check_compatibility, check_divergence,
+    FRAME_SPINORS, Spinor, ZERO_SP, _frame_second, _pair_second,
+    check_compatibility, check_divergence,
     clifford, clifford_curvature_action, conn_spinor, dirac,
     dirac_commutator, frame_expand, frame_minus, frame_plus, ip_spin_left,
     laplacian, spinor_curvature,
     spinor_curvature_closed_form, weitzenbock_correction,
 )
 from qsphere.tensors import (
-    Diag, Tensor, diag_scalars, e_beta, ip_T, metric, mul_map,
+    Diag, Tensor, diag_scalars, e_beta, ip_T, metric, mul_map, pair_terms,
 )
 
 from test_algebra import mixed_elements
@@ -38,6 +40,11 @@ coeff_spinors = st.builds(
     lambda b, psi: b * psi,
     st.sampled_from([ONE_EL] + _sph), basis_spinors,
 )
+
+
+def conn_pairs(psi):
+    """conn(psi) as (one-form, spinor) pairs."""
+    return [(w, FRAME_SPINORS[i]) for w, i in conn_spinor(psi)]
 
 
 def conn_frame_coeffs(pairs):
@@ -185,7 +192,7 @@ def test_dirac_squared_display():
 @given(coeff_spinors)
 def test_dirac_is_clifford_of_connection(psi):
     acc = ZERO_SP
-    for w, chi in conn_spinor(psi):
+    for w, chi in conn_pairs(psi):
         acc = acc + clifford(w, chi)
     assert acc == dirac(psi)
 
@@ -193,8 +200,8 @@ def test_dirac_is_clifford_of_connection(psi):
 @settings(deadline=None, max_examples=8)
 @given(st.sampled_from(_sph), basis_spinors)
 def test_connection_leibniz(b, psi):
-    lhs = conn_frame_coeffs(conn_spinor(b * psi))
-    rhs_pairs = [(dee(b), psi)] + [(b * w, chi) for w, chi in conn_spinor(psi)]
+    lhs = conn_frame_coeffs(conn_pairs(b * psi))
+    rhs_pairs = [(dee(b), psi)] + [(b * w, chi) for w, chi in conn_pairs(psi)]
     assert coeffs_eq(lhs, conn_frame_coeffs(rhs_pairs))
 
 
@@ -284,6 +291,60 @@ def test_laplacian_display():
                 + (del_f(del_e(b)) * frame_minus(i2)).scale(q_pow(-1))
                 + (del_f(b) * frame_plus(i2)).scale_s(3))
             assert got == want
+
+
+def _pair_second_per_pair(x, psi):
+    """_pair_second with the last leg paired per (w, eta): one pairing of X
+    with w (x) eta for each pair (eta, xi) of conn(chi), chi run through
+    ``conn_spinor`` on every call."""
+    acc = ZERO_SP
+    for w, chi in conn_pairs(psi):
+        acc = acc + pair_terms(x, conn_right(w).terms) * chi
+        for eta, xi in conn_pairs(chi):
+            acc = acc + pair_terms(x, [(w, eta)]) * xi
+    return acc
+
+
+CHIRAL_MONOMIALS = [Spinor.slot(sign, Element.from_mono(m))
+                    for n in (1, 3, 5, 7) for sign in (1, -1)
+                    for m in _pbw_of_length(n, sign)]
+
+
+@pytest.mark.parametrize("which", ["G", "C"])
+def test_pair_second_pairs_the_last_leg_once_per_frame_spinor(which):
+    # sum <X, w (x) eta> xi over conn(chi) is (X^eps)* w^eps1 K_chi^eps2
+    # summed over the corners, exactly, for any two-tensor X
+    x = metric() if which == "G" else volume_form().C
+    sums = [SPHERE_BSTAR * FRAME_SPINORS[0] + SPHERE_A * FRAME_SPINORS[3],
+            Spinor(plus=SPHERE_B * th(1) + th(-1), minus=SPHERE_A * tl(-1))]
+    assert len(CHIRAL_MONOMIALS) == 40
+    for psi in CHIRAL_MONOMIALS + list(FRAME_SPINORS) + sums:
+        assert _pair_second(x, psi) == _pair_second_per_pair(x, psi), psi
+
+
+def test_laplacian_walks_conn_on_psi_and_each_frame_spinor_once(monkeypatch):
+    calls = []
+    walk = spinor.conn_spinor
+
+    def counting(psi):
+        calls.append(psi)
+        return walk(psi)
+
+    monkeypatch.setattr(spinor, "conn_spinor", counting)
+    _frame_second.cache_clear()
+    psi = Spinor(plus=SPHERE_B * th(-1) + th(1), minus=SPHERE_A * tl(1))
+    got = laplacian(psi)
+    # psi, then each frame spinor its connection reaches, once
+    assert calls[0] is psi
+    assert sorted(FRAME_SPINORS.index(chi) for chi in calls[1:]) \
+        == sorted(i for _, i in walk(psi))
+    # with K_chi cached, a second laplacian walks conn on psi only
+    del calls[:]
+    phi = Spinor(minus=SPHERE_BSTAR * tl(1))
+    laplacian(phi)
+    assert len(calls) == 1 and calls[0] is phi
+    monkeypatch.undo()
+    assert got == dirac(dirac(psi)) - weitzenbock_correction(psi)
 
 
 def test_weitzenbock_correction_classical_limit():
