@@ -56,7 +56,10 @@ corners a tensor keeps, and later pairings of the same tensor reuse them
 dropped, so nothing would reuse their corners.  The spinor leg of conn is
 always one of the four frame spinors, so the last leg of the
 1 (x) conn part is paired once per frame spinor and process, not once
-per term (``_pair_second``).
+per term.  The one-form legs dee(b_i) enter K-linearly, so what they
+contribute is formed once per degree-0 monomial of the frame coefficients
+b_i, G or C, and process, and each spinor only scales and sums those
+parts (``_pair_second``).
 The identity holds exactly at symbolic q; at q = 1 the defect becomes
 (1/2) Id, one quarter of the classical round scalar curvature.
 
@@ -75,7 +78,7 @@ from .algebra import (Element, ONE_EL, Pair, SPHERE_A, SPHERE_B,
                       SPHERE_BSTAR, del_e, del_f, exact_check, mul_sum,
                       parse, pbw_monomials, spin_half)
 from .forms import OneForm, dee, frame, ip_right
-from .tensors import (Diag, Tensor, as_scalar, e_beta, metric, mul_map,
+from .tensors import (Diag, as_scalar, e_beta, metric, mul_map,
                       pair_terms, tensor)
 from .calculus import sigma, volume_form
 from .levicivita import conn_right, scalar_curvature
@@ -187,39 +190,66 @@ def _frame_second(i: int):
                  for e in (1, -1))
 
 
-def _pair_second(x: Tensor, psi: Spinor) -> Spinor:
-    """<X, (conn_right (x) 1 + 1 (x) conn) conn(psi)>: pair the two-tensor
-    X with the two one-form legs of the second covariant derivative and
-    let the result act on the spinor leg.
+@functools.cache
+def _monomial_second(which: str, m):
+    """The part of the second covariant derivative that a degree-0 monomial
+    m fixes, for X = G ("G") or X = C ("C"), with w = dee(m):
 
-    The conn_right (x) 1 part is paired as terms (``pair_terms``), on the
-    corners X holds only: the two mixed corners for X = G or C, half of
-    the four that ``ip_T`` would form and keep on a leg-built tensor that
-    nothing pairs again.  In the 1 (x) conn part the spinor leg of each
-    pair (w, s_i) of conn(psi) is a frame spinor, and its last leg is
-    paired once per frame spinor: by associativity and distributivity in
-    A,
+        g_X(m) = <X, conn_right(w)>, paired on the corners X holds,
+
+    and, for each corner eps = (e_1, e_2) of X, the triple
+    (j, -2 (e_1 + e_2), (X^eps)* w^{e_1}): j indexes K^{e_2} in
+    ``_frame_second``, and the middle entry is the s-power of the corner's
+    q^{-(e_1 + e_2)}.  Keyed by the tensor's name because a ``Tensor`` is
+    unhashable, as ``spectra._image`` keys its operator."""
+    x = metric() if which == "G" else volume_form().C
+    w = dee(Element.from_mono(m))
+    return pair_terms(x, conn_right(w).terms), tuple(
+        (0 if e2 > 0 else 1, -2 * (e1 + e2),
+         c.star() * (w.plus if e1 > 0 else w.minus))
+        for (e1, e2), c in x.corners().items())
+
+
+def _pair_second(which: str, psi: Spinor) -> Spinor:
+    """<X, (conn_right (x) 1 + 1 (x) conn) conn(psi)> for X = G ("G") or
+    X = C ("C"): pair the two-tensor X with the two one-form legs of the
+    second covariant derivative and let the result act on the spinor leg.
+
+    conn(psi) is the pairs (dee(b_i), s_i), b_i = {}_B<psi, s_i>.  The
+    conn_right (x) 1 part is paired as terms (``pair_terms``), on the
+    corners X holds only: the two mixed corners for X = G or C.  In the
+    1 (x) conn part the spinor leg s_i is a frame spinor, and its last leg
+    is paired once per frame spinor: by associativity and distributivity
+    in A,
 
         sum_{(eta, xi) in conn(s_i)} <X, w (x) eta> xi
             = sum_{eps in corners(X)}
                   q^{-(eps_1 + eps_2)} (X^eps)* w^{eps_1} K_i^{eps_2},
 
-    exactly, with K_i^e = sum eta^e xi (``_frame_second``).  So each pair
-    costs one product per corner of X, whatever conn(s_i) holds, and all
-    the contributions to an output monomial are one ``mul_sum`` group."""
-    corners = [(eps, c.star()) for eps, c in x.corners().items()]
+    exactly, with K_i^e = sum eta^e xi (``_frame_second``).  Both parts
+    are K-linear in b_i: scalars of K are central, and ``dee``,
+    ``ip_right``, ``conn_right``, ``pair_terms`` and left multiplication
+    by (X^eps)* are K-linear.  So over the terms c m of b_i they are the
+    sums of c times the parts of m, memoised per monomial
+    (``_monomial_second``), and the c goes into the right-hand factor,
+    c s_i or c K_i.  No psi runs ``dee`` or ``conn_right``.  All the
+    contributions to an output monomial are still one ``mul_sum`` group,
+    so each output coefficient is reduced once."""
     plus, minus = [], []
-    for w, i in conn_spinor(psi):
-        g = pair_terms(x, conn_right(w).terms)
+    for i, b in enumerate(frame_expand(psi)):
+        if b.is_zero():
+            continue
         s = FRAME_SPINORS[i]
-        plus.append((g, s.plus, 0))
-        minus.append((g, s.minus, 0))
         k = _frame_second(i)
-        for (e1, e2), c in corners:
-            y = c * (w.plus if e1 > 0 else w.minus)
-            k2 = k[0] if e2 > 0 else k[1]
-            plus.append((y, k2.plus, -2 * (e1 + e2)))
-            minus.append((y, k2.minus, -2 * (e1 + e2)))
+        for m, c in b.terms.items():
+            g, products = _monomial_second(which, m)
+            cs = s.scale(c)
+            plus.append((g, cs.plus, 0))
+            minus.append((g, cs.minus, 0))
+            for j, e, y in products:
+                ck = k[j].scale(c)
+                plus.append((y, ck.plus, e))
+                minus.append((y, ck.minus, e))
     return Spinor(mul_sum(plus), mul_sum(minus))
 
 
@@ -233,10 +263,11 @@ def spinor_curvature(psi: Spinor) -> Spinor:
     curvature: pairing with C sends C (x) Phi to <C, C> Phi = alpha Phi, so
     C (x) Phi = C (x) Phi' forces Phi = Phi'.  The conn_right (x) 1 part
     consists of covariant derivatives of exact forms, which are pure junk
-    and pair to zero; it is computed all the same.
+    and pair to zero; it is computed all the same, once per degree-0
+    monomial and process (``_monomial_second``).
     """
     vf = volume_form()
-    return _pair_second(vf.C, psi).scale(vf.alpha.inverse())
+    return _pair_second("C", psi).scale(vf.alpha.inverse())
 
 
 def spinor_curvature_closed_form(psi: Spinor) -> Spinor:
@@ -271,7 +302,7 @@ def laplacian(psi: Spinor) -> Spinor:
     the shared walk _pair_second with X = G: the metric pairs with the two
     one-form legs and the resulting algebra elements act on the spinor legs.
     """
-    return _metric_weight() * _pair_second(metric(), psi)
+    return _metric_weight() * _pair_second("G", psi)
 
 
 def weitzenbock_correction(psi: Spinor) -> Spinor:

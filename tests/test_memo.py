@@ -16,7 +16,8 @@ MEMOISED = [
     algebra._cross_pow, algebra.mono_mul, algebra._mono_del,
     forms.frame, tensors.metric, calculus.volume_form,
     levicivita.riemann, levicivita.ricci,
-    spinor._metric_weight, spinor._frame_second, spectra._reduced,
+    spinor._metric_weight, spinor._frame_second, spinor._monomial_second,
+    spectra._reduced,
     spectra._casimir, spectra._block_matrix, spectra._image,
     haar.haar_state, haar._solve,
     coeff._cyclotomic, coeff._orders, coeff._expansion, coeff._root,

@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 from qsphere import spinor
 from qsphere.algebra import (
     ONE_EL, SPHERE_A, SPHERE_B, SPHERE_BSTAR, ZERO_EL, Element, _pbw_of_length,
-    del_e, del_f, spin_half,
+    del_e, del_f, pbw_monomials, spin_half,
 )
 from qsphere.calculus import projector_entry, sigma, volume_form
-from qsphere.coeff import q_pow, rational
+from qsphere.coeff import ROOT_TWO_Q, q_pow, qnum, rational
 from qsphere.forms import OneForm, dee, frame, ip_right
 from qsphere.levicivita import conn_right
 from qsphere.spinor import (
-    FRAME_SPINORS, Spinor, ZERO_SP, _frame_second, _pair_second,
+    FRAME_SPINORS, Spinor, ZERO_SP, _frame_second, _metric_weight,
+    _monomial_second, _pair_second,
     check_compatibility, check_divergence,
     clifford, clifford_curvature_action, conn_spinor, dirac,
     dirac_commutator, frame_expand, frame_minus, frame_plus, ip_spin_left,
@@ -319,32 +320,83 @@ def test_pair_second_pairs_the_last_leg_once_per_frame_spinor(which):
             Spinor(plus=SPHERE_B * th(1) + th(-1), minus=SPHERE_A * tl(-1))]
     assert len(CHIRAL_MONOMIALS) == 40
     for psi in CHIRAL_MONOMIALS + list(FRAME_SPINORS) + sums:
-        assert _pair_second(x, psi) == _pair_second_per_pair(x, psi), psi
+        assert _pair_second(which, psi) == _pair_second_per_pair(x, psi), psi
 
 
-def test_laplacian_walks_conn_on_psi_and_each_frame_spinor_once(monkeypatch):
-    calls = []
-    walk = spinor.conn_spinor
+# coefficients that monomial spinors never give their frame coefficients:
+# a q-number, r, a cyclotomic inverse, a rational over a q-number
+GENERAL_COEFFS = {"[3]_q": qnum(6), "r": ROOT_TWO_Q,
+                  "r/[5]_q": ROOT_TWO_Q * qnum(10).inverse(),
+                  "3/[4]_q": rational(3) * qnum(8).inverse()}
 
-    def counting(psi):
-        calls.append(psi)
-        return walk(psi)
 
-    monkeypatch.setattr(spinor, "conn_spinor", counting)
-    _frame_second.cache_clear()
+@pytest.mark.parametrize("label", sorted(GENERAL_COEFFS))
+def test_second_derivative_is_linear_over_general_coefficients(label):
+    # the memo holds one entry per monomial, with unit coefficient; a
+    # general scalar c of a frame coefficient is folded in afterwards, on
+    # the frame spinor and K_i.  The per-pair oracle reads no memo.
+    c = GENERAL_COEFFS[label]
+    vf = volume_form()
+    family = [psi.scale(c) for psi in CHIRAL_MONOMIALS[::5]]
+    family += [SPHERE_A * FRAME_SPINORS[1].scale(c),
+               SPHERE_B * FRAME_SPINORS[2].scale(c) + FRAME_SPINORS[0],
+               Spinor(plus=(SPHERE_B * th(1)).scale(c) + th(-1),
+                      minus=SPHERE_A * tl(-1).scale(c) + tl(1))]
+    for psi in family:
+        assert laplacian(psi) == _metric_weight() \
+            * _pair_second_per_pair(metric(), psi), psi
+        assert spinor_curvature(psi) == _pair_second_per_pair(
+            vf.C, psi).scale(vf.alpha.inverse()), psi
+
+
+def _coefficient_monomials(psi):
+    return {m for b in frame_expand(psi) for m in b.terms}
+
+
+def test_laplacian_runs_conn_right_once_per_new_monomial(monkeypatch):
+    for i in range(len(FRAME_SPINORS)):
+        _frame_second(i)
+    _monomial_second.cache_clear()
+    seen = {"dee": [], "conn_right": []}
+    for name in seen:
+        def counting(arg, real=getattr(spinor, name), calls=seen[name]):
+            calls.append(arg)
+            return real(arg)
+        monkeypatch.setattr(spinor, name, counting)
     psi = Spinor(plus=SPHERE_B * th(-1) + th(1), minus=SPHERE_A * tl(1))
+    monos = _coefficient_monomials(psi)
     got = laplacian(psi)
-    # psi, then each frame spinor its connection reaches, once
-    assert calls[0] is psi
-    assert sorted(FRAME_SPINORS.index(chi) for chi in calls[1:]) \
-        == sorted(i for _, i in walk(psi))
-    # with K_chi cached, a second laplacian walks conn on psi only
-    del calls[:]
-    phi = Spinor(minus=SPHERE_BSTAR * tl(1))
+    # one dee and one conn_right per distinct degree-0 monomial of the
+    # frame coefficients, on dee of that monomial
+    assert len(monos) > 4
+    assert sorted(seen["dee"], key=repr) == sorted(
+        (Element.from_mono(m) for m in monos), key=repr)
+    assert len(seen["conn_right"]) == len(monos)
+    assert all(w == dee(x) for w, x in zip(seen["conn_right"], seen["dee"]))
+    # a second laplacian on the same monomials, other coefficients: none
+    for calls in seen.values():
+        del calls[:]
+    phi = psi.scale(qnum(6)) + Spinor(plus=SPHERE_A * th(1)).scale(ROOT_TWO_Q)
+    assert _coefficient_monomials(phi) <= monos
     laplacian(phi)
-    assert len(calls) == 1 and calls[0] is phi
+    assert seen == {"dee": [], "conn_right": []}
+    # the curvature pairs C, another memo key: once per monomial again
+    spinor_curvature(psi)
+    assert len(seen["conn_right"]) == len(monos)
     monkeypatch.undo()
     assert got == dirac(dirac(psi)) - weitzenbock_correction(psi)
+
+
+def test_conn_right_part_pairs_to_zero_against_c():
+    # the conn_right (x) 1 part of the curvature is the covariant
+    # derivative of an exact form, pure junk: <C, .> kills it on every
+    # degree-0 monomial; against G it does not vanish
+    monos = pbw_monomials(10, 0)
+    assert len(monos) == 36
+    for m in monos:
+        assert _monomial_second("C", m)[0].is_zero(), m
+    assert sum(not _monomial_second("G", m)[0].is_zero()
+               for m in monos) == 35
 
 
 def test_weitzenbock_correction_classical_limit():
