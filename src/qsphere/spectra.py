@@ -48,8 +48,10 @@ operator), and per monomial both the image of del_f del_e that the solve
 reads (``_casimir``) and the image of the monomial spinor under each
 operator (``_image``): the t' of spin l holds the shorter monomials of
 its component, which the smaller blocks have already met, so a block
-solves with and applies the operator to its new monomials only, and a
-block met before pays only the evaluation of M's nonzero entries at q0.
+solves with and applies the operator to its new monomials only.  M is
+also cached as its permutation and nonzero entries (``_monomial_form``),
+so a (spin, operator) met before pays only the evaluation of those
+2(2l+1) entries at q0, not a scan of M's (2(2l+1))^2.
 
 Every block matrix is monomial: one nonzero entry per row and column.
 The block holds one t' per (sector, row weight), D and the laplacian
@@ -57,9 +59,10 @@ commute with the left circle action (they are left U_q(su(2))-equivariant,
 Dabrowski-Sitarz), D exchanges the sectors and the laplacian keeps them;
 so M_D pairs the two t' of each row weight, a product of 2l+1 2-cycles,
 and M_D2 and M_lap are diagonal.  That argument is cited, not decided; the
-structure itself is checked exactly on every block built
-(``SpinBlock._build`` raises otherwise), and the tests build every D, D2
-and lap block up to l = 11/2 (``test_op_matrix_is_the_dense_evaluation``).
+structure itself is checked exactly on every exact block, once per
+(spin, operator) and process, when ``_monomial_form`` reads M (it raises
+otherwise), and the tests build every D, D2 and lap block up to l = 11/2
+(``test_op_matrix_is_the_dense_evaluation``).
 The eigenvalues are read off the cycles of the permutation: a fixed point
 gives its entry, a 2-cycle with entry product p >= 0 gives +-sqrt(p), and
 any other cycle has a non-real eigenvalue and raises.  For a monomial matrix
@@ -235,6 +238,31 @@ def _block_matrix(n: int, operator: str):
                  for i in range(len(block)))
 
 
+@cache
+def _monomial_form(n: int, operator: str):
+    """The block matrix of ``_block_matrix(n, operator)`` as a permutation
+    and its exact entries: ``(columns, entries)``, two tuples, where row i
+    has its one nonzero ``entries[i]`` in column ``columns[i]``.
+
+    It reads the dense exact matrix once and checks that it is monomial:
+    a row with no nonzero or several, or a column met twice, raises
+    ArithmeticError naming the operator, l, the row and its nonzero
+    columns.  So the check runs once per (spin, operator) and process,
+    and a ``SpinBlock`` met before reads only these 2(2l+1) entries."""
+    columns, entries = [], []
+    for i, row in enumerate(_block_matrix(n, operator)):
+        nonzero = [j for j, c in enumerate(row) if c]
+        if len(nonzero) != 1 or nonzero[0] in columns:
+            raise ArithmeticError(
+                "the %s block at l=%s is not monomial: row %d has "
+                "nonzero entries in columns %r; the rows above use "
+                "columns %r" % (operator, Fraction(n, 2), i, nonzero,
+                                columns))
+        columns.append(nonzero[0])
+        entries.append(row[nonzero[0]])
+    return tuple(columns), tuple(entries)
+
+
 class SpinBlock:
     """One total-spin block of the spinor space at a numeric parameter,
     for one operator: "D", "D2" or "lap".
@@ -242,20 +270,21 @@ class SpinBlock:
     The operator's exact block matrix (in the basis of the t', see the
     module docstring) is monomial, so it is held as a permutation and its
     entries: row i has its one nonzero in column ``columns[i]``, and that
-    entry at q0 is ``entries[i]``.  A row with no nonzero or several, or a
-    column met twice, raises ArithmeticError naming the row; an entry
-    that is not a finite float at q0 (it overflows, or is nan where 1/q0
-    is inf at a subnormal q0) raises ValueError naming q0 and l.  The
-    exact basis, the exact matrix and the operator's image of each
-    monomial spinor are cached per process, so a spin or a (spin,
-    operator) met before costs only the evaluation of its nonzero
-    entries, and a new block of an operator applies it only to the
-    monomials that no smaller block holds; q0 enters nowhere else.  The
-    eigenvalues are those of the operator on the block whether or not the
-    t' are orthogonal (module docstring): that they are, so that the
-    matrix is the orthonormal-basis one up to a positive diagonal
-    similarity, is tested but not used, and deciding it needs ROADMAP
-    items 16 and 13.
+    entry at q0 is ``entries[i]``.  ``_monomial_form`` checks the exact
+    matrix once per (spin, operator) and process: a row with no nonzero
+    or several, or a column met twice, raises ArithmeticError naming the
+    row.  An entry that is not a finite float at q0 (it overflows, or is
+    nan where 1/q0 is inf at a subnormal q0) raises ValueError naming q0
+    and l.  The exact basis, the exact matrix, its monomial form and the
+    operator's image of each monomial spinor are cached per process, so
+    a (spin, operator) met before costs only the evaluation of its
+    2(2l+1) nonzero entries, and a new block of an operator applies it
+    only to the monomials that no smaller block holds; q0 enters nowhere
+    else.  The eigenvalues are those of the operator on the block whether
+    or not the t' are orthogonal (module docstring): that they are, so
+    that the matrix is the orthonormal-basis one up to a positive
+    diagonal similarity, is tested but not used, and deciding it needs
+    ROADMAP items 16 and 13.
     """
 
     def __init__(self, l, q0: float, operator: str):
@@ -270,19 +299,11 @@ class SpinBlock:
         self._build()
 
     def _build(self):
-        matrix = _block_matrix(int(2 * self.l), self.operator)
-        columns, entries = [], []
-        for i, row in enumerate(matrix):
-            nonzero = [j for j, c in enumerate(row) if c]
-            if len(nonzero) != 1 or nonzero[0] in columns:
-                raise ArithmeticError(
-                    "the %s block at l=%s is not monomial: row %d has "
-                    "nonzero entries in columns %r; the rows above use "
-                    "columns %r" % (self.operator, self.l, i, nonzero,
-                                    columns))
-            columns.append(nonzero[0])
+        columns, exact = _monomial_form(int(2 * self.l), self.operator)
+        entries = []
+        for c in exact:
             try:
-                entry = row[nonzero[0]].eval_float(self.q0)
+                entry = c.eval_float(self.q0)
             except OverflowError:  # an s ** e beyond the float range
                 entry = math.inf
             if not math.isfinite(entry):  # 1/q0 is inf at a subnormal q0
@@ -290,7 +311,7 @@ class SpinBlock:
                     "q0 = %r is too small to evaluate the %s block at l=%s "
                     "in floats" % (self.q0, self.operator, self.l))
             entries.append(entry)
-        self.columns, self.entries = columns, entries
+        self.columns, self.entries = list(columns), entries
 
     def eigenvalues(self):
         """The block spectrum, sorted, from the cycles of ``columns``: the

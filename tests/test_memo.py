@@ -18,7 +18,8 @@ MEMOISED = [
     levicivita.riemann, levicivita.ricci,
     spinor._metric_weight, spinor._frame_second, spinor._monomial_second,
     spectra._reduced,
-    spectra._casimir, spectra._block_matrix, spectra._image,
+    spectra._casimir, spectra._block_matrix, spectra._monomial_form,
+    spectra._image,
     haar.haar_state, haar._solve,
     coeff._cyclotomic, coeff._orders, coeff._expansion, coeff._root,
 ]

@@ -15,8 +15,8 @@ from qsphere.algebra import (Element, _pbw_of_length, del_e, del_f,
 from qsphere.coeff import ZERO, q_pow, qnum, rational
 from qsphere.haar import haar
 from qsphere.spectra import (
-    _OPERATORS, SpinBlock, _block_matrix, _half_integer, _image, _reduced,
-    qnum_float, spectra_table, spectrum,
+    _OPERATORS, SpinBlock, _block_matrix, _half_integer, _image,
+    _monomial_form, _reduced, qnum_float, spectra_table, spectrum,
 )
 from qsphere.spinor import Spinor, dirac, ip_spin_left, laplacian
 
@@ -308,11 +308,17 @@ def test_cycle_eigenvalues_of_d_are_q_integers(q0):
             assert err <= Decimal("2e-15"), (n, v)
 
 
+# the monomial check without its memo, taken before any test patches the
+# module: a cached (1, "D") form would hide a fake matrix
+_uncached_monomial_form = _monomial_form.__wrapped__
+
+
 def _fake_block(monkeypatch, rows):
     """SpinBlock(1/2, 0.5, "D") built on the given matrix of integers."""
     import qsphere.spectra as spectra_mod
     matrix = tuple(tuple(rational(c) for c in row) for row in rows)
     monkeypatch.setattr(spectra_mod, "_block_matrix", lambda n, op: matrix)
+    monkeypatch.setattr(spectra_mod, "_monomial_form", _uncached_monomial_form)
     return SpinBlock(0.5, 0.5, "D")
 
 
@@ -398,7 +404,39 @@ def test_dirac_beyond_eleven_halves():
 def _clear_caches():
     _reduced.cache_clear()
     _block_matrix.cache_clear()
+    _monomial_form.cache_clear()
     _image.cache_clear()
+
+
+@pytest.mark.parametrize("operator", _OPERATORS)
+def test_a_warm_block_reads_only_its_monomial_form(operator, monkeypatch):
+    # a (spin, operator) met before evaluates its cached nonzero entries:
+    # with the dense matrix unreadable, a block at another q0 builds, bit
+    # for bit as it builds cold
+    import qsphere.spectra as spectra_mod
+
+    def unreadable(n, op):
+        raise AssertionError("the dense matrix was read again")
+
+    l, q0 = Fraction(3, 2), 0.37
+    _clear_caches()
+    try:
+        first = SpinBlock(l, 0.6, operator)
+        want = list(first.columns)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra_mod, "_block_matrix", unreadable)
+            warm = SpinBlock(l, q0, operator)
+            # each block owns its columns: changing one changes no other
+            first.columns[0] = -1
+            assert SpinBlock(l, q0, operator).columns == want
+        _clear_caches()
+        cold = SpinBlock(l, q0, operator)
+        assert warm.columns == cold.columns == want
+        assert [x.hex() for x in warm.entries] == \
+            [x.hex() for x in cold.entries]
+        assert warm.eigenvalues() == cold.eigenvalues()
+    finally:
+        _clear_caches()
 
 
 def test_a_broken_casimir_premise_is_an_error(monkeypatch):
@@ -419,6 +457,7 @@ def test_a_broken_casimir_premise_is_an_error(monkeypatch):
         # a failed solve stores nothing, so a real block builds after
         assert _reduced.cache_info().currsize == 0
         assert _block_matrix.cache_info().currsize == 0
+        assert _monomial_form.cache_info().currsize == 0
         vals = SpinBlock(1.5, 0.5, "D").eigenvalues()
         assert vals == pytest.approx([-2.5] * 4 + [2.5] * 4, abs=1e-8)
     finally:
@@ -452,9 +491,13 @@ def test_an_image_outside_the_block_fails_the_closure_check(operator,
             patch.setattr(spectra_mod, "_image", stray_image)
             with pytest.raises(ArithmeticError, match=r"operator %s does not "
                                r"preserve the l=3/2 block" % operator):
+                SpinBlock(Fraction(n, 2), 0.5, operator)
+            with pytest.raises(ArithmeticError, match=r"operator %s does not "
+                               r"preserve the l=3/2 block" % operator):
                 _block_matrix(n, operator)
         # the failed block stores nothing, and a clean rebuild passes
         assert _block_matrix.cache_info().currsize == 0
+        assert _monomial_form.cache_info().currsize == 0
         assert _block_matrix(n, operator) == want
     finally:
         _clear_caches()
