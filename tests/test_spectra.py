@@ -434,7 +434,6 @@ def test_a_warm_block_reads_only_its_monomial_form(operator, monkeypatch):
         assert warm.columns == cold.columns == want
         assert [x.hex() for x in warm.entries] == \
             [x.hex() for x in cold.entries]
-        assert warm.eigenvalues() == cold.eigenvalues()
     finally:
         _clear_caches()
 
@@ -492,9 +491,6 @@ def test_an_image_outside_the_block_fails_the_closure_check(operator,
             with pytest.raises(ArithmeticError, match=r"operator %s does not "
                                r"preserve the l=3/2 block" % operator):
                 SpinBlock(Fraction(n, 2), 0.5, operator)
-            with pytest.raises(ArithmeticError, match=r"operator %s does not "
-                               r"preserve the l=3/2 block" % operator):
-                _block_matrix(n, operator)
         # the failed block stores nothing, and a clean rebuild passes
         assert _block_matrix.cache_info().currsize == 0
         assert _monomial_form.cache_info().currsize == 0
