@@ -83,10 +83,11 @@ class JunkData:
         pairing = ip_T(g, ch)
         # C = ch - e^{-beta} G <G, ch>, walked from explicit legs.  The corner
         # route, (ch - (g * pairing).scale(eb.inverse())).canonical(), builds
-        # C in 3-5 ms instead of 15-24 ms, but set-up may then end before
-        # bench/speed.py takes its first 25 ms sample and the pass exits 1,
-        # as 10 of 40 curvature and 6 of 40 connection set-up-only passes
-        # did, with a raw set-up minimum of 25.6 ms (2 vCPUs, Python 3.11)
+        # C in about 1 ms instead of 8 ms (medians of 8 fresh processes, 2
+        # vCPUs, Python 3.11), but set-up may then end before bench/speed.py
+        # takes its first 25 ms sample and the pass exits 1, as 10 of 40
+        # curvature and 6 of 40 connection set-up-only passes did when it
+        # was tried (raw set-up minimum 25.6 ms; 28.0 ms with the walk)
         c = Tensor(2, ch.terms + [(w.scale(-eb.inverse()), w.dag() * pairing)
                                   for w in frame()]).canonical()
         alpha = as_scalar(ip_T(c, c))

@@ -59,15 +59,18 @@ benchmark workload named with it is slower without it (ROADMAP item 8):
 2. Equal denominators add (curvature, connection): same factors and n.
 3. A sum of products reduces once (curvature, spectra): ``dot`` sums
    x_i y_i s^e_i, where the sum taken term by term reduces after each
-   product and each partial sum.  When every product has a unit factor
-   and the other factors share one denominator, the shifted numerators
-   add into one pair, reduced once; otherwise the products are formed
-   unreduced and summed over their lcm.  Its callers: each coefficient
-   of an ``Element`` product that several term pairs reach
+   product and each partial sum.  When every product has a factor with
+   no denominator and the other factors share one denominator, the
+   products' numerators add into one pair, reduced once (a unit factor
+   is the one-term case); otherwise the products are formed unreduced
+   and summed over their lcm.  Its callers: each coefficient of an
+   ``Element`` product that several term pairs reach
    (``algebra.mul_sum``), so each coefficient of the inner products of
    one-forms and spinors, summed over both corners; every Haar value;
    and each coefficient of a spin-block basis vector and of del_f del_e
-   on its monomials (``spectra._reduced``).
+   on its monomials (``spectra._reduced``).  The leg walk of ``tensors``
+   keeps its every product on this path: it ``clear``s each leg of its
+   denominators and ``divide``s each entry once.
 
 ``pe``, ``pr`` and ``den`` are read-only views: a fresh {exponent:
 Fraction} dict per call, exponents ascending.  Outputs read only the
@@ -513,8 +516,7 @@ class Scalar:
         # elsewhere the sum is one reduced numerator times a unit modulo
         # Phi_N
         e2 = dict(f2)
-        return _over_lcm([(pe1, pr1, n1, f1), (pe2, pr2, n2, f2)],
-                         [N for N, e in f1 if e2.get(N) == e])
+        return _over_lcm([self, other], [N for N, e in f1 if e2.get(N) == e])
 
     def __neg__(self):
         return _make(_pneg(self._pe), _pneg(self._pr), self._n,
@@ -696,24 +698,42 @@ def _over_factored(pe, pr, den, trial=None):
                    factors, trial)
 
 
-def _over_lcm(parts, trial=None):
-    """The reduced sum of the (pe, pr, n, factors) quotients in parts, over
-    their lcm: the lcm of the n and the largest exponent of each Phi_N;
-    ``_scalar`` tries the Phi_N of trial."""
-    n = lcm(*(part[2] for part in parts))
+def clear(xs):
+    """(d, [x d for x in xs]) for scalars xs, reduced or not: d their lcm,
+    held as (n, factors) for ``divide``, and each x d, its numerators times
+    its cofactor in d, held with no denominator and not reduced."""
+    n = lcm(*(x._n for x in xs))
     top = {}
-    for *_, factors in parts:
-        for N, e in factors:
+    for x in xs:
+        for N, e in x._factors:
             top[N] = max(e, top.get(N, 0))
-    pe, pr = {}, {}
-    for pe_i, pr_i, n_i, factors in parts:
-        exps = dict(factors)
+    out = []
+    for x in xs:
+        exps = dict(x._factors)
         cofactor = tuple((N, e - exps.get(N, 0)) for N, e in sorted(top.items())
                          if e > exps.get(N, 0))
-        f = _pscale(_expansion(cofactor), n // n_i)
-        accumulate(pe, _pmul(pe_i, f).items())
-        accumulate(pr, _pmul(pr_i, f).items())
-    return _scalar(pe, pr, n, tuple(sorted(top.items())), trial)
+        f = _pscale(_expansion(cofactor), n // x._n)
+        out.append(_make(_pmul(x._pe, f), _pmul(x._pr, f), 1, ()))
+    return (n, tuple(sorted(top.items()))), out
+
+
+def _over_lcm(xs, trial=None):
+    """The reduced sum of the scalars xs, reduced or not, over their lcm
+    (``clear``); ``_scalar`` tries the Phi_N of trial."""
+    (n, factors), xs = clear(xs)
+    return _scalar(accumulate({}, (t for x in xs for t in x._pe.items())),
+                   accumulate({}, (t for x in xs for t in x._pr.items())),
+                   n, factors, trial)
+
+
+def divide(terms, dens):
+    """The dict terms, its values with no denominator, each divided by the
+    product of the dens from ``clear`` and reduced once."""
+    n, factors = 1, ()
+    for n_i, f_i in dens:
+        n, factors = n * n_i, _factors_mul(factors, f_i)
+    return {key: _scalar(x._pe, x._pr, n, factors)
+            for key, x in terms.items()}
 
 
 def _product(x, y, e):
@@ -730,47 +750,51 @@ def dot(triples) -> Scalar:
     read twice when a product leaves the first path, so it must be a
     sequence; an iterator raises TypeError.
 
-    When every product has a unit factor (``_unit``) and the other factors
-    share n and the factors of their denominator, each product is a shift
-    of its other factor (``mul_s``) and the shifted numerators add into
-    one pair, reduced once over every Phi_N of that denominator.  Else
-    each product is formed without a reduction and the sum reduces once
-    over their lcm (``_over_lcm``).  Summing product by product would
-    reduce each product and each partial sum.  The operands are not
-    touched."""
+    When every product has a factor with no denominator (n = 1, no Phi_N)
+    and the other factors share one denominator, each product adds into
+    one numerator pair over it, reduced once over its every Phi_N; a unit
+    +-s^k or +-r s^k is the one-term case, a shift.  Else the products are
+    formed unreduced and the sum reduces once over their lcm
+    (``_over_lcm``).  Summing product by product would reduce each product
+    and each partial sum.  The operands are not touched."""
     items = iter(triples)
     if items is triples:
         raise TypeError("dot needs a sequence of (x, y, e), not an iterator")
     pe, pr, n, factors = {}, {}, None, None
+    get_e, get_r = pe.get, pr.get
     for x, y, e in items:
-        unit, other = _unit(x), y
-        if unit is None:
-            unit, other = _unit(y), x
-            if unit is None:
-                break
+        other = x if y._n == 1 and not y._factors else y
+        if other is y and (x._n != 1 or x._factors):
+            break
         if n is None:
             n, factors = other._n, other._factors
         elif other._n != n or other._factors != factors:
             break
-        k, sign, with_r = unit
-        k += e
-        if with_r:  # r (pe + pr r) = pr (s^2 + s^-2) + pe r
-            moves = ((pe, other._pr, k + 2), (pe, other._pr, k - 2),
-                     (pr, other._pe, k))
-        else:
-            moves = (pe, other._pe, k), (pr, other._pr, k)
-        # accumulate's sum, inlined and keeping a zero until the end:
-        # routed through accumulate, a curvature cycle took 10% longer
-        # (ROADMAP item 8)
-        for out, p, k in moves:
-            get = out.get
-            for j, c in p.items():
-                j += k
-                out[j] = get(j, 0) + sign * c
+        # (pe1 + pr1 r)(pe2 + pr2 r), r^2 = s^2 + s^-2; accumulate's sum
+        # inlined, zeros kept to the end (10% faster on curvature, item 8)
+        pe2, pr2 = y._pe, y._pr
+        for j1, c1 in x._pe.items():
+            j1 += e
+            for j2, c2 in pe2.items():
+                j = j1 + j2
+                pe[j] = get_e(j, 0) + c1 * c2
+            for j2, c2 in pr2.items():
+                j = j1 + j2
+                pr[j] = get_r(j, 0) + c1 * c2
+        for j1, c1 in x._pr.items():
+            j1 += e
+            for j2, c2 in pe2.items():
+                j = j1 + j2
+                pr[j] = get_r(j, 0) + c1 * c2
+            for j2, c2 in pr2.items():
+                j, c = j1 + j2, c1 * c2
+                pe[j + 2] = get_e(j + 2, 0) + c
+                pe[j - 2] = get_e(j - 2, 0) + c
     else:
         return _scalar({e: c for e, c in pe.items() if c},
                        {e: c for e, c in pr.items() if c}, n, factors)
-    return _over_lcm([_product(x, y, e) for x, y, e in triples if x and y])
+    return _over_lcm([_make(*_product(x, y, e)) for x, y, e in triples
+                      if x and y])
 
 
 ZERO = _make({}, {}, 1, ())

@@ -50,9 +50,12 @@ the corners or walked from the legs; the terms of a corner-built tensor
 are its frame terms (``canonical()``).
 
 The walk from the legs pairs each leg with the frame in turn, sharing the
-partial pairing across the frame indices with a common prefix.  The frame
-is stored reduced, each coefficient a unit (``forms.frame``), so every
-scalar product in a pairing with it is a shift.
+partial pairing across the frame indices with a common prefix.  It runs on
+scalars with no denominator: each leg is multiplied by the lcm d of its
+entries' denominators (``coeff.clear``, each numerator times its cofactor,
+no gcd), and the frame has none, each coefficient a unit (``forms.frame``),
+so no product or sum of the walk tests a Phi_N (``coeff.dot``).  Each final
+entry is divided once by the product of the legs' d (``coeff.divide``).
 
 The module also provides the multiplication map m onto diagonal 2x2
 matrices (the two mixed corners of a two-tensor) and the metric two-tensor
@@ -72,7 +75,7 @@ import functools
 from itertools import chain
 
 from .algebra import MONO_ID, Element, ONE_EL, Pair, ZERO_EL, mul_sum
-from .coeff import Scalar, accumulate, rational
+from .coeff import Scalar, accumulate, clear, divide, rational
 from .forms import OneForm, frame, ip_right
 
 
@@ -227,10 +230,17 @@ def _frame_coeffs(t: Tensor):
 
 def _walk_term(term, out):
     """Add <w_{i_1} (x) ... (x) w_{i_k}, term> to out[I] for every I
-    (``accumulate``)."""
+    (``accumulate``), walked on the legs cleared of their denominators and
+    divided once at the end (module docstring)."""
     ws = frame()
     states = {(): None}
+    dens = []
     for leg in term:
+        plus, minus = leg.plus.terms, leg.minus.terms
+        den, xs = clear([*plus.values(), *minus.values()])
+        dens.append(den)
+        leg = OneForm(Element(dict(zip(plus, xs))),
+                      Element(dict(zip(minus, xs[len(plus):]))))
         nxt = {}
         for prefix, x in states.items():
             moved = leg if x is None else x * leg
@@ -239,7 +249,8 @@ def _walk_term(term, out):
                 if not y.is_zero():
                     nxt[prefix + (i,)] = y
         states = nxt
-    accumulate(out, states.items())
+    accumulate(out, ((idx, Element(divide(x.terms, dens)))
+                     for idx, x in states.items()))
 
 
 def tensor(*legs) -> Tensor:

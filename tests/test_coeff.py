@@ -1132,6 +1132,41 @@ def test_fused_unit_products_keep_the_stored_form(parts, den):
     _check_fused([(u, _laurent(terms) * inv, e) for u, terms, e in parts])
 
 
+# a factor with no denominator: several terms, r-parts and coefficients
+# other than +-1, or a unit
+_FREE = st.one_of(_TERMS.map(_laurent), st.sampled_from(UNITS))
+
+
+@given(st.lists(st.tuples(_FREE, _TERMS, st.integers(-4, 4), st.booleans(),
+                          st.sampled_from(_DENS)), min_size=1, max_size=6),
+       st.sampled_from(_DENS), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_fused_products_with_a_denominator_free_factor(parts, den, mixed):
+    # the other factors share den, or with mixed each has its own, whose
+    # (n, factors) differ and send the sum over the lcm
+    inv = den.inverse()
+    triples = []
+    for free, terms, e, swap, own in parts:
+        other = _laurent(terms) * (own.inverse() if mixed else inv)
+        triples.append((other, free, e) if swap else (free, other, e))
+    _check_fused(triples)
+
+
+def test_fused_denominator_free_products_reduce_once(monkeypatch):
+    # free factors that are not units, on either side, and one with no
+    # r-part, mixed with units: one reduction and no sum over the lcm
+    x = _PHI8 * (qnum(3) + ROOT_TWO_Q)
+    free = [_laurent([(2, 1, 0), (-3, 0, 1), (1, -4, 1)]),
+            _laurent([(5, 2, 0), (-1, -2, 0)]), ROOT_TWO_Q.scale_s(3), -ONE]
+    triples = [(f, x.scale_s(k), k) if k % 2 else (x.scale_s(k), f, -k)
+               for k, f in enumerate(free)]
+    want = _term_by_term(triples)
+    reductions = _count_calls(monkeypatch, "_reduce")
+    lcms = _count_calls(monkeypatch, "_over_lcm")
+    assert dot(triples)._freeze() == want._freeze()
+    assert len(reductions) == 1 and not lcms
+
+
 # ---------------------------------------------------------------------------
 # the quotient
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,6 +212,7 @@ def _walk_cases():
     q2 = (q_pow(2) + q_pow(-2)).inverse()
     q3 = qnum(6).inverse()
     pole = (q_pow(1) - q_pow(-1)).inverse()
+    third = rational(Fraction(1, 3))
     mixed = OneForm(w1.plus.scale(q2), w1.minus.scale(q3))
     poled = OneForm(dee(SPHERE_B).plus.scale(pole),
                     dee(SPHERE_B).minus.scale(q2))
@@ -230,15 +232,48 @@ def _walk_cases():
         tensor(poled, w1, zero_entry, w3.scale(q2)),
         tensor(-w1, c1.scale(vf.alpha.inverse()), c2 * ip_T(vf.C, mid),
                w3.dag()),
+        # a leg over a rational denominator, n = 3
+        tensor(w2.scale(rational(Fraction(2, 3))), poled.scale(third)),
+        # the final division cancels Phi_16 (q^2 + q^-2) and the Phi_N of
+        # [3]_q, one leg cleared by them and the other holding none
+        tensor(w1.scale(q2 * q3), w2.scale((q2 * q3).inverse())),
+        # no denominators: clearing leaves every leg as it is
+        tensor(w1, w2 * SPHERE_A, w3.dag()),
     ]
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(8))
 def test_leg_walk_matches_the_corner_route(case):
     t = _walk_cases()[case]
     got = t.coeffs()
     assert got == from_corners(t.k, t.corners()).coeffs()
     assert got == _coeffs_by_eps(t)
+
+
+def test_leg_walk_reduces_only_in_the_final_division(monkeypatch):
+    # on the workload-shaped slice every scalar of the walk has no
+    # denominator: a reduction over one runs only in the division, once
+    # per output coefficient
+    import qsphere.coeff as coeff_mod
+    import qsphere.tensors as tensors_mod
+    t = _walk_cases()[4]
+    log = []
+    reduce, divide = coeff_mod._reduce, tensors_mod.divide
+
+    def logged_reduce(pe, pr, n, factors, trial):
+        if n != 1 or factors:
+            log.append("reduce")
+        return reduce(pe, pr, n, factors, trial)
+
+    def logged_divide(terms, dens):
+        log.append("divide")
+        return divide(terms, dens)
+
+    monkeypatch.setattr(coeff_mod, "_reduce", logged_reduce)
+    monkeypatch.setattr(tensors_mod, "divide", logged_divide)
+    got = t.coeffs()
+    assert log[0] == "divide" and log.count("reduce") > 0
+    assert log.count("reduce") <= sum(len(c.terms) for c in got.values())
 
 
 def test_terms_read_inside_a_coeffs_wrapper_do_not_recurse(monkeypatch):
